@@ -44,7 +44,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -291,10 +291,6 @@ pub struct ExecutorReport {
     /// Total condvar parks — idle periods workers spent blocked at zero
     /// CPU instead of backoff polling.
     pub parks: u64,
-    /// Total nanoseconds workers spent blocked waiting for group-commit
-    /// durability acknowledgments while holding work (zero unless a
-    /// durability stall probe was attached).
-    pub commit_wait_nanos: u64,
     /// Tasks left unexecuted in the queues (only non-zero when
     /// `drain_on_shutdown` is false).
     pub abandoned: u64,
@@ -550,11 +546,6 @@ pub struct WorkerSet<T: Send + 'static> {
     /// centralized model's dispatcher queue), sampled into
     /// [`PoolSample::dispatcher_backlog`].
     backlog_probe: Mutex<Option<Arc<dyn Fn() -> usize + Send + Sync>>>,
-    /// Optional probe draining the executing thread's accumulated
-    /// group-commit (durability) wait since the last call, in nanoseconds.
-    /// Read after every handler batch, hence a `OnceLock` (one atomic load
-    /// when unset) rather than a mutex like the rarely-read backlog probe.
-    stall_probe: OnceLock<Arc<dyn Fn() -> u64 + Send + Sync>>,
     /// Recycled submission-path buffers (see [`BatchPool`]).
     batch_pool: Mutex<BatchPool<T>>,
 }
@@ -585,20 +576,7 @@ impl<T: Send + 'static> WorkerSet<T> {
             resize_nanos: AtomicU64::new(0),
             resized_workers: AtomicU64::new(0),
             backlog_probe: Mutex::new(None),
-            stall_probe: OnceLock::new(),
             batch_pool: Mutex::new(BatchPool::default()),
-        }
-    }
-
-    /// Fold the executing thread's pending commit-wait stall (if a probe is
-    /// attached) into worker `index`'s counters. Called after each handler
-    /// batch so the wait lands on the worker that actually blocked.
-    fn drain_stall(&self, index: usize) {
-        if let Some(probe) = self.stall_probe.get() {
-            let nanos = probe();
-            if nanos > 0 {
-                self.counters[index].record_commit_wait(nanos);
-            }
         }
     }
 
@@ -1154,27 +1132,6 @@ impl<T: Send + 'static> Executor<T> {
         *self.set.backlog_probe.lock() = Some(probe);
     }
 
-    /// Attach a probe that drains the calling thread's accumulated
-    /// group-commit (durability) wait since its previous call, in
-    /// nanoseconds. Workers invoke it after each executed batch and book
-    /// the result as commit-wait stall on their own counters — keeping
-    /// durable-mode fsync waits a distinct stall category instead of
-    /// folding them into generic idle time. Attachment is permanent for the
-    /// executor's lifetime (like the STM telemetry attachments).
-    pub fn attach_stall_probe(&self, probe: Arc<dyn Fn() -> u64 + Send + Sync>) -> bool {
-        self.set.stall_probe.set(probe).is_ok()
-    }
-
-    /// Total nanoseconds workers spent blocked on group-commit durability
-    /// waits, summed over workers.
-    pub fn commit_wait_nanos(&self) -> u64 {
-        self.set
-            .counters
-            .iter()
-            .map(|c| c.commit_wait_nanos())
-            .sum()
-    }
-
     /// Current queue lengths (diagnostics / back-pressure tuning), over the
     /// full capacity.
     pub fn queue_lengths(&self) -> Vec<usize> {
@@ -1229,7 +1186,6 @@ impl<T: Send + 'static> Executor<T> {
             adopted: self.adopted(),
             idle_polls: self.set.counters.iter().map(|c| c.idle_polls()).sum(),
             parks: self.parks(),
-            commit_wait_nanos: self.commit_wait_nanos(),
             abandoned,
             resizes: self.resizes(),
             active_workers: self.set.active(),
@@ -1269,7 +1225,6 @@ where
             for task in batch.drain(..) {
                 handler(index, task);
             }
-            set.drain_stall(index);
             return true;
         }
     }
@@ -1311,7 +1266,6 @@ where
                 set.counters[index].record_completed(1);
                 handler(index, task);
             }
-            set.drain_stall(index);
             set.counters[index].record_busy_wakeup();
             backoff.reset();
             wakeups = wakeups.wrapping_add(1);
@@ -1379,7 +1333,6 @@ where
                     for task in batch.drain(..) {
                         handler(index, task);
                     }
-                    set.drain_stall(index);
                     backoff.reset();
                     continue;
                 }

@@ -27,7 +27,6 @@ pub struct WorkerCounters {
     park_nanos: AtomicU64,
     stolen: AtomicU64,
     adopted: AtomicU64,
-    commit_wait_nanos: AtomicU64,
 }
 
 impl WorkerCounters {
@@ -69,15 +68,6 @@ impl WorkerCounters {
     pub fn record_park(&self, nanos: u64) {
         self.parks.fetch_add(1, Ordering::Relaxed);
         self.park_nanos.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Record wall-clock spent blocked on group-commit durability waits
-    /// while executing tasks. A distinct stall category from parks and
-    /// idle polls: the worker held work the whole time, it was the log's
-    /// fsync it was waiting for — folding this into generic idle time
-    /// would make durable-mode latency cost unattributable.
-    pub fn record_commit_wait(&self, nanos: u64) {
-        self.commit_wait_nanos.fetch_add(nanos, Ordering::Relaxed);
     }
 
     /// Record a task stolen from another worker's queue.
@@ -137,11 +127,6 @@ impl WorkerCounters {
     /// Tasks executed after adopting them from a retired worker's queue.
     pub fn adopted(&self) -> u64 {
         self.adopted.load(Ordering::Relaxed)
-    }
-
-    /// Total nanoseconds spent blocked on group-commit durability waits.
-    pub fn commit_wait_nanos(&self) -> u64 {
-        self.commit_wait_nanos.load(Ordering::Relaxed)
     }
 
     /// Every task this worker executed, regardless of origin.
@@ -221,10 +206,7 @@ mod tests {
         c.record_idle_poll();
         c.record_steal();
         c.record_park(25_000_000);
-        c.record_commit_wait(1_500);
-        c.record_commit_wait(500);
         assert_eq!(c.completed(), 2);
-        assert_eq!(c.commit_wait_nanos(), 2_000);
         assert_eq!(c.retries(), 2);
         assert_eq!(c.idle_polls(), 1);
         assert_eq!(c.stolen(), 1);

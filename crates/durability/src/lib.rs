@@ -19,12 +19,15 @@
 //! The log is a sequence of CRC-framed records (see [`record`]) across
 //! numbered segment files (see [`segment`]). Committers call
 //! [`Wal::enqueue`] *while still holding their STM write locks* (so log
-//! order respects transaction dependency order) and [`Wal::wait_durable`]
-//! *after releasing them* (so no lock is ever held across an fsync). The
+//! order respects transaction dependency order) and keep the returned
+//! sequence number as a ticket; nobody holds a lock across an fsync. The
 //! log-writer thread drains every pending record into one buffered append
-//! and one `fdatasync`, then wakes all committers whose sequence number the
-//! sync covered — under concurrent commit traffic each fsync amortizes over
-//! the whole group, driving fsyncs-per-commit well below one.
+//! and one `fdatasync`, advances [`Wal::durable_seq`], wakes blocked
+//! [`Wal::wait_durable`] callers and calls the [`Wal::on_durable`] hook,
+//! through which the facade releases every task result whose ticket the
+//! sync covered. Because committers do not wait for the sync before moving
+//! on, each fsync amortizes over every commit made while the previous one
+//! ran, driving fsyncs-per-commit well below one.
 //!
 //! Checkpoints are *fuzzy* (see [`checkpoint`]): the checkpointer records
 //! the last enqueued sequence number `P`, then snapshots structure state
@@ -37,9 +40,11 @@
 //!
 //! ## Invariants
 //!
-//! 1. **No lost acknowledged commit**: `wait_durable` returns only after
-//!    the record's bytes are fsynced, so any commit acknowledged to a
-//!    caller survives a crash.
+//! 1. **No lost acknowledged commit**: `durable_seq` covers a record only
+//!    after its bytes are fsynced, so any commit acknowledged against it
+//!    survives a crash. After an I/O error the writer stops and
+//!    [`WalProgress::failed`] is set: nothing past the last synced group is
+//!    ever reported durable.
 //! 2. **No torn record applied**: the decoder stops at the first record
 //!    whose length or CRC does not check out; a torn tail is truncated on
 //!    the next open, never replayed.
@@ -59,4 +64,4 @@ pub mod wal;
 pub use checkpoint::{read_checkpoint, Checkpoint};
 pub use record::{crc32, decode_records, encode_record, DecodedLog};
 pub use stats::{DurabilityStats, DurabilityView};
-pub use wal::{CrashPoint, RecoveredLog, Wal, WalConfig};
+pub use wal::{CrashPoint, RecoveredLog, Wal, WalConfig, WalProgress};

@@ -29,8 +29,9 @@ pub struct DurabilityStats {
     pub segments: AtomicU64,
     /// Segment files pruned after a checkpoint covered them.
     pub pruned_segments: AtomicU64,
-    /// Total wall-clock nanoseconds committers spent blocked waiting for
-    /// their group's fsync acknowledgment.
+    /// Total acknowledgment delay in nanoseconds: for each task result held
+    /// back until its ticket became durable, the time from the task's end
+    /// to its release.
     pub group_wait_nanos: AtomicU64,
 }
 
@@ -50,7 +51,7 @@ impl DurabilityStats {
         self.checkpoint_position.store(position, Ordering::Relaxed);
     }
 
-    /// Add committer wall-clock time spent waiting on group fsync.
+    /// Add acknowledgment delay (task end to result release).
     pub fn record_group_wait(&self, nanos: u64) {
         self.group_wait_nanos.fetch_add(nanos, Ordering::Relaxed);
     }
@@ -118,7 +119,8 @@ pub struct DurabilityView {
     pub segments: u64,
     /// Segment files pruned after checkpoints.
     pub pruned_segments: u64,
-    /// Committer wall-clock nanoseconds spent waiting on group fsyncs.
+    /// Acknowledgment delay in nanoseconds: task end to result release,
+    /// summed over the results held back for durability.
     pub group_wait_nanos: u64,
 }
 

@@ -2,16 +2,20 @@
 //! files, plus recovery on open.
 //!
 //! Committers hand their serialized write-set to [`Wal::enqueue`] (cheap:
-//! one mutex push + condvar signal) and later block in
-//! [`Wal::wait_durable`] until the dedicated writer thread has flushed a
-//! group covering their sequence number. The writer drains *all* pending
+//! one mutex push + condvar signal) and keep the returned sequence number
+//! as their ticket. The dedicated writer thread drains *all* pending
 //! records each wakeup, writes them as one append, and issues one
-//! `fdatasync` for the whole group — so fsyncs-per-commit falls as
-//! concurrency rises.
+//! `fdatasync` for the whole group — so fsyncs-per-commit falls as the
+//! group grows. A ticket holder learns that its record is durable either by
+//! blocking in [`Wal::wait_durable`] or, without blocking, from the
+//! [`Wal::on_durable`] hook the writer calls after every durable advance;
+//! [`Wal::durable_seq`] and [`Wal::tail`] are lock-free reads of the two
+//! watermarks that decide it.
 
 use std::io::{self, Write};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
 use parking_lot::{Condvar, Mutex};
@@ -24,7 +28,8 @@ use crate::stats::{DurabilityStats, DurabilityView};
 /// Fault-injection points for crash tests. When set in [`WalConfig`], the
 /// process calls `std::process::abort()` at the named point — after
 /// `crash_after` normal occurrences — leaving the on-disk state exactly as
-/// a power failure there would.
+/// a power failure there would. [`CrashPoint::IoError`] is the exception:
+/// it fails the writer instead of the process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashPoint {
     /// Abort after writing only half of a group's bytes (torn record on
@@ -36,6 +41,11 @@ pub enum CrashPoint {
     /// Abort after staging a checkpoint temporary but before the atomic
     /// rename (the previous checkpoint must still win).
     MidCheckpoint,
+    /// Fail the group's append with an I/O error instead of aborting: the
+    /// writer thread records the error and stops, nothing past the last
+    /// flushed group ever becomes durable, and every waiter — blocked or
+    /// hooked — learns of the failure.
+    IoError,
 }
 
 /// Configuration for [`Wal::open`].
@@ -52,8 +62,8 @@ pub struct WalConfig {
     /// Optional fault-injection point (crash tests only).
     pub crash_point: Option<CrashPoint>,
     /// How many normal occurrences of the crash point's action to allow
-    /// before aborting (groups flushed for the append/fsync points,
-    /// checkpoints completed for `MidCheckpoint`).
+    /// before it fires (groups flushed for the append, fsync and I/O-error
+    /// points, checkpoints completed for `MidCheckpoint`).
     pub crash_after: u64,
 }
 
@@ -115,18 +125,63 @@ struct WalState {
     /// only while `pending_count > 0`).
     pending_first_seq: u64,
     next_seq: u64,
-    durable_seq: u64,
     active_first_seq: u64,
     shutdown: bool,
     io_error: Option<String>,
+}
+
+/// Called by the writer thread with the new durable sequence number after
+/// every durable advance, and once more after a failure.
+type DurableHook = Box<dyn Fn(u64) + Send + Sync>;
+
+/// Lock-free mirrors of the log's watermarks, readable without the state
+/// lock. Shared by the [`Wal`] and whoever judges tickets without holding
+/// the log handle. Both watermarks are stored with `Release` under the
+/// state lock and loaded with `Acquire`: a reader that sees a watermark
+/// also sees the writes made before it was published.
+#[derive(Debug, Default)]
+pub struct WalProgress {
+    durable_seq: AtomicU64,
+    tail: AtomicU64,
+    failed: AtomicBool,
+}
+
+impl WalProgress {
+    /// Highest sequence number known to be on stable storage (every record
+    /// up to it is durable).
+    pub fn durable_seq(&self) -> u64 {
+        self.durable_seq.load(Ordering::Acquire)
+    }
+
+    /// Highest sequence number handed out by [`Wal::enqueue`] so far.
+    pub fn tail(&self) -> u64 {
+        self.tail.load(Ordering::Acquire)
+    }
+
+    /// True once the writer thread has stopped on an I/O error: no record
+    /// past [`WalProgress::durable_seq`] will ever become durable.
+    pub fn failed(&self) -> bool {
+        self.failed.load(Ordering::Acquire)
+    }
 }
 
 struct WalShared {
     state: Mutex<WalState>,
     work: Condvar,
     durable: Condvar,
+    progress: Arc<WalProgress>,
+    on_durable: OnceLock<DurableHook>,
     stats: Arc<DurabilityStats>,
     config: WalConfig,
+}
+
+impl WalShared {
+    fn notify_durable(&self) {
+        self.durable.notify_all();
+        if let Some(hook) = self.on_durable.get() {
+            hook(self.progress.durable_seq());
+        }
+    }
 }
 
 /// Handle to an open write-ahead log. Dropping it shuts the writer thread
@@ -217,19 +272,23 @@ impl Wal {
                 .store(checkpoint_position, std::sync::atomic::Ordering::Relaxed);
         }
 
+        let progress = WalProgress::default();
+        progress.durable_seq.store(next_seq - 1, Ordering::Relaxed);
+        progress.tail.store(next_seq - 1, Ordering::Relaxed);
         let shared = Arc::new(WalShared {
             state: Mutex::new(WalState {
                 pending_bytes: Vec::new(),
                 pending_count: 0,
                 pending_first_seq: 0,
                 next_seq,
-                durable_seq: next_seq - 1,
                 active_first_seq: segment.first_seq(),
                 shutdown: false,
                 io_error: None,
             }),
             work: Condvar::new(),
             durable: Condvar::new(),
+            progress: Arc::new(progress),
+            on_durable: OnceLock::new(),
             stats,
             config,
         });
@@ -250,11 +309,11 @@ impl Wal {
     }
 
     /// Append a committed write-set to the log, returning its sequence
-    /// number (the ticket for [`Wal::wait_durable`]). Cheap: the record is
-    /// framed straight into the shared staging buffer (a short memcpy)
-    /// under one mutex, plus a condvar signal — safe to call while holding
-    /// STM write locks. The payload is borrowed, so the caller keeps (and
-    /// can recycle) its buffer.
+    /// number (the ticket to compare against [`Wal::durable_seq`]). Cheap:
+    /// the record is framed straight into the shared staging buffer (a
+    /// short memcpy) under one mutex, plus a condvar signal — safe to call
+    /// while holding STM write locks. The payload is borrowed, so the
+    /// caller keeps (and can recycle) its buffer.
     pub fn enqueue(&self, payload: &[u8]) -> u64 {
         let mut state = self.shared.state.lock();
         let seq = state.next_seq;
@@ -265,6 +324,9 @@ impl Wal {
         state.pending_count += 1;
         let state = &mut *state;
         encode_record(seq, payload, &mut state.pending_bytes);
+        // Published under the state lock, so the mirror never runs
+        // backwards.
+        self.shared.progress.tail.store(seq, Ordering::Release);
         self.shared.work.notify_one();
         seq
     }
@@ -273,8 +335,11 @@ impl Wal {
     /// group's sync completed). Must not be called while holding STM
     /// locks. Fails if the writer thread hit an I/O error.
     pub fn wait_durable(&self, seq: u64) -> io::Result<()> {
+        if self.durable_seq() >= seq {
+            return Ok(());
+        }
         let mut state = self.shared.state.lock();
-        while state.durable_seq < seq {
+        while self.durable_seq() < seq {
             if let Some(message) = &state.io_error {
                 return Err(io::Error::other(message.clone()));
             }
@@ -288,21 +353,39 @@ impl Wal {
 
     /// Flush everything enqueued so far and wait for it to be durable.
     pub fn sync_all(&self) -> io::Result<()> {
-        let target = {
-            let state = self.shared.state.lock();
-            state.next_seq - 1
-        };
-        let durable = { self.shared.state.lock().durable_seq };
-        if durable >= target {
-            return Ok(());
-        }
-        self.wait_durable(target)
+        self.wait_durable(self.tail())
     }
 
     /// Highest sequence number handed out so far (0 before the first
-    /// enqueue on a fresh log).
-    pub fn last_enqueued(&self) -> u64 {
-        self.shared.state.lock().next_seq - 1
+    /// enqueue on a fresh log), read without the state lock: every record
+    /// enqueued before this call has a sequence number at or below the
+    /// result.
+    pub fn tail(&self) -> u64 {
+        self.shared.progress.tail()
+    }
+
+    /// Highest sequence number on stable storage, read without the state
+    /// lock. The writer stores it before calling the [`Wal::on_durable`]
+    /// hook.
+    pub fn durable_seq(&self) -> u64 {
+        self.shared.progress.durable_seq()
+    }
+
+    /// The shared watermark mirrors, for holders that must outlive or not
+    /// own the log handle.
+    pub fn progress(&self) -> &Arc<WalProgress> {
+        &self.shared.progress
+    }
+
+    /// Install the hook the writer thread calls, outside the state lock,
+    /// with the new durable sequence number after each durable advance —
+    /// and once more after an I/O error stops the writer
+    /// ([`WalProgress::failed`] is set by then). Can be set once; returns
+    /// false if a hook is already installed. The hook runs on the writer's
+    /// thread between groups, so it must be short and must not wait on the
+    /// log.
+    pub fn on_durable(&self, hook: impl Fn(u64) + Send + Sync + 'static) -> bool {
+        self.shared.on_durable.set(Box::new(hook)).is_ok()
     }
 
     /// Begin a fuzzy checkpoint: returns the position `P` the caller must
@@ -310,7 +393,7 @@ impl Wal {
     /// record with `seq <= P` was fully published before this call
     /// returns, so the caller's snapshot is guaranteed to contain it.
     pub fn begin_checkpoint(&self) -> u64 {
-        self.last_enqueued()
+        self.tail()
     }
 
     /// Finish a checkpoint: atomically persist `payload` as the snapshot
@@ -350,7 +433,8 @@ impl Wal {
         Ok(())
     }
 
-    /// Add committer wall-clock time spent blocked in group-commit waits
+    /// Add acknowledgment delay — time between a task's end and the
+    /// moment its result was released because its ticket became durable
     /// (recorded by the caller, which owns the timing scope).
     pub fn record_group_wait(&self, nanos: u64) {
         self.shared.stats.record_group_wait(nanos);
@@ -358,7 +442,7 @@ impl Wal {
 
     /// Snapshot the durability counters.
     pub fn view(&self) -> DurabilityView {
-        self.shared.stats.view(self.last_enqueued())
+        self.shared.stats.view(self.tail())
     }
 
     /// Shared counters handle (for recovery bookkeeping by the embedder).
@@ -422,16 +506,20 @@ fn writer_loop(shared: Arc<WalShared>, mut segment: SegmentWriter) {
                 groups_flushed += 1;
                 let last_seq = first_seq + count - 1;
                 let mut state = shared.state.lock();
-                state.durable_seq = last_seq;
                 state.active_first_seq = segment.first_seq();
+                shared
+                    .progress
+                    .durable_seq
+                    .store(last_seq, Ordering::Release);
                 drop(state);
-                shared.durable.notify_all();
+                shared.notify_durable();
             }
             Err(error) => {
                 let mut state = shared.state.lock();
                 state.io_error = Some(error.to_string());
+                shared.progress.failed.store(true, Ordering::Release);
                 drop(state);
-                shared.durable.notify_all();
+                shared.notify_durable();
                 return;
             }
         }
@@ -457,6 +545,10 @@ fn flush_group(
     let crash_now = |point: CrashPoint| {
         shared.config.crash_point == Some(point) && groups_flushed >= shared.config.crash_after
     };
+
+    if crash_now(CrashPoint::IoError) {
+        return Err(io::Error::other("injected WAL write error"));
+    }
 
     if crash_now(CrashPoint::MidAppend) {
         // Fault injection: leave a torn record on disk and die. The
@@ -654,6 +746,66 @@ mod tests {
                 .collect::<Vec<_>>(),
             vec![5, 6, 7]
         );
+        drop(wal);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn hook_reports_every_durable_advance_and_mirrors_track_it() {
+        let dir = temp_dir("hook");
+        let (wal, _) = Wal::open(WalConfig::new(&dir)).unwrap();
+        assert_eq!((wal.tail(), wal.durable_seq()), (0, 0));
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        assert!(wal.on_durable(move |seq| sink.lock().push(seq)));
+        assert!(!wal.on_durable(|_| {}), "the hook can be set once");
+        for index in 0..5u64 {
+            let seq = wal.enqueue(&[index as u8]);
+            assert_eq!(wal.tail(), seq);
+            wal.wait_durable(seq).unwrap();
+            assert!(wal.durable_seq() >= seq);
+        }
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while seen.lock().last() != Some(&5) && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        let seen = seen.lock().clone();
+        assert_eq!(seen.last(), Some(&5));
+        assert!(seen.windows(2).all(|pair| pair[0] < pair[1]), "{seen:?}");
+        assert!(!wal.progress().failed());
+        drop(wal);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn injected_io_error_fails_waiters_and_never_advances() {
+        let dir = temp_dir("ioerror");
+        let config = WalConfig::new(&dir).with_crash_point(CrashPoint::IoError, 2);
+        let (wal, _) = Wal::open(config).unwrap();
+        let calls = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&calls);
+        wal.on_durable(move |_| {
+            counter.fetch_add(1, Ordering::Relaxed);
+        });
+        for index in 0..2u64 {
+            let seq = wal.enqueue(&[index as u8]);
+            wal.wait_durable(seq).unwrap();
+        }
+        let doomed = wal.enqueue(&[9]);
+        assert!(wal.wait_durable(doomed).is_err(), "must fail, not hang");
+        assert!(wal.progress().failed());
+        assert_eq!(wal.durable_seq(), 2);
+        // The hook hears both advances and the failure (it runs after the
+        // waiters are released, so give it a moment).
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while calls.load(Ordering::Relaxed) < 3 && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        assert_eq!(calls.load(Ordering::Relaxed), 3);
+        // Later records fail the same way.
+        let later = wal.enqueue(&[10]);
+        assert!(wal.wait_durable(later).is_err());
+        assert!(wal.sync_all().is_err());
         drop(wal);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -56,7 +56,8 @@ fn main() {
         }
     }
     println!("\n(ratio = durable/volatile throughput; fsyncs/commit < 1.0 is the group-commit");
-    println!(" amortization — concurrent commits share one fdatasync. Lookups are read-only");
-    println!(" and never wait on the log, so write-heavy mixes price durability highest.");
+    println!(" amortization — concurrent commits share one fdatasync. Lookups log nothing;");
+    println!(" their acks wait only for the log tail they read, so write-heavy mixes price");
+    println!(" durability highest.");
     println!(" With --smoke the windows are tiny; treat the numbers as a pipeline check.)");
 }

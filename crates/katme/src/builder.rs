@@ -347,12 +347,17 @@ impl Builder {
     /// `dir`. Every task carrying a [`durable
     /// payload`](crate::KeyedTask::durable_payload) whose transaction
     /// commits is appended to the log by a dedicated writer thread —
-    /// concurrent commits batch into one append + one fsync (group commit),
-    /// and each commit is acknowledged only after its group's fsync — so
-    /// under load the plane performs far fewer than one fsync per commit
-    /// while never acknowledging a non-durable commit. On build, the log at
-    /// `dir` is recovered *before* the runtime accepts work: a torn tail is
-    /// truncated, the latest checkpoint is restored into the
+    /// concurrent commits batch into one append + one fsync (group commit).
+    /// A task's handle resolves only once everything the task wrote or read
+    /// is durable, but workers do not wait for the fsync: they move on and
+    /// the writer releases the results of a whole group at once (see
+    /// [`crate::durability`]). Under load the plane performs far fewer than
+    /// one fsync per commit while never acknowledging a non-durable result;
+    /// if the log fails, pending handles resolve as
+    /// [`KatmeError::NotDurable`](crate::KatmeError::NotDurable). On
+    /// build, the log at `dir` is recovered *before* the runtime accepts
+    /// work: a torn tail is truncated, the latest checkpoint is restored
+    /// into the
     /// [`Builder::durable_state`] (when one is attached), and the surviving
     /// suffix is replayed. Durability counters surface through
     /// [`crate::StatsView::durability`].

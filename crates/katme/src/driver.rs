@@ -335,8 +335,8 @@ pub struct RunResult {
     /// What recovery restored and replayed when the durable run started
     /// (`None` for a volatile run).
     pub recovery: Option<RecoveryReport>,
-    /// Wall-clock nanoseconds workers spent blocked in group-commit waits
-    /// (0 for a volatile run).
+    /// Acknowledgment delay: task end to result release, summed over the
+    /// results held back for durability (0 for a volatile run).
     pub commit_wait_nanos: u64,
     /// MV-designated key ranges at the window's close (empty when the lane
     /// is disabled or stayed cold).
@@ -825,6 +825,9 @@ where
     let windows = windows.max(1);
     let run = AtomicBool::new(true);
     let started = Instant::now();
+    // Baseline before any producer starts, so the window deltas tile every
+    // completion of the run.
+    let mut previous = runtime.stats();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..producers)
             .map(|producer| {
@@ -874,7 +877,6 @@ where
             })
             .collect();
         let slice = duration / windows as u32;
-        let mut previous = runtime.stats();
         let mut reports = Vec::with_capacity(windows);
         for index in 0..windows {
             std::thread::sleep(slice);

@@ -5,12 +5,26 @@
 //! builder wires together:
 //!
 //! * [`WalSink`] — the [`katme_stm::DurabilitySink`] implementation that
-//!   connects the STM commit path to the group-commit
-//!   [`Wal`]. `log_commit` is a cheap enqueue made
-//!   while the committing transaction still owns its write set (so log
-//!   order respects dependency order); `wait_durable` blocks after release
-//!   until the record's group is fsynced, and times the wait into the
-//!   per-thread stall accumulator the executor drains.
+//!   connects the STM commit path to the group-commit [`Wal`].
+//!   `log_commit` is a cheap enqueue made while the committing transaction
+//!   still owns its write set (so log order respects dependency order), and
+//!   the sequence number it returns is the commit's ticket.
+//!
+//!   The acknowledgment happens at the **task boundary**, not at the
+//!   commit: a task's handle resolves only once its ticket is durable. The
+//!   runtime runs every task in an ack scope
+//!   ([`katme_stm::with_ack_scope`]), so its commits return as soon as they
+//!   have released their locks; the task's ticket is the highest log
+//!   sequence number it wrote, or the log tail at commit when it wrote
+//!   nothing (a lookup must not be acknowledged for a value a crash could
+//!   take back). A worker whose ticket is not yet durable parks the result
+//!   on its own FIFO and moves on to its next task; the WAL writer's
+//!   [`Wal::on_durable`] hook releases the whole group at once. Groups
+//!   therefore hold every commit made while the previous group flushed,
+//!   not at most one per worker. Inline paths (the no-executor model and
+//!   MV blocks) wait for the ticket on the submitting thread. If the
+//!   writer fails, every result not yet released resolves as
+//!   [`KatmeError::NotDurable`](crate::KatmeError::NotDurable).
 //! * [`DurableState`] — what the application exposes to the checkpointer:
 //!   a snapshot encoder plus the restore/replay halves of recovery. The
 //!   dictionary structures get a ready-made implementation in
@@ -37,7 +51,7 @@ use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use katme_collections::{apply_op, decode_op, decode_snapshot, encode_snapshot, TxDictionary};
 use katme_durability::{DurabilityView, RecoveredLog, Wal, WalConfig};
@@ -108,9 +122,7 @@ impl std::fmt::Debug for DictState {
 }
 
 /// The [`DurabilitySink`] bridging the STM commit path to the group-commit
-/// WAL. Commit waits are timed into the executing thread's stall
-/// accumulator ([`katme_stm::durable::add_group_wait_nanos`]) so the worker
-/// telemetry reports group-commit blocking as its own category.
+/// WAL.
 #[derive(Debug)]
 pub struct WalSink {
     wal: Arc<Wal>,
@@ -128,18 +140,19 @@ impl DurabilitySink for WalSink {
         self.wal.enqueue(payload)
     }
 
+    /// Only commits outside an ack scope (direct [`katme_stm::Stm`] users)
+    /// block here; runtime tasks never do.
     fn wait_durable(&self, ticket: u64) {
-        let started = Instant::now();
         // An I/O error in the writer thread means durability is lost for
-        // good; acknowledging the commit anyway would violate the plane's
-        // core invariant (no acknowledged commit may be lost), so fail
-        // loudly instead.
+        // good; returning normally would let the caller treat the commit as
+        // durable, so fail loudly instead.
         self.wal
             .wait_durable(ticket)
             .expect("WAL writer failed; cannot acknowledge a non-durable commit");
-        let nanos = started.elapsed().as_nanos() as u64;
-        katme_stm::durable::add_group_wait_nanos(nanos);
-        self.wal.record_group_wait(nanos);
+    }
+
+    fn tail(&self) -> u64 {
+        self.wal.tail()
     }
 }
 
@@ -273,9 +286,8 @@ impl DurabilityPlane {
 
     /// Stop the checkpointer, flush every enqueued record to stable
     /// storage, and shut the WAL writer down. Idempotent; also runs on
-    /// drop. Called by the runtime *after* its workers have drained, so
-    /// every acknowledged commit is already durable and this only covers
-    /// the final unacknowledged tail.
+    /// drop. Called by the runtime *after* its workers have drained: the
+    /// final flush releases the results still waiting for their tickets.
     pub fn shutdown(&self) {
         {
             // Holding the gate around the store + notify pairs it with the
@@ -473,8 +485,8 @@ mod tests {
             &katme_collections::encode_op(&DictOp::Insert { key: 7, value: 70 }).unwrap(),
         );
         sink.wait_durable(ticket);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while plane.view().checkpoints == 0 && Instant::now() < deadline {
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while plane.view().checkpoints == 0 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(10));
         }
         assert!(plane.view().checkpoints > 0, "checkpointer never fired");

@@ -177,6 +177,11 @@ pub enum KatmeError {
     /// A bounded wait on a [`TaskHandle`](crate::TaskHandle) elapsed before
     /// the task completed.
     Timeout,
+    /// The task ran, but the write-ahead log failed (an I/O error stopped
+    /// its writer) before the task's commit — or a value the task read —
+    /// was durable. The result is withheld: acknowledging it could expose a
+    /// state that a crash would take back.
+    NotDurable,
 }
 
 impl From<BuilderError> for KatmeError {
@@ -193,6 +198,9 @@ impl std::fmt::Display for KatmeError {
             KatmeError::ShuttingDown => f.write_str("runtime is shutting down"),
             KatmeError::TaskAbandoned => f.write_str("task was abandoned in a queue at shutdown"),
             KatmeError::Timeout => f.write_str("timed out waiting for the task result"),
+            KatmeError::NotDurable => {
+                f.write_str("the write-ahead log failed before the task's result was durable")
+            }
         }
     }
 }

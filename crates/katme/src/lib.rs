@@ -74,6 +74,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod ack;
 mod builder;
 pub mod driver;
 pub mod durability;

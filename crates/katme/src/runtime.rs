@@ -16,10 +16,11 @@ use katme_core::stats::LoadBalance;
 use katme_durability::DurabilityView;
 use katme_queue::{thread_stripe, Backoff, TwoLockQueue};
 use katme_stm::{
-    run_block_tasks, with_durable_payload, with_task_key, KeyRangeSnapshot, MvTask, Stm,
-    StmStatsSnapshot,
+    run_block_tasks, with_ack_scope, with_durable_payload, with_task_key, KeyRangeSnapshot, MvTask,
+    Stm, StmStatsSnapshot,
 };
 
+use crate::ack::AckBoard;
 use crate::durability::{DurabilityPlane, RecoveryReport};
 use crate::error::KatmeError;
 use crate::net::{NetCounters, NetView};
@@ -245,8 +246,11 @@ pub struct Runtime<T: Send + 'static, R: Send + 'static> {
     inline_completed: StripedCounter,
     /// The durability plane (WAL + checkpointer), when the runtime was
     /// built with [`crate::Builder::durability`]. Shut down *after* the
-    /// worker pool, so every drained task's commit is already durable.
+    /// worker pool; its final flush releases the results still held.
     durability: Option<Arc<DurabilityPlane>>,
+    /// Results held until their ack ticket is durable (durable runtimes
+    /// only; see [`crate::ack`]).
+    acks: Option<Arc<AckBoard<R>>>,
     /// The multi-version optimistic lane, when the runtime was built with
     /// [`crate::Builder::mv_lane`]. Batch submissions whose keys fall in a
     /// designated range execute as one optimistic block instead of routing
@@ -275,38 +279,62 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
         let drain_on_shutdown = executor_config.drain_on_shutdown;
         let batch_size = executor_config.batch_size;
 
+        let acks = durability.as_ref().map(|plane| {
+            let slots = if model.uses_queues() {
+                scheduler.max_workers().max(scheduler.workers())
+            } else {
+                0
+            };
+            AckBoard::attach(plane.wal(), slots)
+        });
         let executor = if model.uses_queues() {
             let handler = Arc::clone(&handler);
+            let acks = acks.clone();
             Some(Arc::new(Executor::start(
                 executor_config,
                 Arc::clone(&scheduler),
                 move |worker, envelope: Envelope<T, R>| {
+                    let Envelope {
+                        key,
+                        task,
+                        completion,
+                        payload,
+                        ..
+                    } = envelope;
                     // Scope the task to its key so the STM's key-range
                     // telemetry (when attached) attributes this task's
                     // commits and aborts to the right range; stage the
                     // durable payload (when present) for the commit path.
-                    let result = with_task_key(envelope.key, || match envelope.payload {
-                        Some(payload) => {
-                            with_durable_payload(payload, || handler(worker, envelope.task))
+                    let run = || {
+                        with_task_key(key, || match payload {
+                            Some(payload) => {
+                                with_durable_payload(payload, || handler(worker, task))
+                            }
+                            None => handler(worker, task),
+                        })
+                    };
+                    match &acks {
+                        None => {
+                            let result = run();
+                            if let Some(completion) = completion {
+                                completion.complete(result);
+                            }
                         }
-                        None => handler(worker, envelope.task),
-                    });
-                    if let Some(completion) = envelope.completion {
-                        completion.complete(result);
+                        // Durable: commits record their tickets instead of
+                        // waiting, and the result is released once the
+                        // task's ticket is on disk.
+                        Some(acks) => {
+                            let (result, ticket) = with_ack_scope(run);
+                            if let Some(completion) = completion {
+                                acks.settle(worker, ticket, completion, result);
+                            }
+                        }
                     }
                 },
             )))
         } else {
             None
         };
-        if durability.is_some() {
-            if let Some(executor) = &executor {
-                // Workers drain the per-thread group-commit wait accumulator
-                // after every handler batch, attributing fsync stalls to the
-                // worker that incurred them.
-                executor.attach_stall_probe(Arc::new(katme_stm::take_group_wait_nanos));
-            }
-        }
 
         let central = match (model, &executor) {
             (ExecutorModel::Centralized, Some(executor)) => {
@@ -397,6 +425,7 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
             submitted: AtomicU64::new(0),
             inline_completed: StripedCounter::new(),
             durability,
+            acks,
             mv,
             net: OnceLock::new(),
         }
@@ -616,17 +645,26 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
         match self.model {
             ExecutorModel::NoExecutor => {
                 // Figure 1(a): the batch executes inline in the submitting
-                // thread; one striped-counter update covers the whole batch.
-                let mut handles = Vec::with_capacity(if with_handles { total } else { 0 });
-                for task in tasks.drain(..) {
-                    let result = self.run_inline(task);
-                    if with_handles {
-                        let (handle, completion) = handle_pair();
-                        completion.complete(result);
-                        handles.push(handle);
+                // thread; one striped-counter update (and, when durable, one
+                // ack wait) covers the whole batch.
+                let mut results = Vec::with_capacity(if with_handles { total } else { 0 });
+                let acked = self.run_acked(false, || {
+                    for task in tasks.drain(..) {
+                        let result = self.run_inline(task);
+                        if with_handles {
+                            results.push(result);
+                        }
                     }
-                }
+                });
                 self.inline_completed.increment_by(total as u64);
+                let handles = results
+                    .into_iter()
+                    .map(|result| {
+                        let (handle, completion) = handle_pair();
+                        resolve(completion, acked.clone().map(|()| result));
+                        handle
+                    })
+                    .collect();
                 Ok((total, handles))
             }
             ExecutorModel::Centralized => {
@@ -812,15 +850,17 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
             .collect();
         self.submitted.fetch_add(mv_len as u64, Ordering::Relaxed);
         let handler = &self.handler;
-        let outcome = {
+        let mut outcome = None;
+        let acked = self.run_acked(true, || {
             let _block_turn = mv.block_gate.lock().unwrap_or_else(|e| e.into_inner());
-            run_block_tasks(
+            outcome = Some(run_block_tasks(
                 &self.stm,
                 block_tasks,
                 |task| handler(0, task.clone()),
                 mv.parallelism,
-            )
-        };
+            ));
+        });
+        let outcome = outcome.expect("the block ran");
         self.inline_completed.increment_by(mv_len as u64);
 
         let mut mv_handles: Vec<(usize, TaskHandle<R>)> =
@@ -828,7 +868,7 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
         for ((index, _), result) in mv_tasks.into_iter().zip(outcome.results) {
             if with_handles {
                 let (handle, completion) = handle_pair();
-                completion.complete(result);
+                resolve(completion, acked.clone().map(|()| result));
                 mv_handles.push((index, handle));
             }
         }
@@ -864,6 +904,23 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
                 Err(err)
             }
         }
+    }
+
+    /// Run `f` on the submitting thread and, on a durable runtime, return
+    /// only once everything it committed or read is durable — the inline
+    /// paths' half of the task-boundary ack rule. With `cover_tail` the
+    /// wait extends to the log tail: MV block operations commit through the
+    /// block session, which records no ticket for what they read.
+    fn run_acked(&self, cover_tail: bool, f: impl FnOnce()) -> Result<(), KatmeError> {
+        let (Some(acks), Some(plane)) = (&self.acks, &self.durability) else {
+            f();
+            return Ok(());
+        };
+        let ((), mut ticket) = with_ack_scope(f);
+        if cover_tail {
+            ticket = ticket.max(plane.wal().tail());
+        }
+        acks.await_ticket(plane.wal(), ticket)
     }
 
     /// Execute one task inline on the submitting thread (the no-executor
@@ -995,9 +1052,11 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
                 // Figure 1(a): the producer executes its own transaction
                 // synchronously — no scheduling, no queuing, so the model
                 // stays a clean zero-overhead baseline.
-                let result = self.run_inline(task);
+                let mut result = None;
+                let acked = self.run_acked(false, || result = Some(self.run_inline(task)));
                 if let Some(completion) = completion {
-                    completion.complete(result);
+                    let result = result.expect("the task ran");
+                    resolve(completion, acked.map(|()| result));
                 }
                 self.inline_completed.increment();
                 Ok(())
@@ -1159,10 +1218,7 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
             cost_model: self.scheduler.cost_model(),
             stm: self.stm.snapshot().since(&self.stm_baseline),
             durability: self.durability(),
-            commit_wait_nanos: self
-                .executor
-                .as_ref()
-                .map_or(0, |executor| executor.commit_wait_nanos()),
+            commit_wait_nanos: self.ack_delay_nanos(),
             lane_ranges: self
                 .mv
                 .as_ref()
@@ -1249,7 +1305,7 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
                     resizes: report.resizes,
                     active_workers: report.active_workers,
                     adaptations: self.scheduler.adaptation_log(),
-                    commit_wait_nanos: report.commit_wait_nanos,
+                    commit_wait_nanos: 0,
                     durability: None,
                     recovery: None,
                     net,
@@ -1276,14 +1332,29 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
             },
         };
         if let Some(plane) = plane {
-            // Workers are drained and joined: every acknowledged commit is
-            // already on disk; this flush only covers the unacknowledged
-            // tail, then the final counters are captured for the report.
+            // Workers are drained and joined; the final flush releases the
+            // results still held for durability, then the final counters
+            // are captured for the report.
             plane.shutdown();
+            self.finish_acks();
             report.durability = Some(plane.view());
             report.recovery = Some(plane.recovery());
+            report.commit_wait_nanos = self.ack_delay_nanos();
         }
         report
+    }
+
+    /// Release whatever the log's final flush left held: after shutdown a
+    /// result either made it to disk or never will.
+    fn finish_acks(&self) {
+        if let Some(acks) = &self.acks {
+            acks.finish();
+        }
+    }
+
+    /// Acknowledgment delay so far (0 for a volatile runtime).
+    fn ack_delay_nanos(&self) -> u64 {
+        self.acks.as_ref().map_or(0, |acks| acks.delay_nanos())
     }
 }
 
@@ -1314,6 +1385,19 @@ impl<T: Send + 'static, R: Send + 'static> Drop for Runtime<T, R> {
         if let Some(executor) = self.executor.take() {
             drop(executor); // Executor::drop stops and joins the workers.
         }
+        if let Some(plane) = self.durability.take() {
+            plane.shutdown();
+            self.finish_acks();
+        }
+    }
+}
+
+/// Resolve a handle with a task's result, or with the error that withheld
+/// it.
+fn resolve<R>(completion: Completion<R>, outcome: Result<R, KatmeError>) {
+    match outcome {
+        Ok(result) => completion.complete(result),
+        Err(error) => completion.fail(error),
     }
 }
 
@@ -1376,9 +1460,10 @@ pub struct StatsView {
     /// built with [`crate::Builder::durability`]. Also readable through
     /// [`StatsView::durability`].
     pub durability: Option<DurabilityView>,
-    /// Wall-clock nanoseconds workers have spent blocked in group-commit
-    /// waits (the durable commit's fsync acknowledgment), summed over
-    /// workers. Always 0 for a volatile runtime.
+    /// Acknowledgment delay in nanoseconds: for every task result held
+    /// back until its ack ticket was durable, the time from the task's end
+    /// to its release, summed. No thread blocks for it except on the
+    /// inline paths. Always 0 for a volatile runtime.
     pub commit_wait_nanos: u64,
     /// Key ranges currently designated to the multi-version lane (empty
     /// when the lane is off or cold).
@@ -1575,8 +1660,8 @@ pub struct ShutdownReport {
     pub active_workers: usize,
     /// The scheduler's adaptation log (one entry per published generation).
     pub adaptations: Vec<AdaptationEvent>,
-    /// Wall-clock nanoseconds workers spent blocked in group-commit waits,
-    /// summed over workers (0 for a volatile runtime).
+    /// Acknowledgment delay over the run, as
+    /// [`StatsView::commit_wait_nanos`] (0 for a volatile runtime).
     pub commit_wait_nanos: u64,
     /// Final durability-plane counters, captured after the WAL's terminal
     /// flush — `None` unless the runtime was built with

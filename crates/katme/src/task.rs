@@ -23,9 +23,10 @@ pub trait KeyedTask {
     /// log when the runtime was built with
     /// [`Builder::durability`](crate::Builder::durability) and a writing
     /// transaction commits while executing the task. `None` (the default)
-    /// marks the task read-only for durability purposes: nothing is logged
-    /// and the commit never waits on an fsync. Called once per execution
-    /// attempt batch, on the submitting thread.
+    /// marks the task read-only for durability purposes: nothing is logged.
+    /// Either way the task's handle resolves only once every record its
+    /// result can depend on is durable. Called once per execution attempt
+    /// batch, on the submitting thread.
     fn durable_payload(&self) -> Option<Vec<u8>> {
         None
     }
@@ -82,8 +83,8 @@ pub struct Durable<T> {
     /// The underlying keyed task.
     pub task: T,
     /// Redo record appended to the WAL when a writing transaction commits
-    /// during execution; `None` marks the task read-only (nothing logged,
-    /// no fsync wait).
+    /// during execution; `None` marks the task read-only (nothing logged;
+    /// the handle still waits for the records it read to be durable).
     pub payload: Option<Vec<u8>>,
 }
 
@@ -121,6 +122,7 @@ impl KeyedTask for TxnSpec {
 enum Slot<R> {
     Pending,
     Done(R),
+    Failed(KatmeError),
     Taken,
     Abandoned,
 }
@@ -160,6 +162,7 @@ impl<R> TaskHandle<R> {
                 None
             }
             Slot::Done(value) => Some(Ok(value)),
+            Slot::Failed(error) => Some(Err(error)),
             Slot::Abandoned => Some(Err(KatmeError::TaskAbandoned)),
             Slot::Taken => Some(Err(KatmeError::TaskAbandoned)),
         }
@@ -179,6 +182,7 @@ impl<R> TaskHandle<R> {
                         .unwrap_or_else(std::sync::PoisonError::into_inner);
                 }
                 Slot::Done(value) => return Ok(value),
+                Slot::Failed(error) => return Err(error),
                 Slot::Abandoned | Slot::Taken => return Err(KatmeError::TaskAbandoned),
             }
         }
@@ -205,6 +209,7 @@ impl<R> TaskHandle<R> {
                     slot = guard;
                 }
                 Slot::Done(value) => return Ok(value),
+                Slot::Failed(error) => return Err(error),
                 Slot::Abandoned | Slot::Taken => return Err(KatmeError::TaskAbandoned),
             }
         }
@@ -229,8 +234,17 @@ pub(crate) struct Completion<R> {
 
 impl<R> Completion<R> {
     /// Deliver the task's result and wake any waiter.
-    pub(crate) fn complete(mut self, value: R) {
-        *lock(&self.shared.slot) = Slot::Done(value);
+    pub(crate) fn complete(self, value: R) {
+        self.resolve(Slot::Done(value));
+    }
+
+    /// Resolve the handle with `error` instead of a result.
+    pub(crate) fn fail(self, error: KatmeError) {
+        self.resolve(Slot::Failed(error));
+    }
+
+    fn resolve(mut self, slot: Slot<R>) {
+        *lock(&self.shared.slot) = slot;
         self.fulfilled = true;
         self.shared.ready.notify_all();
     }
@@ -311,6 +325,17 @@ mod tests {
         let (handle, completion) = handle_pair::<u32>();
         drop(completion);
         assert_eq!(handle.wait(), Err(KatmeError::TaskAbandoned));
+    }
+
+    #[test]
+    fn failed_completion_resolves_with_its_error() {
+        let (handle, completion) = handle_pair::<u32>();
+        completion.fail(KatmeError::NotDurable);
+        assert!(handle.is_finished());
+        assert_eq!(handle.poll(), Some(Err(KatmeError::NotDurable)));
+        let (handle, completion) = handle_pair::<u32>();
+        completion.fail(KatmeError::NotDurable);
+        assert_eq!(handle.wait(), Err(KatmeError::NotDurable));
     }
 
     #[test]

@@ -185,10 +185,13 @@ fn flush(
 
     let mut replies: Vec<Reply> = Vec::with_capacity(count);
     let mut sequenced: Vec<SeqReply> = Vec::with_capacity(count);
+    // Handles come back in submission order; the sequence numbers let a
+    // failed handle still answer its own pipeline slot.
+    let seqs: Vec<u64> = tasks.iter().map(|task| task.seq).collect();
     match runtime.try_submit_batch(tasks) {
         Ok(handles) => {
-            for handle in handles {
-                sequenced.push(resolve(handle.wait()));
+            for (handle, seq) in handles.into_iter().zip(seqs) {
+                sequenced.push(resolve(handle.wait(), seq));
             }
         }
         Err(partial) => {
@@ -197,8 +200,12 @@ fn flush(
                 Pushback::Busy => counters.pushback_busy(partial.rejected.len() as u64),
                 Pushback::Shutdown => counters.pushback_shutdown(partial.rejected.len() as u64),
             }
-            for handle in partial.handles {
-                sequenced.push(resolve(handle.wait()));
+            // Accepted and rejected tasks each keep submission order.
+            let accepted = seqs
+                .into_iter()
+                .filter(|seq| !partial.rejected.iter().any(|task| task.seq == *seq));
+            for (handle, seq) in partial.handles.into_iter().zip(accepted) {
+                sequenced.push(resolve(handle.wait(), seq));
             }
             for task in partial.rejected {
                 sequenced.push(SeqReply {
@@ -215,20 +222,16 @@ fn flush(
     write_replies(stream, counters, &replies)
 }
 
-/// Map a handle resolution to its reply; a task abandoned by a non-draining
-/// shutdown still answers its pipeline slot (with `-SHUTDOWN`).
-fn resolve(result: Result<SeqReply, KatmeError>) -> SeqReply {
-    match result {
-        Ok(reply) => reply,
-        // wait() on an abandoned task is the only error reachable here, and
-        // only without drain-on-shutdown; its seq is unknown, so this path
-        // must never be hit with reordering possible. The server always
-        // builds draining runtimes, making this defensive.
-        Err(_) => SeqReply {
-            seq: u64::MAX,
-            reply: Reply::Shutdown,
-        },
-    }
+/// Map a handle resolution to its reply for pipeline slot `seq`. A task
+/// abandoned by a non-draining shutdown answers `-SHUTDOWN`; any other
+/// failure (a durable runtime whose log failed) answers with its error.
+fn resolve(result: Result<SeqReply, KatmeError>, seq: u64) -> SeqReply {
+    let reply = match result {
+        Ok(reply) => return reply,
+        Err(KatmeError::TaskAbandoned) => Reply::Shutdown,
+        Err(error) => Reply::Err(error.to_string()),
+    };
+    SeqReply { seq, reply }
 }
 
 /// Encode a reply run into one pooled buffer and write it with a single
@@ -252,4 +255,24 @@ fn write_replies(
     }
     recycle_payload(buf);
     outcome
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn failed_handles_answer_their_own_pipeline_slot() {
+        let ok = SeqReply {
+            seq: 3,
+            reply: Reply::Ok,
+        };
+        let resolved = resolve(Ok(ok), 9);
+        assert_eq!((resolved.seq, resolved.reply), (3, Reply::Ok));
+        let abandoned = resolve(Err(KatmeError::TaskAbandoned), 4);
+        assert_eq!((abandoned.seq, abandoned.reply), (4, Reply::Shutdown));
+        let lost = resolve(Err(KatmeError::NotDurable), 5);
+        assert_eq!(lost.seq, 5);
+        assert!(matches!(lost.reply, Reply::Err(message) if message.contains("write-ahead log")));
+    }
 }

@@ -5,19 +5,29 @@
 //! block (mirroring the key-range telemetry attachment). The executor
 //! scopes a serialized *durable payload* around each task with
 //! [`with_durable_payload`]; when a writing transaction reaches its commit
-//! point the payload is consumed and handed to the sink:
+//! point the payload is consumed and handed to the sink with
+//! [`DurabilitySink::log_commit`], **between publish and lock release**, so
+//! the sink observes commits in an order consistent with transaction
+//! dependencies (a dependent transaction cannot even read an owned
+//! variable until release, hence cannot log first). The returned sequence
+//! number is the commit's *ticket*.
 //!
-//! * [`DurabilitySink::log_commit`] runs **between publish and lock
-//!   release**, so the sink observes commits in an order consistent with
-//!   transaction dependencies (a dependent transaction cannot even read an
-//!   owned variable until release, hence cannot log first).
-//! * [`DurabilitySink::wait_durable`] runs **after release**, so no STM
-//!   lock is ever held across an fsync wait.
+//! What happens to the ticket depends on where the commit runs:
 //!
-//! Wall-clock spent inside `wait_durable` is accumulated per thread (see
-//! [`take_group_wait_nanos`]) so the executor can surface group-commit
-//! stalls as their own telemetry category instead of folding them into
-//! generic idle time.
+//! * **Inside an ack scope** ([`with_ack_scope`], which the runtime opens
+//!   around every task of a durable runtime) the commit does not wait. It
+//!   records its ticket in the scope and returns; the scope yields the
+//!   highest ticket of the task, and the runtime releases the task's
+//!   result only once the sink reports that ticket durable. A commit that
+//!   logs nothing — read-only, or writing without a staged payload — records
+//!   the sink's current [`DurabilitySink::tail`] instead: a value it read
+//!   was published by a writer that logged before releasing its locks, so
+//!   the tail at commit covers every record the task's result can depend
+//!   on.
+//! * **Outside any scope** (direct [`crate::Stm`] users with a sink
+//!   attached) a logging commit blocks in [`DurabilitySink::wait_durable`]
+//!   after release, so no STM lock is held across an fsync wait, and a
+//!   commit that logs nothing does not wait.
 
 use std::cell::Cell;
 
@@ -26,6 +36,7 @@ use parking_lot::Mutex;
 /// Where committed write-sets go to become durable. Implementations batch
 /// concurrent calls (group commit); `wait_durable` returns once the record
 /// identified by the ticket from `log_commit` is on stable storage.
+/// Tickets are increasing sequence numbers; 0 is durable from the start.
 pub trait DurabilitySink: Send + Sync + std::fmt::Debug {
     /// Hand a serialized committed write-set to the log. Called while the
     /// committing transaction still owns its write set — must be cheap
@@ -37,8 +48,12 @@ pub trait DurabilitySink: Send + Sync + std::fmt::Debug {
     fn log_commit(&self, payload: &[u8]) -> u64;
 
     /// Block until the record behind `ticket` is durable. Called after all
-    /// STM locks are released.
+    /// STM locks are released, and only for commits outside an ack scope.
     fn wait_durable(&self, ticket: u64);
+
+    /// The highest ticket issued so far. Every record logged before this
+    /// call has a ticket at or below the result.
+    fn tail(&self) -> u64;
 }
 
 /// Process-wide pool of payload buffers. A payload `Vec<u8>` travels from
@@ -76,9 +91,8 @@ thread_local! {
     /// Serialized durable payload for the task currently executing on this
     /// thread, consumed by the first writing commit inside the scope.
     static PENDING_PAYLOAD: Cell<Option<Vec<u8>>> = const { Cell::new(None) };
-    /// Wall-clock nanoseconds this thread has spent blocked in group-commit
-    /// waits since the last [`take_group_wait_nanos`] drain.
-    static GROUP_WAIT_NANOS: Cell<u64> = const { Cell::new(0) };
+    /// The open ack scope's highest ticket so far; `None` outside a scope.
+    static ACK_TICKET: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
 /// Restores the previous pending payload on drop so nested scopes and
@@ -116,17 +130,57 @@ pub fn take_pending_payload() -> Option<Vec<u8>> {
     PENDING_PAYLOAD.with(|slot| slot.take())
 }
 
-/// Add group-commit wait time observed on this thread. Called by sink
-/// implementations around their `wait_durable` blocking.
-pub fn add_group_wait_nanos(nanos: u64) {
-    GROUP_WAIT_NANOS.with(|slot| slot.set(slot.get().saturating_add(nanos)));
+/// Restores the enclosing ack scope on drop, so nested scopes and panics
+/// unwind cleanly.
+struct AckScopeGuard {
+    previous: Option<u64>,
 }
 
-/// Drain this thread's accumulated group-commit wait time (resets to
-/// zero). Executors call this after running a batch of tasks to attribute
-/// the wait to the right worker.
-pub fn take_group_wait_nanos() -> u64 {
-    GROUP_WAIT_NANOS.with(|slot| slot.replace(0))
+impl Drop for AckScopeGuard {
+    fn drop(&mut self) {
+        ACK_TICKET.with(|slot| slot.set(self.previous));
+    }
+}
+
+/// Run `f` in an ack scope and return its result with the scope's ticket:
+/// the highest ticket any commit inside `f` recorded (0 when none did).
+/// Commits inside the scope never wait for durability; the caller must not
+/// release `f`'s result before the sink reports the ticket durable.
+pub fn with_ack_scope<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let guard = AckScopeGuard {
+        previous: ACK_TICKET.with(|slot| slot.replace(Some(0))),
+    };
+    let result = f();
+    let ticket = ACK_TICKET.with(|slot| slot.get()).unwrap_or(0);
+    drop(guard);
+    (result, ticket)
+}
+
+/// Fold `ticket` into the open ack scope. Returns false outside a scope.
+fn record_ticket(ticket: u64) -> bool {
+    ACK_TICKET.with(|slot| match slot.get() {
+        Some(held) => {
+            slot.set(Some(held.max(ticket)));
+            true
+        }
+        None => false,
+    })
+}
+
+/// Settle a logging commit's ticket after lock release: record it in the
+/// open ack scope, or block until it is durable outside one.
+pub(crate) fn settle(sink: &dyn DurabilitySink, ticket: u64) {
+    if !record_ticket(ticket) {
+        sink.wait_durable(ticket);
+    }
+}
+
+/// Settle a commit that logged nothing: inside an ack scope it records the
+/// sink's tail, which covers every record a value it read can come from.
+pub(crate) fn settle_unlogged(sink: &dyn DurabilitySink) {
+    if ACK_TICKET.with(|slot| slot.get()).is_some() {
+        record_ticket(sink.tail());
+    }
 }
 
 #[cfg(test)]
@@ -141,18 +195,22 @@ mod tests {
     struct RecordingSink {
         logged: Mutex<Vec<Vec<u8>>>,
         waits: AtomicU64,
+        tail: AtomicU64,
     }
 
     impl DurabilitySink for RecordingSink {
         fn log_commit(&self, payload: &[u8]) -> u64 {
             let mut logged = self.logged.lock().unwrap();
             logged.push(payload.to_vec());
-            logged.len() as u64
+            self.tail.fetch_add(1, Ordering::Relaxed) + 1
         }
 
         fn wait_durable(&self, _ticket: u64) {
             self.waits.fetch_add(1, Ordering::Relaxed);
-            add_group_wait_nanos(5);
+        }
+
+        fn tail(&self) -> u64 {
+            self.tail.load(Ordering::Relaxed)
         }
     }
 
@@ -202,8 +260,55 @@ mod tests {
         });
         assert_eq!(*sink.logged.lock().unwrap(), vec![b"op-1".to_vec()]);
         assert_eq!(sink.waits.load(Ordering::Relaxed), 1);
-        assert_eq!(take_group_wait_nanos(), 5);
-        assert_eq!(take_group_wait_nanos(), 0);
+    }
+
+    #[test]
+    fn writing_commit_in_an_ack_scope_records_its_ticket_instead_of_waiting() {
+        let stm = Stm::default();
+        let sink = Arc::new(RecordingSink::default());
+        stm.stats().attach_durability(sink.clone());
+        sink.tail.store(6, Ordering::Relaxed);
+        let var = TVar::new(0u64);
+        let ((), ticket) = with_ack_scope(|| {
+            with_durable_payload(b"op".to_vec(), || {
+                stm.atomically(|tx| tx.write(&var, 1));
+            });
+        });
+        assert_eq!(ticket, 7, "the commit's own log sequence number");
+        assert_eq!(sink.waits.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn read_only_commit_carries_the_tail_only_inside_an_ack_scope() {
+        let stm = Stm::default();
+        let sink = Arc::new(RecordingSink::default());
+        stm.stats().attach_durability(sink.clone());
+        let var = TVar::new(3u64);
+        sink.tail.store(41, Ordering::Relaxed);
+        let (value, ticket) = with_ack_scope(|| stm.atomically(|tx| tx.read(&var).map(|v| *v)));
+        assert_eq!((value, ticket), (3, 41));
+
+        // Outside the scope the lookup carries no ticket and never waits;
+        // nothing leaks into the next scope either.
+        sink.tail.store(99, Ordering::Relaxed);
+        assert_eq!(stm.atomically(|tx| tx.read(&var).map(|v| *v)), 3);
+        assert_eq!(sink.waits.load(Ordering::Relaxed), 0);
+        assert_eq!(with_ack_scope(|| ()).1, 0);
+        assert!(sink.logged.lock().unwrap().is_empty());
+    }
+
+    #[test]
+    fn ack_scopes_nest_and_restore() {
+        let (inner, outer) = with_ack_scope(|| {
+            assert!(record_ticket(5));
+            let ((), inner) = with_ack_scope(|| {
+                assert!(record_ticket(3));
+            });
+            assert!(record_ticket(4));
+            inner
+        });
+        assert_eq!((inner, outer), (3, 5));
+        assert!(!record_ticket(1), "no scope is left open");
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub mod txn;
 pub use config::{ClockMode, CmKind, StmConfig};
 pub use contention::{Conflict, ConflictKind, ContentionManager, Resolution};
 pub use durable::{
-    recycle_payload, recycled_payload, take_group_wait_nanos, with_durable_payload, DurabilitySink,
+    recycle_payload, recycled_payload, with_ack_scope, with_durable_payload, DurabilitySink,
 };
 pub use error::{AbortCause, TxError};
 pub use mv::{

@@ -292,7 +292,7 @@ fn run_block_core<R: Send>(
     session::retire(session);
     if let Some(ticket) = durable_ticket {
         if let Some(sink) = stm.stats_ref().durability_sink() {
-            sink.wait_durable(ticket);
+            crate::durable::settle(sink.as_ref(), ticket);
         }
     }
     let report = MvBlockReport {
@@ -479,6 +479,9 @@ mod tests {
             records.len() as u64
         }
         fn wait_durable(&self, _ticket: u64) {}
+        fn tail(&self) -> u64 {
+            self.records.lock().len() as u64
+        }
     }
 
     #[test]

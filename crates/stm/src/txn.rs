@@ -406,7 +406,13 @@ impl<'a> Transaction<'a> {
             }
             // Read-only transactions are serializable at their snapshot
             // timestamp: every read was validated (and extended) as it was
-            // performed.
+            // performed. Under durability, what they read may not be on
+            // disk yet: inside an ack scope the log tail becomes the ticket.
+            if durability_attached {
+                if let Some(sink) = stm.stats_ref().durability_sink() {
+                    crate::durable::settle_unlogged(sink.as_ref());
+                }
+            }
             return Ok(info);
         }
 
@@ -478,28 +484,30 @@ impl<'a> Transaction<'a> {
         // *before* releasing ownership, so log order respects dependency
         // order — a dependent transaction cannot read an owned variable,
         // hence cannot log ahead of this one. The enqueue is cheap (no
-        // I/O); the fsync wait happens below, after release. Volatile-mode
-        // commits skip the sink lookups entirely via the cached bool.
-        let durable_ticket = if durability_attached {
-            match stm.stats_ref().durability_sink() {
-                Some(sink) => crate::durable::take_pending_payload().map(|payload| {
-                    let ticket = sink.log_commit(&payload);
-                    // The sink copied what it needs; the buffer goes back to
-                    // the pool for the next producer.
-                    crate::durable::recycle_payload(payload);
-                    ticket
-                }),
-                None => None,
-            }
+        // I/O); the ticket is settled below, after release (see
+        // `crate::durable`). Volatile-mode commits skip the sink lookups
+        // entirely via the cached bool.
+        let sink = if durability_attached {
+            stm.stats_ref().durability_sink()
         } else {
             None
         };
+        let durable_ticket = sink.and_then(|sink| {
+            crate::durable::take_pending_payload().map(|payload| {
+                let ticket = sink.log_commit(&payload);
+                // The sink copied what it needs; the buffer goes back to
+                // the pool for the next producer.
+                crate::durable::recycle_payload(payload);
+                ticket
+            })
+        });
         for (_, entry) in writes.iter() {
             entry.var().dyn_release(id);
         }
-        if let Some(ticket) = durable_ticket {
-            if let Some(sink) = stm.stats_ref().durability_sink() {
-                sink.wait_durable(ticket);
+        if let Some(sink) = sink {
+            match durable_ticket {
+                Some(ticket) => crate::durable::settle(sink.as_ref(), ticket),
+                None => crate::durable::settle_unlogged(sink.as_ref()),
             }
         }
         Ok(info)

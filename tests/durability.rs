@@ -16,6 +16,12 @@
 //! * [`CrashPoint::MidCheckpoint`] — a partial checkpoint file (recovery
 //!   must fall back to full-log replay, never the torn snapshot).
 //!
+//! A lookup variant checks that reads are acknowledged honestly: a lookup
+//! whose handle resolved must have returned a value that survives the
+//! crash. [`CrashPoint::IoError`] needs no child process: the writer fails
+//! instead of the process, and every handle not yet released must resolve
+//! as [`KatmeError::NotDurable`].
+//!
 //! The child is this same test binary re-invoked with `--exact
 //! crash_child`; acknowledgements go to stderr because a piped stdout is
 //! block-buffered and would lose the tail at `abort()`.
@@ -27,8 +33,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use katme::{
-    spec_payload, CrashPoint, DictState, Durable, Katme, OpKind, RecoveryReport, Runtime, Stm,
-    StmConfig, StructureKind, TxnSpec, WalConfig, WithKey,
+    spec_payload, CrashPoint, DictState, Durable, ExecutorModel, Katme, KatmeError, OpKind,
+    RecoveryReport, Runtime, Stm, StmConfig, StructureKind, TxnSpec, WalConfig, WithKey,
 };
 use katme_collections::TxDictionary;
 
@@ -46,39 +52,53 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A durable runtime over the hash-table dictionary it checkpoints.
-type DurableRuntime = (
-    Arc<dyn TxDictionary>,
-    Runtime<Durable<WithKey<TxnSpec>>, ()>,
-);
+type Task = Durable<WithKey<TxnSpec>>;
+
+/// A durable runtime over the hash-table dictionary it checkpoints. Each
+/// task returns what a lookup found (`None` for updates).
+type DurableRuntime = (Arc<dyn TxDictionary>, Runtime<Task, Option<u64>>);
 
 /// Build a durable runtime over `dir`: hash-table dictionary, two workers,
 /// every insert carrying its redo record. With `mv`, the whole key space is
 /// pinned to the multi-version lane, so batch submissions run as MV blocks
 /// whose redo records reach the WAL in block (= commit) order.
 fn durable_runtime(config: WalConfig, checkpoint_interval: Duration, mv: bool) -> DurableRuntime {
+    let builder = Katme::builder()
+        .workers(2)
+        .key_range(0, 65_535)
+        .checkpoint_interval(checkpoint_interval);
+    let builder = if mv {
+        builder.mv_range(0, 65_535)
+    } else {
+        builder
+    };
+    build_durable(builder, config)
+}
+
+/// Finish `builder` as a durable dictionary runtime logging to `config`.
+fn build_durable(builder: katme::Builder, config: WalConfig) -> DurableRuntime {
     let stm = Stm::new(StmConfig::default());
     let dict = StructureKind::HashTable.build(stm.clone());
     let dict_for_workers = Arc::clone(&dict);
-    let mut builder = Katme::builder()
-        .workers(2)
-        .key_range(0, 65_535)
+    let runtime = builder
         .stm(stm)
         .durability_config(config)
         .durable_state(Arc::new(DictState::new(Arc::clone(&dict))))
-        .checkpoint_interval(checkpoint_interval);
-    if mv {
-        builder = builder.mv_range(0, 65_535);
-    }
-    let runtime = builder
-        .build(move |_worker, task: Durable<WithKey<TxnSpec>>| {
-            katme::apply_spec(&*dict_for_workers, &task.task.task);
+        .build(move |_worker, task: Task| {
+            let spec = &task.task.task;
+            match spec.op {
+                OpKind::Lookup => dict_for_workers.lookup(spec.key),
+                _ => {
+                    katme::apply_spec(&*dict_for_workers, spec);
+                    None
+                }
+            }
         })
         .expect("valid durable configuration");
     (dict, runtime)
 }
 
-fn insert_task(key: u32, value: u64) -> Durable<WithKey<TxnSpec>> {
+fn insert_task(key: u32, value: u64) -> Task {
     let spec = TxnSpec {
         key,
         value,
@@ -86,6 +106,29 @@ fn insert_task(key: u32, value: u64) -> Durable<WithKey<TxnSpec>> {
     };
     let payload = spec_payload(&spec);
     Durable::new(WithKey::new(u64::from(key), spec), payload)
+}
+
+/// A lookup of `key`, routed on `route` rather than on the key itself so
+/// it can run on a different worker than the key's insert.
+fn lookup_task(key: u32, route: u64) -> Task {
+    let spec = TxnSpec {
+        key,
+        value: 0,
+        op: OpKind::Lookup,
+    };
+    Durable::new(WithKey::new(route, spec), None)
+}
+
+/// Routing keys in the lower half of the key range for inserts and in the
+/// upper half for lookups of the same dictionary key: with two workers the
+/// one-shot partition puts them on different workers, so a lookup can read
+/// an insert whose record is still on its way to the disk.
+fn insert_route(key: u32) -> u64 {
+    u64::from(key % 32_768)
+}
+
+fn lookup_route(key: u32) -> u64 {
+    insert_route(key) + 32_768
 }
 
 /// The child body: submit inserts one at a time, acknowledging each on
@@ -104,7 +147,8 @@ fn crash_child() {
     // completed checkpoints; with serial submission each group holds one
     // record (one whole MV block in the batched variant), so "3" means
     // three groups are acknowledged and the fourth dies.
-    let (point, after, interval, mv) = match point.as_str() {
+    let tag = point.as_str();
+    let (point, after, interval, mv) = match tag {
         "mid-append" => (CrashPoint::MidAppend, 3, Duration::from_secs(3600), false),
         "pre-fsync" => (CrashPoint::PreFsync, 3, Duration::from_secs(3600), false),
         // Batched MV blocks through the pinned lane. A block enqueues four
@@ -113,6 +157,8 @@ fn crash_child() {
         // at least the first block is fully durable and acknowledged
         // before the crash.
         "mv-pre-fsync" => (CrashPoint::PreFsync, 4, Duration::from_secs(3600), true),
+        // Pipelined insert + lookup batches; groups hold several records.
+        "lookup-pre-fsync" => (CrashPoint::PreFsync, 20, Duration::from_secs(3600), false),
         // The checkpointer runs on a real interval here: ops acknowledged
         // before the first (crashing) checkpoint round must survive it.
         "mid-checkpoint" => (
@@ -126,7 +172,9 @@ fn crash_child() {
     let config = WalConfig::new(&dir).with_crash_point(point, after);
     let (_dict, runtime) = durable_runtime(config, interval, mv);
     let deadline = std::time::Instant::now() + Duration::from_secs(20);
-    if mv {
+    if tag == "lookup-pre-fsync" {
+        lookup_child(&runtime, deadline);
+    } else if mv {
         // Batch variant: each batch becomes one MV block of
         // [unique, witness, unique, witness] inserts. The witness key is
         // deliberately written twice per block with increasing values, so
@@ -150,9 +198,9 @@ fn crash_child() {
                 // A worker died with the WAL writer; the abort is imminent.
                 break;
             }
-            eprintln!("ACK {base} {}", u64::from(base) * 10 + 7);
-            eprintln!("ACK {} {}", base + 1, u64::from(base + 1) * 10 + 7);
-            eprintln!("ACK {MV_WITNESS_KEY} {}", 4 * batch + 3);
+            report("ACK", base, u64::from(base) * 10 + 7);
+            report("ACK", base + 1, u64::from(base + 1) * 10 + 7);
+            report("ACK", MV_WITNESS_KEY, u64::from(4 * batch + 3));
         }
     } else {
         // Unique keys per op (never reused): an in-flight record can become
@@ -170,16 +218,90 @@ fn crash_child() {
                 // A worker died with the WAL writer; the abort is imminent.
                 break;
             }
-            eprintln!("ACK {key} {value}");
+            report("ACK", key, value);
         }
     }
     // Reaching this point without aborting means the crash point never
     // fired; the parent fails the run on a clean exit status.
 }
 
+/// Report one acknowledged operation on stderr as a single write, so the
+/// abort can cut the report between lines but not inside one (stderr is
+/// unbuffered, and `eprintln!` may write a line in several pieces).
+fn report(tag: &str, key: u32, value: u64) {
+    use std::io::Write;
+    let line = format!("{tag} {key} {value}\n");
+    let _ = std::io::stderr().write_all(line.as_bytes());
+}
+
+/// The lookup child: pipelined batches, two in flight. Batch `n` inserts
+/// four fresh keys and looks up the four keys of batch `n - 1` from the
+/// other worker, so lookups often read inserts that are committed but not
+/// yet durable. Lookup results are reported as soon as their handles
+/// resolve (`SAW key value`), before the batch's own inserts are awaited.
+fn lookup_child(runtime: &Runtime<Task, Option<u64>>, deadline: std::time::Instant) {
+    const PER_BATCH: u32 = 4;
+    let mut in_flight = std::collections::VecDeque::new();
+    for batch in 0..15_000u32 {
+        if std::time::Instant::now() >= deadline {
+            break;
+        }
+        let base = 1_000 + batch * PER_BATCH;
+        let mut tasks = Vec::new();
+        for key in base..base + PER_BATCH {
+            let mut insert = insert_task(key, u64::from(key) * 10 + 7);
+            insert.task.key = insert_route(key);
+            tasks.push(insert);
+            if batch > 0 {
+                let seen = key - PER_BATCH;
+                tasks.push(lookup_task(seen, lookup_route(seen)));
+            }
+        }
+        let Ok(handles) = runtime.submit_batch(tasks.clone()) else {
+            break;
+        };
+        in_flight.push_back((tasks, handles));
+        if in_flight.len() < 2 {
+            continue;
+        }
+        let (tasks, handles) = in_flight.pop_front().expect("two batches in flight");
+        let mut inserts = Vec::new();
+        for (task, handle) in tasks.into_iter().zip(handles) {
+            let spec = task.task.task;
+            if spec.op == OpKind::Insert {
+                inserts.push((spec, handle));
+                continue;
+            }
+            match handle.wait() {
+                Ok(Some(value)) => report("SAW", spec.key, value),
+                Ok(None) => {}
+                Err(_) => return,
+            }
+        }
+        for (spec, handle) in inserts {
+            if handle.wait().is_err() {
+                return;
+            }
+            report("ACK", spec.key, spec.value);
+        }
+    }
+}
+
+/// What a crash child reported before dying: acknowledged inserts and
+/// acknowledged lookups that found a value, each as key → value.
+#[derive(Debug, Default)]
+struct ChildReport {
+    acked: BTreeMap<u32, u64>,
+    seen: BTreeMap<u32, u64>,
+}
+
 /// Re-invoke this test binary as a crash child and collect the set of
 /// operations it acknowledged before dying.
 fn run_crash_child(tag: &str, dir: &Path) -> BTreeMap<u32, u64> {
+    run_crash_child_report(tag, dir).acked
+}
+
+fn run_crash_child_report(tag: &str, dir: &Path) -> ChildReport {
     let exe = std::env::current_exe().expect("test binary path");
     let output = Command::new(exe)
         .args(["crash_child", "--exact", "--nocapture", "--test-threads=1"])
@@ -192,16 +314,21 @@ fn run_crash_child(tag: &str, dir: &Path) -> BTreeMap<u32, u64> {
         "crash child must die at its armed point, but exited cleanly:\n{}",
         String::from_utf8_lossy(&output.stderr)
     );
-    let mut acked = BTreeMap::new();
+    let mut report = ChildReport::default();
     for line in String::from_utf8_lossy(&output.stderr).lines() {
-        if let Some(rest) = line.strip_prefix("ACK ") {
-            let mut parts = rest.split_whitespace();
-            let key: u32 = parts.next().unwrap().parse().unwrap();
-            let value: u64 = parts.next().unwrap().parse().unwrap();
-            acked.insert(key, value);
-        }
+        let (map, rest) = if let Some(rest) = line.strip_prefix("ACK ") {
+            (&mut report.acked, rest)
+        } else if let Some(rest) = line.strip_prefix("SAW ") {
+            (&mut report.seen, rest)
+        } else {
+            continue;
+        };
+        let mut parts = rest.split_whitespace();
+        let key: u32 = parts.next().unwrap().parse().unwrap();
+        let value: u64 = parts.next().unwrap().parse().unwrap();
+        map.insert(key, value);
     }
-    acked
+    report
 }
 
 /// Recover from the crashed log and assert every acknowledged operation
@@ -331,4 +458,79 @@ fn mid_checkpoint_crash_falls_back_to_full_replay() {
         "without a checkpoint, every logged record is replayed: {recovery:?}"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Honest reads across a crash: every lookup whose handle resolved
+/// returned a value that recovery brings back, and every acknowledged
+/// insert survives. A lookup is acknowledged only once the log tail at its
+/// commit is durable, which covers the insert it read.
+#[test]
+fn lookup_pre_fsync_crash_keeps_every_acknowledged_read() {
+    let dir = temp_dir("lookup-pre-fsync");
+    let report = run_crash_child_report("lookup-pre-fsync", &dir);
+    assert!(!report.acked.is_empty(), "some inserts acknowledged");
+    assert!(!report.seen.is_empty(), "some lookups acknowledged a value");
+    let (dict, runtime) = durable_runtime(WalConfig::new(&dir), Duration::from_secs(3600), false);
+    for (&key, &value) in &report.acked {
+        assert_eq!(
+            dict.lookup(key),
+            Some(value),
+            "acknowledged insert of key {key} lost across the crash"
+        );
+    }
+    for (&key, &value) in &report.seen {
+        assert_eq!(
+            dict.lookup(key),
+            Some(value),
+            "an acknowledged lookup of key {key} returned a value the crash took back"
+        );
+    }
+    runtime.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Wait for a handle without letting a hang stall the suite.
+fn settle<R>(handle: katme::TaskHandle<R>) -> Result<R, KatmeError> {
+    let outcome = handle.wait_timeout(Duration::from_secs(20));
+    assert_ne!(
+        outcome.as_ref().err(),
+        Some(&KatmeError::Timeout),
+        "ack hung"
+    );
+    outcome
+}
+
+/// A WAL writer that fails with an I/O error acknowledges nothing it did
+/// not sync: the first groups resolve `Ok`, then every write and every
+/// read — queued or inline — resolves as [`KatmeError::NotDurable`], and
+/// shutdown still completes.
+#[test]
+fn wal_io_error_resolves_acks_as_not_durable() {
+    for model in [ExecutorModel::Parallel, ExecutorModel::NoExecutor] {
+        let dir = temp_dir(&format!("io-error-{model:?}"));
+        let config = WalConfig::new(&dir).with_crash_point(CrashPoint::IoError, 3);
+        let builder = Katme::builder()
+            .workers(2)
+            .key_range(0, 65_535)
+            .model(model)
+            .checkpoint_interval(Duration::from_secs(3600));
+        let (_dict, runtime) = build_durable(builder, config);
+
+        for key in 1..=3u32 {
+            let handle = runtime.submit(insert_task(key, 1)).expect("submit");
+            assert_eq!(settle(handle), Ok(None), "{model:?}: group {key} syncs");
+        }
+        let failed = runtime.submit(insert_task(4, 1)).expect("submit");
+        assert_eq!(settle(failed), Err(KatmeError::NotDurable), "{model:?}");
+
+        // Later writes, and reads whose log tail never synced, fail too.
+        let mut tasks = vec![lookup_task(1, 1), lookup_task(4, 4)];
+        tasks.extend((5..40u32).map(|key| insert_task(key, 1)));
+        let handles = runtime.submit_batch(tasks).expect("submit batch");
+        for handle in handles {
+            assert_eq!(settle(handle), Err(KatmeError::NotDurable), "{model:?}");
+        }
+        runtime.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
