@@ -30,6 +30,4 @@ pub mod plan;
 pub use calibrate::{CalibrationView, Ewma, SwapCostCalibrator, DEFAULT_COST_ALPHA};
 pub use decide::{CostDecision, CostModelView, CostPolicy};
 pub use model::{CostModel, CostModelConfig, EpochObservation};
-pub use plan::{
-    cut_abort_fraction, lane_candidates, CandidatePlan, LaneConfig, LanePlan, PlanContext, PlanKind,
-};
+pub use plan::{cut_abort_fraction, CandidatePlan, PlanContext, PlanKind};

@@ -235,167 +235,6 @@ pub fn enumerate(
     (keep_cost, plans)
 }
 
-/// Tunables for lane-flip candidate pricing.
-///
-/// A lane flip moves a contended key range onto the multi-version optimistic
-/// lane (or back). Designation is priced exactly like a repartition: the
-/// predicted wasted work saved (abort mass the lane converts into cheaper
-/// targeted re-executions) against the one-time lane-swap cost.
-#[derive(Debug, Clone)]
-pub struct LaneConfig {
-    /// Minimum share of the epoch's total abort mass the candidate range
-    /// must carry before designation is proposed. Keeps the lane cold under
-    /// uniform contention, where no range dominates.
-    pub min_abort_share: f64,
-    /// Absolute abort floor per epoch below which no designation is
-    /// proposed, regardless of share (share is noise at tiny counts).
-    pub min_aborts: u64,
-    /// A bucket adjacent to the peak joins the candidate range when its
-    /// abort mass is at least this fraction of the peak bucket's.
-    pub neighbor_share: f64,
-    /// A designated range whose share of total traffic (commits + aborts)
-    /// falls below this proposes undesignation — hysteresis for contention
-    /// that moved away (designated ranges stop aborting, so abort mass
-    /// cannot drive the reverse flip).
-    pub cold_traffic_share: f64,
-    /// Fraction of the saved abort mass the lane is predicted to pay back
-    /// as re-executions; the gain is discounted by this.
-    pub reexec_discount: f64,
-    /// Largest fraction of the telemetry buckets a candidate range may
-    /// span. A range that extends past this is not a contended *range* but
-    /// uniform contention — wholesale lane migration, which the hybrid is
-    /// not — so no designation is proposed.
-    pub max_span_share: f64,
-}
-
-impl Default for LaneConfig {
-    fn default() -> Self {
-        Self {
-            min_abort_share: 0.5,
-            min_aborts: 32,
-            neighbor_share: 0.5,
-            cold_traffic_share: 0.02,
-            reexec_discount: 0.3,
-            max_span_share: 0.5,
-        }
-    }
-}
-
-/// One scored lane-flip candidate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LanePlan {
-    /// Inclusive key range to flip.
-    pub range: (u64, u64),
-    /// `true` proposes designating the range to the multi-version lane;
-    /// `false` proposes undesignating it.
-    pub designate: bool,
-    /// Predicted wasted work saved per epoch (task-equivalents): the
-    /// range's abort mass discounted by the expected re-execution payback.
-    /// Zero for undesignations, which are hysteresis, not priced wins.
-    pub predicted_gain: f64,
-    /// One-time cost of the flip (task-equivalents): the calibrated swap
-    /// duration at the observed service rate.
-    pub swap_cost: f64,
-}
-
-impl LanePlan {
-    /// Whether the flip should be applied: designations must beat their
-    /// swap cost; undesignations (cold-range cleanup) always apply.
-    pub fn profitable(&self) -> bool {
-        !self.designate || self.predicted_gain > self.swap_cost
-    }
-}
-
-/// Enumerate lane-flip candidates for one epoch.
-///
-/// `buckets` is the epoch's per-bucket telemetry as `(lo, hi, commits,
-/// aborts)` tuples (inclusive bounds); `mv_ranges` the ranges currently
-/// designated. `swap_seconds * service_rate` converts the calibrated flip
-/// duration into task-equivalents, the same currency [`CandidatePlan`]
-/// prices repartitions in.
-///
-/// At most one designation is proposed per call — the hottest undesignated
-/// bucket, extended across adjacent buckets carrying at least
-/// [`LaneConfig::neighbor_share`] of its abort mass — plus one
-/// undesignation per designated range whose traffic went cold.
-pub fn lane_candidates(
-    buckets: &[(u64, u64, u64, u64)],
-    mv_ranges: &[(u64, u64)],
-    swap_seconds: f64,
-    service_rate: f64,
-    config: &LaneConfig,
-) -> Vec<LanePlan> {
-    let mut plans = Vec::new();
-    let swap_cost = (swap_seconds * service_rate).max(0.0);
-    let total_aborts: u64 = buckets.iter().map(|&(_, _, _, aborts)| aborts).sum();
-    let total_traffic: u64 = buckets
-        .iter()
-        .map(|&(_, _, commits, aborts)| commits + aborts)
-        .sum();
-    let in_mv = |lo: u64, hi: u64| mv_ranges.iter().any(|&(a, b)| a <= hi && lo <= b);
-
-    if total_aborts >= config.min_aborts.max(1) {
-        let mut sorted = buckets.to_vec();
-        sorted.sort_unstable_by_key(|&(lo, ..)| lo);
-        let peak = sorted
-            .iter()
-            .enumerate()
-            .filter(|&(_, &(lo, hi, _, _))| !in_mv(lo, hi))
-            .max_by_key(|&(_, &(_, _, _, aborts))| aborts)
-            .map(|(i, _)| i);
-        if let Some(peak) = peak {
-            let peak_aborts = sorted[peak].3;
-            if peak_aborts > 0 {
-                let floor = ((peak_aborts as f64) * config.neighbor_share).ceil() as u64;
-                let joins = |&(lo, hi, _, aborts): &(u64, u64, u64, u64)| {
-                    aborts >= floor.max(1) && !in_mv(lo, hi)
-                };
-                let mut lo_i = peak;
-                while lo_i > 0 && joins(&sorted[lo_i - 1]) {
-                    lo_i -= 1;
-                }
-                let mut hi_i = peak;
-                while hi_i + 1 < sorted.len() && joins(&sorted[hi_i + 1]) {
-                    hi_i += 1;
-                }
-                let mass: u64 = sorted[lo_i..=hi_i]
-                    .iter()
-                    .map(|&(_, _, _, aborts)| aborts)
-                    .sum();
-                let span_ok =
-                    (hi_i - lo_i + 1) as f64 <= config.max_span_share * sorted.len() as f64;
-                if span_ok && mass as f64 / total_aborts as f64 >= config.min_abort_share {
-                    plans.push(LanePlan {
-                        range: (sorted[lo_i].0, sorted[hi_i].1),
-                        designate: true,
-                        predicted_gain: mass as f64 * (1.0 - config.reexec_discount),
-                        swap_cost,
-                    });
-                }
-            }
-        }
-    }
-
-    if total_traffic > 0 {
-        for &(lo, hi) in mv_ranges {
-            let traffic: u64 = buckets
-                .iter()
-                .filter(|&&(a, b, _, _)| a <= hi && lo <= b)
-                .map(|&(_, _, commits, aborts)| commits + aborts)
-                .sum();
-            if (traffic as f64) / (total_traffic as f64) < config.cold_traffic_share {
-                plans.push(LanePlan {
-                    range: (lo, hi),
-                    designate: false,
-                    predicted_gain: 0.0,
-                    swap_cost,
-                });
-            }
-        }
-    }
-    plans
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -529,85 +368,5 @@ mod tests {
             shrink.swap_cost >= 75.0 && shrink.swap_cost < 85.0,
             "{shrink:?}"
         );
-    }
-
-    /// Ten contiguous buckets over [0, 999], keyed by per-bucket aborts.
-    fn lane_buckets(aborts: [u64; 10]) -> Vec<(u64, u64, u64, u64)> {
-        (0..10u64)
-            .map(|i| (i * 100, i * 100 + 99, 1_000, aborts[i as usize]))
-            .collect()
-    }
-
-    #[test]
-    fn dominant_hot_bucket_proposes_a_priced_designation() {
-        let buckets = lane_buckets([0, 0, 0, 500, 0, 0, 0, 0, 0, 0]);
-        let plans = lane_candidates(&buckets, &[], 1.0e-3, 20_000.0, &LaneConfig::default());
-        assert_eq!(plans.len(), 1, "{plans:?}");
-        let plan = &plans[0];
-        assert!(plan.designate);
-        assert_eq!(plan.range, (300, 399));
-        // 500 aborts discounted by the 0.3 re-execution payback.
-        assert!((plan.predicted_gain - 350.0).abs() < 1e-9, "{plan:?}");
-        // 1 ms flip at 20k tasks/s = 20 task-equivalents.
-        assert!((plan.swap_cost - 20.0).abs() < 1e-9, "{plan:?}");
-        assert!(plan.profitable());
-    }
-
-    #[test]
-    fn neighbor_buckets_above_half_the_peak_join_the_range() {
-        let buckets = lane_buckets([0, 0, 260, 500, 300, 10, 0, 0, 0, 0]);
-        let plans = lane_candidates(&buckets, &[], 0.0, 20_000.0, &LaneConfig::default());
-        assert_eq!(plans.len(), 1, "{plans:?}");
-        // Buckets 2..=4 all carry >= 50% of the peak's 500; bucket 5 does not.
-        assert_eq!(plans[0].range, (200, 499));
-        assert!((plans[0].predicted_gain - 1060.0 * 0.7).abs() < 1e-9);
-    }
-
-    #[test]
-    fn uniform_abort_mass_designates_nothing() {
-        // Every neighbour joins a uniform peak, so the candidate would span
-        // the whole space — the max-span guard rejects it.
-        let buckets = lane_buckets([50; 10]);
-        let plans = lane_candidates(&buckets, &[], 1.0e-3, 20_000.0, &LaneConfig::default());
-        assert!(plans.is_empty(), "{plans:?}");
-    }
-
-    #[test]
-    fn tiny_abort_counts_are_ignored() {
-        let buckets = lane_buckets([0, 0, 0, 20, 0, 0, 0, 0, 0, 0]);
-        let plans = lane_candidates(&buckets, &[], 1.0e-3, 20_000.0, &LaneConfig::default());
-        assert!(plans.is_empty(), "{plans:?}");
-    }
-
-    #[test]
-    fn designated_ranges_are_not_proposed_again() {
-        let buckets = lane_buckets([0, 0, 0, 500, 0, 0, 0, 40, 0, 0]);
-        let mv = [(300u64, 399u64)];
-        let plans = lane_candidates(&buckets, &mv, 1.0e-3, 20_000.0, &LaneConfig::default());
-        // Bucket 7 is the hottest undesignated bucket but carries well under
-        // half the total abort mass, so nothing is proposed.
-        assert!(plans.iter().all(|p| !p.designate), "{plans:?}");
-    }
-
-    #[test]
-    fn cold_designated_range_proposes_undesignation() {
-        // Designated range [300, 399] sees no traffic at all this epoch.
-        let mut buckets = lane_buckets([0; 10]);
-        buckets[3].2 = 0;
-        let mv = [(300u64, 399u64)];
-        let plans = lane_candidates(&buckets, &mv, 1.0e-3, 20_000.0, &LaneConfig::default());
-        assert_eq!(plans.len(), 1, "{plans:?}");
-        let plan = &plans[0];
-        assert!(!plan.designate);
-        assert_eq!(plan.range, (300, 399));
-        assert!(plan.profitable(), "cold cleanup always applies");
-    }
-
-    #[test]
-    fn warm_designated_range_is_kept() {
-        let buckets = lane_buckets([0; 10]);
-        let mv = [(300u64, 399u64)];
-        let plans = lane_candidates(&buckets, &mv, 1.0e-3, 20_000.0, &LaneConfig::default());
-        assert!(plans.is_empty(), "{plans:?}");
     }
 }

@@ -51,7 +51,6 @@ pub mod drift;
 pub mod executor;
 pub mod histogram;
 pub mod key;
-pub mod lane;
 pub mod models;
 pub mod partition;
 pub mod sample_size;
@@ -67,7 +66,6 @@ pub use drift::{
 pub use executor::{Executor, ExecutorConfig, ExecutorReport, ShutdownGate, SubmitError};
 pub use histogram::Histogram;
 pub use key::{BucketKeyMapper, ConstantKeyMapper, DictKeyMapper, KeyBounds, KeyMapper, TxnKey};
-pub use lane::LaneTable;
 pub use models::ExecutorModel;
 pub use partition::{KeyPartition, PartitionGeneration, PartitionTable};
 pub use sample_size::required_samples;

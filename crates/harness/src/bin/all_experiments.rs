@@ -11,8 +11,8 @@ use katme_collections::StructureKind;
 use katme_harness::experiments::executor_models;
 use katme_harness::{
     alloc_profile, balance_table, batch_dispatch, commit_path, contention_table, cost_adaptation,
-    durability, fig3_hashtable, fig4_overhead, format_throughput, hot_key, net_service,
-    print_series_table, tree_list, HarnessOptions,
+    durability, fig3_hashtable, fig4_overhead, format_throughput, net_service, print_series_table,
+    tree_list, HarnessOptions,
 };
 use katme_workload::DistributionKind;
 
@@ -117,18 +117,6 @@ fn main() {
             row.throughput_ratio(),
             row.fsyncs_per_commit(),
             row.mean_group_size()
-        );
-    }
-
-    println!("\n################ Hot-key MV lane ################");
-    for row in hot_key(&opts) {
-        println!(
-            "  {:>16} / {:>14}: {} commits/s, {:.4} wasted/commit, residency {:.3}",
-            row.distribution.to_string(),
-            row.mode,
-            format_throughput(row.commits_per_sec),
-            row.wasted_per_commit(),
-            row.mv_residency
         );
     }
 

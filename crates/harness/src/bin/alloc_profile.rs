@@ -1,9 +1,8 @@
 //! Allocation profile (extension experiment): counts steady-state heap
 //! allocations per committed transaction on the submit→execute→commit
 //! path — the allocator-traffic companion to `commit_path`'s cycle
-//! counts. Four workloads: read-only lookups, the paper's 50/50
-//! insert/delete stream, the same stream pinned through the MV lane, and
-//! the durable (group-commit WAL) variant.
+//! counts. Three workloads: read-only lookups, the paper's 50/50
+//! insert/delete stream, and the durable (group-commit WAL) variant.
 //!
 //! ```text
 //! cargo run --release -p katme-harness --bin alloc_profile -- --smoke

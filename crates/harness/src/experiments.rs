@@ -1,15 +1,14 @@
 //! Experiment runners, one per table/figure of the paper.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use katme::{
-    ClockMode, Driver, DriverConfig, ExecutorModel, Katme, KeyRangeSnapshot, RunResult,
-    SchedulerKind, Stm, StmConfig, TVar, WindowReport, WithKey,
+    ClockMode, Driver, DriverConfig, ExecutorModel, Katme, RunResult, SchedulerKind, Stm,
+    StmConfig, TVar, WindowReport, WithKey,
 };
 use katme_collections::StructureKind;
-use katme_workload::{ArrivalRamp, DistributionKind, KeyDistribution};
+use katme_workload::{ArrivalRamp, DistributionKind};
 
 use crate::options::HarnessOptions;
 
@@ -675,288 +674,6 @@ pub fn durability(opts: &HarnessOptions) -> Vec<DurabilityRow> {
         .collect()
 }
 
-/// Zipf skew exponents swept by [`hot_key`]: mild, the classic ~1, and
-/// heavily concentrated.
-pub const HOT_KEY_SKEWS: [f64; 3] = [0.6, 0.99, 1.2];
-
-/// Accounts in the [`hot_key`] transfer array — the 16-bit dictionary key
-/// space, so the Zipf head sits at the low end of the key range.
-const HOT_KEY_ACCOUNTS: usize = 1 << 16;
-
-/// Tasks per submitted batch in [`hot_key`] — the MV block granularity.
-const HOT_KEY_BATCH: usize = 32;
-
-/// One row of the [`hot_key`] comparison: a (distribution, lane mode) pair
-/// on the write-heavy transfer workload.
-#[derive(Debug, Clone)]
-pub struct HotKeyRow {
-    /// Key distribution of this row (Zipfian at one of
-    /// [`HOT_KEY_SKEWS`], or the uniform control).
-    pub distribution: DistributionKind,
-    /// `"single-version"` (the baseline abort-and-retry STM) or
-    /// `"mv-lane"` (the multi-version optimistic lane enabled, ranges
-    /// designated by the adaptive lane controller).
-    pub mode: &'static str,
-    /// Mean committed STM transactions per second across repetitions.
-    pub commits_per_sec: f64,
-    /// Mean completed tasks per second across repetitions.
-    pub throughput: f64,
-    /// Mean aborted attempts per committed transaction.
-    pub aborts_per_commit: f64,
-    /// Mean MV re-executions per committed transaction — counted against
-    /// *all* commits, the same denominator as the abort ratio, so the two
-    /// waste currencies compare directly.
-    pub reexec_per_commit: f64,
-    /// Mean fraction of commits that went through the MV lane.
-    pub mv_residency: f64,
-    /// MV-designated ranges at the end of the last repetition.
-    pub lane_ranges: Vec<(u64, u64)>,
-    /// Lane designations plus undesignations in the last repetition.
-    pub lane_flips: u64,
-    /// Per-bucket key-range telemetry at the end of the last repetition
-    /// (present whenever the adaptation plane ran).
-    pub key_ranges: Option<KeyRangeSnapshot>,
-    /// Completed tasks in the last repetition.
-    pub completed: u64,
-}
-
-impl HotKeyRow {
-    /// Wasted work per commit, whichever lane paid it: aborted attempts
-    /// plus MV re-executions per committed transaction. The comparable
-    /// currency across the two modes.
-    pub fn wasted_per_commit(&self) -> f64 {
-        self.aborts_per_commit + self.reexec_per_commit
-    }
-
-    /// MV-designated ranges at the end of the last repetition.
-    pub fn lane_ranges(&self) -> &[(u64, u64)] {
-        &self.lane_ranges
-    }
-}
-
-/// One repetition's measurements, before averaging into a [`HotKeyRow`].
-struct HotKeyMeasurement {
-    commits_per_sec: f64,
-    throughput: f64,
-    aborts_per_commit: f64,
-    reexec_per_commit: f64,
-    mv_residency: f64,
-    lane_ranges: Vec<(u64, u64)>,
-    lane_flips: u64,
-    key_ranges: Option<KeyRangeSnapshot>,
-    completed: u64,
-}
-
-/// Deliberate in-transaction work: a short keyed hash chain between the
-/// reads and the writes of each transfer. It widens the read-to-commit
-/// window so concurrently scheduled hot-key transactions actually overlap
-/// in time — with microsecond transactions, conflicts would otherwise
-/// require an OS preemption in exactly the wrong place, which (especially
-/// on few cores) almost never happens and the experiment would measure
-/// nothing. Real contended transactions are long for the same reason:
-/// they compute something between reading and writing.
-fn conflict_window(seed: u64, spins: u32) -> u64 {
-    let mut x = seed | 1;
-    for _ in 0..spins / 2 {
-        x = std::hint::black_box(x.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(7));
-    }
-    // One scheduler yield mid-transaction: on machines with fewer cores
-    // than runnable threads, this is what actually lets concurrently
-    // scheduled transactions interleave (a pure spin just runs to
-    // completion inside one timeslice and conflicts with nobody).
-    std::thread::yield_now();
-    for _ in 0..spins / 2 {
-        x = std::hint::black_box(x.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(7));
-    }
-    x
-}
-
-/// One repetition of the [`hot_key`] transfer workload: `producers`
-/// threads each submit batches of [`HOT_KEY_BATCH`] two-account transfer
-/// tasks with both endpoints drawn from `distribution`, scheduled on the
-/// lower endpoint (the one most likely contended — the Zipf head is at the
-/// low keys). The second endpoint is what defeats key partitioning: the
-/// adaptive scheduler serializes same-key tasks on one worker, but the
-/// other endpoint's writes land on accounts owned by other workers'
-/// partitions, so hot accounts still see concurrent conflicting writers —
-/// the irreducible contention the MV lane exists for.
-fn run_hot_key(
-    opts: &HarnessOptions,
-    distribution: DistributionKind,
-    mv: bool,
-    workers: usize,
-    threshold: usize,
-    spins: u32,
-    seed: u64,
-) -> HotKeyMeasurement {
-    let producers = opts.producers.unwrap_or(4);
-    let accounts: Arc<Vec<TVar<u64>>> = Arc::new(
-        (0..HOT_KEY_ACCOUNTS)
-            .map(|_| TVar::new(1_000_000_u64))
-            .collect(),
-    );
-    let stm = Stm::new(StmConfig::default());
-    let handler_stm = stm.clone();
-    let handler_accounts = Arc::clone(&accounts);
-    let mut builder = Katme::builder()
-        .workers(workers)
-        .producers(producers)
-        .scheduler(SchedulerKind::AdaptiveKey)
-        .key_range(0, (HOT_KEY_ACCOUNTS - 1) as u64)
-        .stm(stm.clone())
-        .sample_threshold(threshold)
-        .adaptation_interval(threshold as u64)
-        .work_stealing(true)
-        .batch_size(HOT_KEY_BATCH)
-        .drain_on_shutdown(false);
-    if mv {
-        // First-pass parallelism 1: the in-order pass reads every
-        // predecessor's write through the multi-version memory, so the
-        // validation sweep finds nothing to repair and re-executions come
-        // only from external (publish-retry) invalidations. Speculative
-        // first-pass parallelism pays misspeculation re-executions for a
-        // wall-clock win that only exists with spare cores.
-        builder = builder.mv_lane(true).mv_parallelism(1);
-    }
-    let runtime = builder
-        .build(move |_worker, task: WithKey<(u32, u32)>| {
-            let (debit, credit) = task.task;
-            handler_stm.atomically(|tx| {
-                let from = *tx.read(&handler_accounts[debit as usize])?;
-                let to = *tx.read(&handler_accounts[credit as usize])?;
-                let moved = 1 + (conflict_window(from ^ to, spins) & 1);
-                tx.write(&handler_accounts[debit as usize], from.wrapping_sub(moved))?;
-                tx.write(&handler_accounts[credit as usize], to.wrapping_add(moved))
-            });
-        })
-        .expect("hot_key runtime configuration is valid");
-
-    let stop = AtomicBool::new(false);
-    let mut stats_pair = None;
-    std::thread::scope(|scope| {
-        for producer in 0..producers {
-            let stop = &stop;
-            let runtime = &runtime;
-            let mut sampler =
-                KeyDistribution::new(distribution, seed ^ (0x9E37 * (producer as u64 + 1)));
-            scope.spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    let batch: Vec<WithKey<(u32, u32)>> = (0..HOT_KEY_BATCH)
-                        .map(|_| {
-                            let debit = sampler.sample_key();
-                            let credit = sampler.sample_key();
-                            // Schedule on the *lower* endpoint: the Zipf head
-                            // sits at the low keys, so min(debit, credit) is
-                            // the endpoint most likely to be contended — and a
-                            // transaction not keyed inside a designated range
-                            // provably touches no account in it (its minimum
-                            // is above the range), so a designated range
-                            // captures every writer of its keys.
-                            let key = debit.min(credit);
-                            WithKey::new(u64::from(key), (debit, credit))
-                        })
-                        .collect();
-                    if runtime.submit_batch_detached(batch).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        // The first half of the window is warm-up: the lane controller
-        // needs a few telemetry epochs of abort mass before it designates,
-        // so measuring from cold would average the (identical) ramp into
-        // both modes and dilute the steady state being compared. Both
-        // modes discard the same warm-up.
-        let half = opts.duration() / 2;
-        std::thread::sleep(half);
-        let warm = runtime.stats();
-        std::thread::sleep(half);
-        stats_pair = Some((warm, runtime.stats()));
-        stop.store(true, Ordering::Relaxed);
-    });
-    let (warm, end) = stats_pair.expect("stats captured inside the scope");
-    let window = end.since(&warm);
-    let elapsed = window.duration.as_secs_f64().max(f64::EPSILON);
-    runtime.shutdown();
-    HotKeyMeasurement {
-        commits_per_sec: window.stm.commits as f64 / elapsed,
-        throughput: window.throughput(),
-        aborts_per_commit: window.contention_ratio(),
-        // Per *total* commit, like the abort ratio above — the system-wide
-        // wasted-executions currency the two modes are compared in (the
-        // per-MV-commit intensity is [`StatsView::mv_reexec_per_commit`]).
-        reexec_per_commit: window.stm.mv_reexecutions as f64 / window.stm.commits.max(1) as f64,
-        mv_residency: window.stm.mv_residency(),
-        lane_ranges: end.lane_ranges.clone(),
-        lane_flips: end.lane_flips,
-        key_ranges: end.key_ranges.clone(),
-        completed: window.completed,
-    }
-}
-
-/// **Hot-key lane (extension)**: single-version vs. the multi-version
-/// optimistic lane on a write-heavy Zipfian transfer workload — each
-/// transaction reads two accounts, computes, and writes both, scheduled on
-/// the smaller of the two account ids. Key partitioning cannot serialize
-/// the second account's writes, so hot accounts abort concurrent readers,
-/// and the telemetry attributes each abort to the aborted transaction's
-/// own (Zipf-distributed) key — abort mass that concentrates on the Zipf
-/// head, which is exactly what the lane controller prices. Expected shape:
-/// at skew ≥ 0.99 the MV side designates the hot range (residency > 0) and
-/// converts aborts into strictly fewer re-executions at equal-or-better
-/// commit throughput; on the uniform control the lane stays cold (no
-/// designation, parity throughput).
-pub fn hot_key(opts: &HarnessOptions) -> Vec<HotKeyRow> {
-    let workers = opts.worker_counts().into_iter().max().unwrap_or(4).max(2);
-    let threshold = if opts.quick { 500 } else { 2_000 };
-    let spins = if opts.quick { 200 } else { 4_000 };
-    let distributions: Vec<DistributionKind> = HOT_KEY_SKEWS
-        .iter()
-        .map(|&skew| DistributionKind::Zipfian { skew })
-        .chain([DistributionKind::Uniform])
-        .collect();
-    let mut rows = Vec::new();
-    for distribution in distributions {
-        for mv in [false, true] {
-            let mut results = Vec::new();
-            for rep in 0..opts.repetitions() {
-                results.push(run_hot_key(
-                    opts,
-                    distribution,
-                    mv,
-                    workers,
-                    threshold,
-                    spins,
-                    0x407e + rep as u64,
-                ));
-            }
-            let n = results.len().max(1) as f64;
-            let mean =
-                |f: &dyn Fn(&HotKeyMeasurement) -> f64| results.iter().map(f).sum::<f64>() / n;
-            let commits_per_sec = mean(&|m: &HotKeyMeasurement| m.commits_per_sec);
-            let throughput = mean(&|m: &HotKeyMeasurement| m.throughput);
-            let aborts_per_commit = mean(&|m: &HotKeyMeasurement| m.aborts_per_commit);
-            let reexec_per_commit = mean(&|m: &HotKeyMeasurement| m.reexec_per_commit);
-            let mv_residency = mean(&|m: &HotKeyMeasurement| m.mv_residency);
-            let last = results.pop().expect("at least one repetition");
-            rows.push(HotKeyRow {
-                distribution,
-                mode: if mv { "mv-lane" } else { "single-version" },
-                commits_per_sec,
-                throughput,
-                aborts_per_commit,
-                reexec_per_commit,
-                mv_residency,
-                lane_ranges: last.lane_ranges,
-                lane_flips: last.lane_flips,
-                key_ranges: last.key_ranges,
-                completed: last.completed,
-            });
-        }
-    }
-    rows
-}
-
 /// Ablation: executor models of Figure 1 (no executor / centralized /
 /// parallel) on the hash table with the adaptive scheduler.
 pub fn executor_models(opts: &HarnessOptions) -> Vec<(ExecutorModel, f64)> {
@@ -1157,7 +874,7 @@ pub fn commit_path(opts: &HarnessOptions) -> Vec<CommitPathRow> {
 /// committed transaction for one workload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AllocRow {
-    /// Workload name (`read-only`, `read-write`, `mv-lane`, `durable`).
+    /// Workload name (`read-only`, `read-write`, `durable`).
     pub workload: &'static str,
     /// Committed transactions inside the measured window.
     pub commits: u64,
@@ -1172,12 +889,8 @@ pub struct AllocRow {
 /// ceilings per workload, with headroom over the measured numbers in
 /// README.md so scheduler jitter does not flake the gate). A PR that pushes
 /// a workload back above its ceiling fails `alloc_profile --smoke`.
-pub const ALLOC_BUDGETS: [(&str, f64); 4] = [
-    ("read-only", 0.15),
-    ("read-write", 1.2),
-    ("mv-lane", 2.0),
-    ("durable", 3.0),
-];
+pub const ALLOC_BUDGETS: [(&str, f64); 3] =
+    [("read-only", 0.15), ("read-write", 1.2), ("durable", 3.0)];
 
 /// Workers used by the allocation profile (two: enough to exercise the
 /// cross-thread dispatch path without making the wait loops spin on an
@@ -1213,9 +926,8 @@ pub fn alloc_profile(opts: &HarnessOptions) -> Option<Vec<AllocRow>> {
         (20_000u64, 80_000u64)
     };
     Some(vec![
-        alloc_case_volatile("read-only", read_only_generator(), false, warm, measured),
-        alloc_case_volatile("read-write", paper_generator(), false, warm, measured),
-        alloc_case_volatile("mv-lane", paper_generator(), true, warm, measured),
+        alloc_case_volatile("read-only", read_only_generator(), warm, measured),
+        alloc_case_volatile("read-write", paper_generator(), warm, measured),
         alloc_case_durable(warm, measured),
     ])
 }
@@ -1255,24 +967,13 @@ fn alloc_builder(stm: Stm) -> katme::Builder {
 fn alloc_case_volatile(
     workload: &'static str,
     gen: katme_workload::OpGenerator,
-    mv: bool,
     warm: u64,
     measured: u64,
 ) -> AllocRow {
     let stm = Stm::new(StmConfig::default());
     let dict = alloc_dict(&stm);
-    let bounds =
-        katme::KeyMapper::<katme_workload::TxnSpec>::bounds(&katme::BucketKeyMapper::paper());
-    let mut builder = alloc_builder(stm);
-    if mv {
-        // Pin the whole bucket range to the MV lane so every batch takes
-        // the optimistic-block path.
-        builder = builder
-            .mv_range(bounds.min, bounds.max)
-            .mv_parallelism(ALLOC_WORKERS);
-    }
     let dict_for_workers = Arc::clone(&dict);
-    let runtime = builder
+    let runtime = alloc_builder(stm)
         .build(move |_worker, task: WithKey<katme_workload::TxnSpec>| {
             katme::apply_spec(&*dict_for_workers, &task.task);
         })
@@ -1339,7 +1040,7 @@ fn alloc_measure<T, R>(
     measured: u64,
 ) -> AllocRow
 where
-    T: katme::KeyedTask + Clone + Send + 'static,
+    T: katme::KeyedTask + Send + 'static,
     R: Send + 'static,
 {
     let mut specs: Vec<katme_workload::TxnSpec> = Vec::new();
@@ -1584,39 +1285,6 @@ mod tests {
                 "lazy/read-only commits must stay off the global clock: {row:?}"
             );
         }
-    }
-
-    #[test]
-    fn hot_key_covers_distributions_and_both_modes() {
-        let rows = hot_key(&quick());
-        assert_eq!(
-            rows.len(),
-            (HOT_KEY_SKEWS.len() + 1) * 2,
-            "3 skews + uniform control, x 2 modes: {rows:?}"
-        );
-        for row in &rows {
-            assert!(row.completed > 0, "{row:?}");
-            assert!(row.commits_per_sec > 0.0, "{row:?}");
-            if row.mode == "single-version" {
-                assert_eq!(
-                    row.reexec_per_commit, 0.0,
-                    "the baseline never re-executes: {row:?}"
-                );
-                assert_eq!(row.mv_residency, 0.0, "{row:?}");
-                assert!(row.lane_ranges().is_empty(), "{row:?}");
-            }
-        }
-        // The uniform control must keep the lane essentially cold: with
-        // abort mass spread across every bucket, the span guard rejects
-        // any designation that would cover most of the key space.
-        let uniform_mv = rows
-            .iter()
-            .find(|r| r.distribution == DistributionKind::Uniform && r.mode == "mv-lane")
-            .expect("uniform mv row present");
-        assert!(
-            uniform_mv.mv_residency < 0.2,
-            "uniform load must not migrate into the MV lane: {uniform_mv:?}"
-        );
     }
 
     #[test]

@@ -15,8 +15,7 @@
 //! | Cost adaptation (extension) | [`experiments::cost_adaptation`] / `cost_adaptation` | threshold triggers vs. the predictive cost plane on phased and stationary workloads |
 //! | Durability (extension) | [`experiments::durability`] / `durability` | durable (group-commit WAL + checkpoints) vs. volatile throughput, with fsyncs-per-commit and mean group size |
 //! | Commit-path microbench (extension) | [`experiments::commit_path`] / `commit_path` | commit-path cost in isolation: GV1-ticked vs. GV5-lazy clock x shared vs. striped stats counters on disjoint keys, with scaling efficiency and clock advances per commit |
-//! | Hot-key MV lane (extension) | [`experiments::hot_key`] / `hot_key` | single-version vs. the multi-version optimistic lane on a write-heavy Zipfian sweep: commits/s, wasted work (aborts or re-executions) per commit, lane residency, per-bucket contention |
-//! | Allocation profile (extension) | [`experiments::alloc_profile`] / `alloc_profile` | steady-state heap allocations and bytes per committed transaction on the submit→execute→commit path, per workload (read-only, read-write, MV-lane, durable), with CI budget gating |
+//! | Allocation profile (extension) | [`experiments::alloc_profile`] / `alloc_profile` | steady-state heap allocations and bytes per committed transaction on the submit→execute→commit path, per workload (read-only, read-write, durable), with CI budget gating |
 //! | Network service (extension) | [`net::net_service`] / `net_service` | loopback TCP service plane: pipeline-depth throughput sweep with connection churn, queue-full `-BUSY` pushback, slow-reader in-flight bounding, and an elastic worker pool riding a socket arrival ramp |
 //!
 //! Every binary accepts `--seconds`, `--reps`, `--max-threads`, `--producers`
@@ -39,10 +38,10 @@ pub mod report;
 
 pub use experiments::{
     alloc_profile, balance_table, batch_dispatch, commit_path, contention_table, cost_adaptation,
-    drift_adaptation, durability, elastic_scaling, fig3_hashtable, fig4_overhead, hot_key,
-    tree_list, AllocRow, CommitPathRow, CostRow, DriftRow, DurabilityRow, ElasticRow,
-    ExperimentRow, Fig4Row, HotKeyRow, ALLOC_BUDGETS, BATCH_SIZES, COST_WINDOWS, DRIFT_WINDOWS,
-    ELASTIC_QUIET_INTENSITY, ELASTIC_WINDOWS, HOT_KEY_SKEWS,
+    drift_adaptation, durability, elastic_scaling, fig3_hashtable, fig4_overhead, tree_list,
+    AllocRow, CommitPathRow, CostRow, DriftRow, DurabilityRow, ElasticRow, ExperimentRow, Fig4Row,
+    ALLOC_BUDGETS, BATCH_SIZES, COST_WINDOWS, DRIFT_WINDOWS, ELASTIC_QUIET_INTENSITY,
+    ELASTIC_WINDOWS,
 };
 pub use net::{
     drive_connection, net_service, percentile_us, ConnStats, ElasticNetSummary, NetRow,
@@ -50,4 +49,4 @@ pub use net::{
     NET_ELASTIC_SAMPLES,
 };
 pub use options::HarnessOptions;
-pub use report::{format_throughput, print_bucket_contention, print_series_table};
+pub use report::{format_throughput, print_series_table};

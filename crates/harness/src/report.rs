@@ -1,7 +1,5 @@
 //! Table formatting for experiment output.
 
-use katme::KeyRangeSnapshot;
-
 use crate::experiments::ExperimentRow;
 
 /// Format a throughput value the way the paper's figures scale it
@@ -51,44 +49,6 @@ pub fn print_series_table(title: &str, rows: &[ExperimentRow]) {
         }
         println!();
     }
-}
-
-/// Print the per-bucket contention breakdown of a [`KeyRangeSnapshot`]:
-/// one line per key-range bucket with its commit count, abort count and
-/// contention ratio, plus a crude abort-share bar — the evidence the lane
-/// controller and the repartition planner price their decisions from.
-/// Buckets with no traffic are skipped.
-pub fn print_bucket_contention(title: &str, snapshot: &KeyRangeSnapshot) {
-    println!("\n-- per-bucket contention: {title} --");
-    println!(
-        "{:>16}{:>12}{:>12}{:>10}  abort share",
-        "key range", "commits", "aborts", "ratio"
-    );
-    let total_aborts = snapshot.total_aborts().max(1);
-    for index in 0..snapshot.buckets().len() {
-        let (commits, aborts) = snapshot.buckets()[index];
-        if commits == 0 && aborts == 0 {
-            continue;
-        }
-        let (lo, hi) = snapshot.bucket_range(index);
-        let ratio = aborts as f64 / commits.max(1) as f64;
-        let share = aborts as f64 / total_aborts as f64;
-        let bar = "#".repeat((share * 40.0).round() as usize);
-        println!(
-            "{:>16}{:>12}{:>12}{:>10.4}  {bar}",
-            format!("{lo}..={hi}"),
-            commits,
-            aborts,
-            ratio
-        );
-    }
-    println!(
-        "{:>16}{:>12}{:>12}{:>10.4}",
-        "total",
-        snapshot.total_commits(),
-        snapshot.total_aborts(),
-        snapshot.contention_ratio()
-    );
 }
 
 /// Render rows as a machine-readable CSV block (series,threads,throughput,

@@ -18,8 +18,8 @@
 //! takes the same lock. Either the writer's drain finds the entry, or the
 //! worker's re-read finds the watermark.
 //!
-//! Inline paths (the no-executor model and MV blocks) wait for the ticket
-//! on the submitting thread instead ([`AckBoard::await_ticket`]).
+//! The inline path (the no-executor model) waits for the ticket on the
+//! submitting thread instead ([`AckBoard::await_ticket`]).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -116,10 +116,11 @@ impl<R: Send + 'static> AckBoard<R> {
 
     /// Pop and release every front entry the watermark decides: durable
     /// ones complete, and once the log has failed (or on the final pass)
-    /// the rest fail. Completions run outside the FIFO lock.
+    /// the rest fail. Completions run outside the FIFO lock. Each entry's
+    /// delay is recorded before its completion, so whoever holds the
+    /// released result also sees the delay counted.
     fn drain(&self, fifo: &Fifo<R>, final_pass: bool) {
         let mut now = None;
-        let mut delay = 0u64;
         loop {
             // Failure first: the writer sets it after its last advance, so
             // the watermark read next is final whenever `failed` is seen.
@@ -134,15 +135,12 @@ impl<R: Send + 'static> AckBoard<R> {
             };
             let Some(entry) = entry else { break };
             let now = *now.get_or_insert_with(Instant::now);
-            delay += now.saturating_duration_since(entry.finished).as_nanos() as u64;
+            self.record_delay(now.saturating_duration_since(entry.finished).as_nanos() as u64);
             if entry.ticket <= durable {
                 entry.completion.complete(entry.result);
             } else {
                 entry.completion.fail(KatmeError::NotDurable);
             }
-        }
-        if delay > 0 {
-            self.record_delay(delay);
         }
     }
 

@@ -17,12 +17,9 @@ use katme_queue::QueueKind;
 use katme_stm::telemetry::{KeyRangeTelemetry, DEFAULT_TELEMETRY_BUCKETS};
 use katme_stm::{ClockMode, CmKind, Stm, StmConfig};
 
-use katme_core::lane::LaneTable;
-
 use crate::durability::{DurabilityPlane, DurableState, WalSink, DEFAULT_CHECKPOINT_INTERVAL};
 use crate::error::{BuilderError, KatmeError};
-use crate::lane::LaneController;
-use crate::runtime::{MvLaneState, Runtime, RuntimePlanes};
+use crate::runtime::Runtime;
 
 /// The facade's entry point. [`Katme::builder`] composes STM configuration,
 /// scheduling policy, queue implementation, executor model, worker/producer
@@ -84,9 +81,6 @@ pub struct Builder {
     durability: Option<WalConfig>,
     durable_state: Option<Arc<dyn DurableState>>,
     checkpoint_interval: Duration,
-    mv_lane: bool,
-    mv_ranges: Vec<(u64, u64)>,
-    mv_parallelism: usize,
 }
 
 impl Default for Builder {
@@ -119,9 +113,6 @@ impl Default for Builder {
             durability: None,
             durable_state: None,
             checkpoint_interval: DEFAULT_CHECKPOINT_INTERVAL,
-            mv_lane: false,
-            mv_ranges: Vec::new(),
-            mv_parallelism: 1,
         }
     }
 }
@@ -391,43 +382,6 @@ impl Builder {
         self
     }
 
-    /// Enable the **multi-version optimistic lane** (Block-STM hybrid): a
-    /// batch arriving via [`Runtime::submit_batch`] whose keys fall in an
-    /// MV-designated range executes as one optimistic block against
-    /// multi-version reads — estimate-on-read dependency tracking, a
-    /// validate-and-re-execute-dependents pass instead of wholesale aborts,
-    /// and one composite publish to the underlying `TVar`s in deterministic
-    /// batch order (redo records reach the durability sink in that same
-    /// order). With continuous adaptation on, range designation is a
-    /// priced output of the cost plane: a contended range flips to the
-    /// lane when the predicted wasted work saved exceeds the measured
-    /// lane-swap cost, and flips back when its traffic goes cold. Without
-    /// adaptation, only ranges pinned via [`Builder::mv_range`] route MV.
-    /// Lane state surfaces through [`crate::StatsView::lane_ranges`] and
-    /// the MV counters in [`crate::StatsView`]'s STM snapshot.
-    pub fn mv_lane(mut self, enabled: bool) -> Self {
-        self.mv_lane = enabled;
-        self
-    }
-
-    /// Pin the inclusive key range `[lo, hi]` to the multi-version lane
-    /// from startup (implies [`Builder::mv_lane`]). May be called multiple
-    /// times; validated at build time (`lo > hi` is rejected).
-    pub fn mv_range(mut self, lo: u64, hi: u64) -> Self {
-        self.mv_ranges.push((lo, hi));
-        self.mv_lane = true;
-        self
-    }
-
-    /// First-pass execution lanes inside one MV block (default 1: the
-    /// block's ops first-execute sequentially on the submitting thread;
-    /// higher values fan the first pass out over scoped threads). Zero is
-    /// rejected at build time.
-    pub fn mv_parallelism(mut self, parallelism: usize) -> Self {
-        self.mv_parallelism = parallelism;
-        self
-    }
-
     fn validate(&self) -> Result<KeyBounds, BuilderError> {
         if self.scheduler_instance.is_none() && self.workers == 0 {
             return Err(BuilderError::ZeroWorkers);
@@ -496,14 +450,6 @@ impl Builder {
         if self.durable_state.is_some() && self.durability.is_none() {
             return Err(BuilderError::DurableStateWithoutWal);
         }
-        if self.mv_lane {
-            if self.mv_parallelism == 0 {
-                return Err(BuilderError::ZeroMvParallelism);
-            }
-            if let Some(&(lo, hi)) = self.mv_ranges.iter().find(|&&(lo, hi)| lo > hi) {
-                return Err(BuilderError::InvertedMvRange { lo, hi });
-            }
-        }
         Ok(KeyBounds::new(self.key_min, self.key_max))
     }
 
@@ -558,18 +504,6 @@ impl Builder {
             Some(stm) => stm,
             None => Stm::new(self.stm_config.clone()),
         };
-        // The multi-version lane's routing table, shared between the batch
-        // path (reads) and the lane controller (flips). Pinned ranges are
-        // designated up front.
-        let mv_table = if self.mv_lane {
-            let table = Arc::new(LaneTable::new());
-            for &(lo, hi) in &self.mv_ranges {
-                table.designate(lo, hi);
-            }
-            Some(table)
-        } else {
-            None
-        };
         let scheduler: Arc<dyn Scheduler> = match &self.scheduler_instance {
             Some(instance) => Arc::clone(instance),
             None if self.scheduler == SchedulerKind::AdaptiveKey => {
@@ -606,16 +540,7 @@ impl Builder {
                         .cloned()
                         .expect("telemetry attached above");
                     let rebucket = Arc::clone(&attached);
-                    // Lane designation rides the same epoch cadence: the
-                    // controller prices lane flips from the telemetry delta
-                    // right before the contention sample is taken.
-                    let lane_controller = mv_table
-                        .as_ref()
-                        .map(|table| LaneController::new(Arc::clone(table), Arc::clone(&attached)));
                     let source = move || {
-                        if let Some(controller) = &lane_controller {
-                            controller.on_epoch();
-                        }
                         let snapshot = attached.snapshot();
                         ContentionSample {
                             commits: snapshot.total_commits(),
@@ -692,11 +617,6 @@ impl Builder {
             .with_work_stealing(self.work_stealing)
             .with_max_queue_depth(self.max_queue_depth)
             .with_batch_size(self.batch_size);
-        let mv = mv_table.map(|table| MvLaneState {
-            table,
-            parallelism: self.mv_parallelism,
-            block_gate: std::sync::Mutex::new(()),
-        });
         Ok(Runtime::start(
             self.model,
             scheduler,
@@ -704,7 +624,7 @@ impl Builder {
             executor_config,
             stm,
             self.producers,
-            RuntimePlanes { durability, mv },
+            durability,
         ))
     }
 }
@@ -734,9 +654,6 @@ impl std::fmt::Debug for Builder {
             .field("durability", &self.durability)
             .field("has_durable_state", &self.durable_state.is_some())
             .field("checkpoint_interval", &self.checkpoint_interval)
-            .field("mv_lane", &self.mv_lane)
-            .field("mv_ranges", &self.mv_ranges)
-            .field("mv_parallelism", &self.mv_parallelism)
             .finish()
     }
 }
@@ -991,115 +908,5 @@ mod tests {
     fn builder_debug_is_stable() {
         let debug = format!("{:?}", Katme::builder().workers(2));
         assert!(debug.contains("workers: 2"));
-    }
-
-    #[test]
-    fn invalid_mv_knobs_are_rejected() {
-        let err = Katme::builder()
-            .mv_lane(true)
-            .mv_parallelism(0)
-            .build(noop_handler())
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                KatmeError::InvalidConfig(BuilderError::ZeroMvParallelism)
-            ),
-            "{err}"
-        );
-        let err = Katme::builder()
-            .mv_range(10, 5)
-            .build(noop_handler())
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                KatmeError::InvalidConfig(BuilderError::InvertedMvRange { lo: 10, hi: 5 })
-            ),
-            "{err}"
-        );
-        // Without mv_lane the knobs are inert, so a zero parallelism that
-        // will never be used does not reject.
-        let runtime = Katme::builder()
-            .mv_parallelism(0)
-            .build(noop_handler())
-            .unwrap();
-        runtime.shutdown();
-    }
-
-    #[test]
-    fn pinned_mv_range_routes_batches_through_the_mv_lane() {
-        use crate::task::WithKey;
-        let runtime = Katme::builder()
-            .workers(2)
-            .mv_range(0, 63)
-            .mv_parallelism(2)
-            .build(|_worker, task: WithKey<u64>| task.task * 2)
-            .unwrap();
-        assert_eq!(runtime.stats().lane_ranges, vec![(0, 63)]);
-
-        let tasks: Vec<WithKey<u64>> = (0..16u64).map(|i| WithKey::new(i % 64, i)).collect();
-        let handles = runtime.submit_batch(tasks).unwrap();
-        let results: Vec<u64> = handles
-            .into_iter()
-            .map(|handle| handle.wait().unwrap())
-            .collect();
-        assert_eq!(results, (0..16u64).map(|i| i * 2).collect::<Vec<_>>());
-
-        let stats = runtime.stats();
-        assert!(stats.stm.mv_commits >= 16, "{:?}", stats.stm);
-        assert!(stats.mv_residency() > 0.0);
-        runtime.shutdown();
-    }
-
-    #[test]
-    fn mixed_batch_splits_between_lanes_and_preserves_handle_order() {
-        use crate::task::WithKey;
-        let runtime = Katme::builder()
-            .workers(2)
-            .mv_range(0, 7)
-            .build(|_worker, task: WithKey<u64>| task.task + 100)
-            .unwrap();
-        // Even indices land in the MV range, odd ones stay single-version;
-        // the returned handles must still line up with submission order.
-        let tasks: Vec<WithKey<u64>> = (0..20u64)
-            .map(|i| WithKey::new(if i % 2 == 0 { i % 8 } else { 500 + i }, i))
-            .collect();
-        let handles = runtime.submit_batch(tasks).unwrap();
-        let results: Vec<u64> = handles
-            .into_iter()
-            .map(|handle| handle.wait().unwrap())
-            .collect();
-        assert_eq!(results, (0..20u64).map(|i| i + 100).collect::<Vec<_>>());
-
-        let stats = runtime.stats();
-        // Exactly the ten even-indexed tasks went MV; the odd half ran on
-        // the plain worker path (whose no-op handler records no STM
-        // commits, so mv_commits counts the split precisely).
-        assert_eq!(stats.stm.mv_commits, 10, "{:?}", stats.stm);
-        assert_eq!(stats.completed, 20);
-        runtime.shutdown();
-    }
-
-    #[test]
-    fn mv_without_pinned_ranges_starts_cold() {
-        use crate::task::WithKey;
-        let runtime = Katme::builder()
-            .workers(2)
-            .mv_lane(true)
-            .build(|_worker, task: WithKey<u64>| task.task)
-            .unwrap();
-        let stats = runtime.stats();
-        assert!(stats.lane_ranges.is_empty());
-        assert_eq!(stats.lane_flips, 0);
-        let handles = runtime
-            .submit_batch((0..8u64).map(|i| WithKey::new(i, i)).collect())
-            .unwrap();
-        for handle in handles {
-            handle.wait().unwrap();
-        }
-        let stats = runtime.stats();
-        assert_eq!(stats.stm.mv_commits, 0, "cold lane executes nothing MV");
-        runtime.shutdown();
     }
 }

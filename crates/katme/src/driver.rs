@@ -98,20 +98,6 @@ pub struct DriverConfig {
     /// background, and every insert/delete carries its redo record. `None`
     /// (the default) leaves every run volatile.
     pub durability: Option<PathBuf>,
-    /// Enable the multi-version optimistic lane
-    /// ([`crate::Builder::mv_lane`]): batches whose keys land in an
-    /// MV-designated range execute Block-STM style against multi-version
-    /// reads, re-executing only invalidated dependents instead of aborting
-    /// wholesale. With continuous adaptation on, the lane controller
-    /// designates and releases ranges from per-bucket abort mass; without
-    /// it, only [`DriverConfig::mv_ranges`] route MV.
-    pub mv_lane: bool,
-    /// Key ranges pinned into the MV lane from startup (implies
-    /// [`DriverConfig::mv_lane`]).
-    pub mv_ranges: Vec<(u64, u64)>,
-    /// First-pass execution lanes inside one MV block (see
-    /// [`crate::Builder::mv_parallelism`]).
-    pub mv_parallelism: usize,
 }
 
 impl Default for DriverConfig {
@@ -137,9 +123,6 @@ impl Default for DriverConfig {
             cost_model: false,
             ramp: None,
             durability: None,
-            mv_lane: false,
-            mv_ranges: Vec::new(),
-            mv_parallelism: 1,
         }
     }
 }
@@ -273,28 +256,6 @@ impl DriverConfig {
         self.durability = Some(dir.into());
         self
     }
-
-    /// Enable the multi-version optimistic lane (see
-    /// [`DriverConfig::mv_lane`]).
-    pub fn with_mv_lane(mut self, enabled: bool) -> Self {
-        self.mv_lane = enabled;
-        self
-    }
-
-    /// Pin a key range into the MV lane from startup (implies
-    /// [`DriverConfig::mv_lane`]; may be called multiple times).
-    pub fn with_mv_range(mut self, lo: u64, hi: u64) -> Self {
-        self.mv_ranges.push((lo, hi));
-        self.mv_lane = true;
-        self
-    }
-
-    /// Set the MV block's first-pass execution lanes (clamped to at
-    /// least 1).
-    pub fn with_mv_parallelism(mut self, parallelism: usize) -> Self {
-        self.mv_parallelism = parallelism.max(1);
-        self
-    }
 }
 
 /// Result of one timed run.
@@ -338,14 +299,9 @@ pub struct RunResult {
     /// Acknowledgment delay: task end to result release, summed over the
     /// results held back for durability (0 for a volatile run).
     pub commit_wait_nanos: u64,
-    /// MV-designated key ranges at the window's close (empty when the lane
-    /// is disabled or stayed cold).
-    pub lane_ranges: Vec<(u64, u64)>,
-    /// Lane designations plus undesignations applied during the run.
-    pub lane_flips: u64,
     /// Per-bucket key-range telemetry at the window's close (`None` when
     /// the scheduler attached no key telemetry): commit/abort mass per
-    /// bucket, the evidence behind lane and repartition decisions.
+    /// bucket, the evidence behind repartition decisions.
     pub key_ranges: Option<katme_stm::KeyRangeSnapshot>,
 }
 
@@ -361,19 +317,6 @@ impl RunResult {
     /// run, or before the first logged commit).
     pub fn fsyncs_per_commit(&self) -> f64 {
         self.durability.map_or(0.0, |view| view.fsyncs_per_commit)
-    }
-
-    /// Re-executions per MV-lane commit — the MV analogue of
-    /// [`RunResult::contention_ratio`]: wasted work the lane pays instead
-    /// of wholesale aborts (0.0 before the first MV commit).
-    pub fn mv_reexec_per_commit(&self) -> f64 {
-        self.stm.mv_reexec_ratio()
-    }
-
-    /// Fraction of all commits that went through the MV lane (0.0 when the
-    /// lane is disabled or stayed cold).
-    pub fn mv_residency(&self) -> f64 {
-        self.stm.mv_residency()
     }
 }
 
@@ -462,12 +405,6 @@ impl Driver {
         }
         if cfg.cost_model {
             builder = builder.cost_model(true);
-        }
-        if cfg.mv_lane {
-            builder = builder.mv_lane(true).mv_parallelism(cfg.mv_parallelism);
-        }
-        for &(lo, hi) in &cfg.mv_ranges {
-            builder = builder.mv_range(lo, hi);
         }
         builder
     }
@@ -759,8 +696,6 @@ impl Driver {
             durability: report.durability,
             recovery,
             commit_wait_nanos: report.commit_wait_nanos,
-            lane_ranges: stats.lane_ranges,
-            lane_flips: stats.lane_flips,
             key_ranges: stats.key_ranges,
         };
         (result, window.reports)
@@ -816,7 +751,7 @@ fn drive_window<K, R, F, G>(
     factory: F,
 ) -> Window
 where
-    K: KeyedTask + Clone + Send + 'static,
+    K: KeyedTask + Send + 'static,
     R: Send + 'static,
     F: Fn(usize) -> G + Sync,
     G: FnMut(usize, &mut Vec<K>) + Send,

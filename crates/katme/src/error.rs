@@ -75,15 +75,6 @@ pub enum BuilderError {
     /// — a checkpoint provider with no log to checkpoint against is a
     /// configuration mistake, not a no-op.
     DurableStateWithoutWal,
-    /// `mv_parallelism(0)` — an MV block needs at least one execution lane.
-    ZeroMvParallelism,
-    /// `mv_range(lo, hi)` with `lo > hi`.
-    InvertedMvRange {
-        /// Configured lower bound.
-        lo: u64,
-        /// Configured upper bound.
-        hi: u64,
-    },
 }
 
 impl std::fmt::Display for BuilderError {
@@ -146,12 +137,6 @@ impl std::fmt::Display for BuilderError {
             BuilderError::DurableStateWithoutWal => f.write_str(
                 "durable_state requires durability(path); there is no log to checkpoint against",
             ),
-            BuilderError::ZeroMvParallelism => f.write_str(
-                "mv_parallelism must be at least 1 (the MV block's first-pass execution lanes)",
-            ),
-            BuilderError::InvertedMvRange { lo, hi } => {
-                write!(f, "inverted mv_range: lo {lo} > hi {hi}")
-            }
         }
     }
 }

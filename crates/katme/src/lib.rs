@@ -79,7 +79,6 @@ mod builder;
 pub mod driver;
 pub mod durability;
 mod error;
-mod lane;
 pub mod net;
 mod runtime;
 mod task;
@@ -112,7 +111,6 @@ pub use katme_core::drift::{
 pub use katme_core::key::{
     BucketKeyMapper, ConstantKeyMapper, DictKeyMapper, KeyBounds, KeyMapper, TxnKey,
 };
-pub use katme_core::lane::LaneTable;
 pub use katme_core::models::ExecutorModel;
 pub use katme_core::partition::{KeyPartition, PartitionGeneration, PartitionTable};
 pub use katme_core::scheduler::{FixedKeyScheduler, RoundRobinScheduler, Scheduler, SchedulerKind};
@@ -120,9 +118,8 @@ pub use katme_core::stats::LoadBalance;
 pub use katme_durability::{CrashPoint, DurabilityView, WalConfig};
 pub use katme_queue::QueueKind;
 pub use katme_stm::{
-    run_block, run_block_with, ClockMode, CmKind, KeyRangeSnapshot, KeyRangeTelemetry,
-    MvBlockOutcome, MvBlockReport, MvOp, Stm, StmConfig, StmStatsSnapshot, TVar, Transaction,
-    TxError,
+    ClockMode, CmKind, KeyRangeSnapshot, KeyRangeTelemetry, Stm, StmConfig, StmStatsSnapshot, TVar,
+    Transaction, TxError,
 };
 pub use katme_workload::{ArrivalRamp, DistributionKind, OpGenerator, OpKind, RampPhase, TxnSpec};
 

@@ -9,15 +9,13 @@ use katme_core::cost::CostModelView;
 use katme_core::drift::AdaptationEvent;
 use katme_core::executor::{Executor, ShutdownGate, SubmitError, SubmitRejection};
 use katme_core::key::TxnKey;
-use katme_core::lane::LaneTable;
 use katme_core::models::ExecutorModel;
 use katme_core::scheduler::Scheduler;
 use katme_core::stats::LoadBalance;
 use katme_durability::DurabilityView;
 use katme_queue::{thread_stripe, Backoff, TwoLockQueue};
 use katme_stm::{
-    run_block_tasks, with_ack_scope, with_durable_payload, with_task_key, KeyRangeSnapshot, MvTask,
-    Stm, StmStatsSnapshot,
+    with_ack_scope, with_durable_payload, with_task_key, KeyRangeSnapshot, Stm, StmStatsSnapshot,
 };
 
 use crate::ack::AckBoard;
@@ -133,32 +131,6 @@ fn unpack_rejection<T, R>(
     }
 }
 
-/// Multi-version lane state threaded from the builder: the routing table
-/// the cost plane flips ranges in, and the first-pass parallelism MV blocks
-/// execute with.
-pub(crate) struct MvLaneState {
-    pub(crate) table: Arc<LaneTable>,
-    pub(crate) parallelism: usize,
-    /// Serializes MV blocks from concurrent submitters. Designated ranges
-    /// are, by construction, the contended ones: two blocks racing over the
-    /// same hot keys would invalidate each other's bases at publish and
-    /// re-execute most of their operations every retry — strictly worse
-    /// than running the blocks back to back. One block at a time is also
-    /// Block-STM's own execution model; the gate restores it for the
-    /// hybrid lane. Uncontended submitters pay one free mutex acquire.
-    pub(crate) block_gate: std::sync::Mutex<()>,
-}
-
-/// The optional runtime planes threaded from the builder, bundled so
-/// [`Runtime::start`] takes one argument per plane family rather than one
-/// per plane.
-pub(crate) struct RuntimePlanes {
-    /// Durability plane (WAL + checkpointer), see [`crate::Builder::durability`].
-    pub(crate) durability: Option<Arc<DurabilityPlane>>,
-    /// Multi-version optimistic lane, see [`crate::Builder::mv_lane`].
-    pub(crate) mv: Option<MvLaneState>,
-}
-
 /// Stripe count for the inline-completion counters (power of two).
 const INLINE_STRIPES: usize = 16;
 
@@ -251,11 +223,6 @@ pub struct Runtime<T: Send + 'static, R: Send + 'static> {
     /// Results held until their ack ticket is durable (durable runtimes
     /// only; see [`crate::ack`]).
     acks: Option<Arc<AckBoard<R>>>,
-    /// The multi-version optimistic lane, when the runtime was built with
-    /// [`crate::Builder::mv_lane`]. Batch submissions whose keys fall in a
-    /// designated range execute as one optimistic block instead of routing
-    /// through the queues.
-    mv: Option<MvLaneState>,
     /// Connection-plane counters, registered once by a network front end
     /// ([`Runtime::attach_net`]); `None` until a server attaches, after
     /// which [`Runtime::stats`] and [`Runtime::shutdown`] carry the
@@ -271,9 +238,8 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
         executor_config: katme_core::executor::ExecutorConfig,
         stm: Stm,
         producers: usize,
-        planes: RuntimePlanes,
+        durability: Option<Arc<DurabilityPlane>>,
     ) -> Self {
-        let RuntimePlanes { durability, mv } = planes;
         let accepting = Arc::new(AtomicBool::new(true));
         let max_queue_depth = executor_config.max_queue_depth;
         let drain_on_shutdown = executor_config.drain_on_shutdown;
@@ -426,7 +392,6 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
             inline_completed: StripedCounter::new(),
             durability,
             acks,
-            mv,
             net: OnceLock::new(),
         }
     }
@@ -543,7 +508,7 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
         mut tasks: Vec<T>,
     ) -> Result<Vec<TaskHandle<R>>, BatchSubmitError<T, R>>
     where
-        T: KeyedTask + Clone,
+        T: KeyedTask,
     {
         self.dispatch_batch(&mut tasks, true, true)
             .map(|(_, handles)| handles)
@@ -560,7 +525,7 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
         mut tasks: Vec<T>,
     ) -> Result<Vec<TaskHandle<R>>, BatchSubmitError<T, R>>
     where
-        T: KeyedTask + Clone,
+        T: KeyedTask,
     {
         self.dispatch_batch(&mut tasks, true, false)
             .map(|(_, handles)| handles)
@@ -571,7 +536,7 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
     /// the number of tasks accepted (the whole batch on `Ok`).
     pub fn submit_batch_detached(&self, mut tasks: Vec<T>) -> Result<usize, BatchSubmitError<T, R>>
     where
-        T: KeyedTask + Clone,
+        T: KeyedTask,
     {
         self.dispatch_batch(&mut tasks, false, true)
             .map(|(accepted, _)| accepted)
@@ -588,7 +553,7 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
         tasks: &mut Vec<T>,
     ) -> Result<usize, BatchSubmitError<T, R>>
     where
-        T: KeyedTask + Clone,
+        T: KeyedTask,
     {
         self.dispatch_batch(tasks, false, true)
             .map(|(accepted, _)| accepted)
@@ -600,7 +565,7 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
         mut tasks: Vec<T>,
     ) -> Result<usize, BatchSubmitError<T, R>>
     where
-        T: KeyedTask + Clone,
+        T: KeyedTask,
     {
         self.dispatch_batch(&mut tasks, false, false)
             .map(|(accepted, _)| accepted)
@@ -616,7 +581,7 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
         blocking: bool,
     ) -> Result<(usize, Vec<TaskHandle<R>>), BatchSubmitError<T, R>>
     where
-        T: KeyedTask + Clone,
+        T: KeyedTask,
     {
         let total = tasks.len();
         if total == 0 {
@@ -631,24 +596,13 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
             });
         }
 
-        // Multi-version lane split: tasks whose keys fall in a designated
-        // range execute optimistically as one block instead of routing
-        // through the queues. `is_mv` is a single relaxed load when no range
-        // is designated, so an undesignated lane costs the batch path
-        // nothing.
-        if let Some(mv) = &self.mv {
-            if tasks.iter().any(|task| mv.table.is_mv(task.key())) {
-                return self.dispatch_batch_mv(tasks, with_handles, blocking);
-            }
-        }
-
         match self.model {
             ExecutorModel::NoExecutor => {
                 // Figure 1(a): the batch executes inline in the submitting
                 // thread; one striped-counter update (and, when durable, one
                 // ack wait) covers the whole batch.
                 let mut results = Vec::with_capacity(if with_handles { total } else { 0 });
-                let acked = self.run_acked(false, || {
+                let acked = self.run_acked(|| {
                     for task in tasks.drain(..) {
                         let result = self.run_inline(task);
                         if with_handles {
@@ -781,145 +735,15 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
         }
     }
 
-    /// Batch spine for a batch that contains at least one MV-designated
-    /// task. The batch is split in submission order: the single-version
-    /// remainder is handed to the normal queued path first (workers chew it
-    /// concurrently), then the MV sub-batch executes as one optimistic
-    /// block inline on the submitting thread — multi-version reads, a
-    /// validate-and-re-execute-dependents pass, and one composite publish
-    /// in deterministic (batch) commit order, with redo records enqueued to
-    /// the durability sink in that same order.
-    ///
-    /// An MV block cannot be rejected (it runs inline, like the no-executor
-    /// model), so back-pressure applies only to the remainder. On a partial
-    /// remainder failure the MV tasks still execute and count as accepted;
-    /// the error's handles list the MV handles after the accepted remainder
-    /// handles.
-    #[allow(clippy::type_complexity)]
-    fn dispatch_batch_mv(
-        &self,
-        tasks: &mut Vec<T>,
-        with_handles: bool,
-        blocking: bool,
-    ) -> Result<(usize, Vec<TaskHandle<R>>), BatchSubmitError<T, R>>
-    where
-        T: KeyedTask + Clone,
-    {
-        let mv = self.mv.as_ref().expect("mv lane state");
-        let total = tasks.len();
-        let durable = self.durability.is_some();
-
-        let mut mv_tasks: Vec<(usize, T)> = Vec::new();
-        let mut rest: Vec<(usize, T)> = Vec::new();
-        for (index, task) in tasks.drain(..).enumerate() {
-            if mv.table.is_mv(task.key()) {
-                mv_tasks.push((index, task));
-            } else {
-                rest.push((index, task));
-            }
-        }
-        let mv_len = mv_tasks.len();
-
-        // Hand the single-version remainder to the normal path first; its
-        // MV mask is all-false, so the recursion takes the plain spine.
-        let rest_indices: Vec<usize> = rest.iter().map(|&(index, _)| index).collect();
-        let rest_outcome = if rest.is_empty() {
-            Ok((0, Vec::new()))
-        } else {
-            let mut rest_tasks: Vec<T> = rest.into_iter().map(|(_, task)| task).collect();
-            self.dispatch_batch(&mut rest_tasks, with_handles, blocking)
-        };
-
-        // The MV block: one entry per task, keyed for the range telemetry
-        // and carrying its redo payload for the commit-ordered durability
-        // enqueue. Every entry runs through the one shared handler below
-        // (`run_block_tasks`), so the block spine boxes no per-task closure;
-        // the handler consumes the task, and a block op may be re-executed
-        // after a dependency moves, so each run clones it.
-        let block_tasks: Vec<MvTask<T>> = mv_tasks
-            .iter()
-            .map(|(_, task)| MvTask {
-                key: Some(task.key()),
-                payload: if durable {
-                    task.durable_payload()
-                } else {
-                    None
-                },
-                task: task.clone(),
-            })
-            .collect();
-        self.submitted.fetch_add(mv_len as u64, Ordering::Relaxed);
-        let handler = &self.handler;
-        let mut outcome = None;
-        let acked = self.run_acked(true, || {
-            let _block_turn = mv.block_gate.lock().unwrap_or_else(|e| e.into_inner());
-            outcome = Some(run_block_tasks(
-                &self.stm,
-                block_tasks,
-                |task| handler(0, task.clone()),
-                mv.parallelism,
-            ));
-        });
-        let outcome = outcome.expect("the block ran");
-        self.inline_completed.increment_by(mv_len as u64);
-
-        let mut mv_handles: Vec<(usize, TaskHandle<R>)> =
-            Vec::with_capacity(if with_handles { mv_len } else { 0 });
-        for ((index, _), result) in mv_tasks.into_iter().zip(outcome.results) {
-            if with_handles {
-                let (handle, completion) = handle_pair();
-                resolve(completion, acked.clone().map(|()| result));
-                mv_handles.push((index, handle));
-            }
-        }
-
-        match rest_outcome {
-            Ok((rest_accepted, rest_handles)) => {
-                let handles = if with_handles {
-                    // Positional merge back into the caller's submission
-                    // order.
-                    let mut slots: Vec<Option<TaskHandle<R>>> = (0..total).map(|_| None).collect();
-                    for (index, handle) in rest_indices.into_iter().zip(rest_handles) {
-                        slots[index] = Some(handle);
-                    }
-                    for (index, handle) in mv_handles {
-                        slots[index] = Some(handle);
-                    }
-                    slots
-                        .into_iter()
-                        .map(|slot| slot.expect("every batch position produced a handle"))
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                Ok((rest_accepted + mv_len, handles))
-            }
-            Err(mut err) => {
-                // The MV sub-batch executed regardless; report it as
-                // accepted. The remainder's accepted/rejected split keeps
-                // its own relative order.
-                err.accepted += mv_len;
-                err.handles
-                    .extend(mv_handles.into_iter().map(|(_, handle)| handle));
-                Err(err)
-            }
-        }
-    }
-
     /// Run `f` on the submitting thread and, on a durable runtime, return
     /// only once everything it committed or read is durable — the inline
-    /// paths' half of the task-boundary ack rule. With `cover_tail` the
-    /// wait extends to the log tail: MV block operations commit through the
-    /// block session, which records no ticket for what they read.
-    fn run_acked(&self, cover_tail: bool, f: impl FnOnce()) -> Result<(), KatmeError> {
+    /// paths' half of the task-boundary ack rule.
+    fn run_acked(&self, f: impl FnOnce()) -> Result<(), KatmeError> {
         let (Some(acks), Some(plane)) = (&self.acks, &self.durability) else {
             f();
             return Ok(());
         };
-        let ((), mut ticket) = with_ack_scope(f);
-        if cover_tail {
-            ticket = ticket.max(plane.wal().tail());
-        }
+        let ((), ticket) = with_ack_scope(f);
         acks.await_ticket(plane.wal(), ticket)
     }
 
@@ -1053,7 +877,7 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
                 // synchronously — no scheduling, no queuing, so the model
                 // stays a clean zero-overhead baseline.
                 let mut result = None;
-                let acked = self.run_acked(false, || result = Some(self.run_inline(task)));
+                let acked = self.run_acked(|| result = Some(self.run_inline(task)));
                 if let Some(completion) = completion {
                     let result = result.expect("the task ran");
                     resolve(completion, acked.map(|()| result));
@@ -1219,13 +1043,6 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
             stm: self.stm.snapshot().since(&self.stm_baseline),
             durability: self.durability(),
             commit_wait_nanos: self.ack_delay_nanos(),
-            lane_ranges: self
-                .mv
-                .as_ref()
-                .map(|mv| mv.table.ranges())
-                .unwrap_or_default(),
-            lane_flips: self.mv.as_ref().map_or(0, |mv| mv.table.flips()),
-            lane_generation: self.mv.as_ref().map_or(0, |mv| mv.table.generation()),
             key_ranges: self
                 .stm
                 .stats()
@@ -1465,13 +1282,6 @@ pub struct StatsView {
     /// to its release, summed. No thread blocks for it except on the
     /// inline paths. Always 0 for a volatile runtime.
     pub commit_wait_nanos: u64,
-    /// Key ranges currently designated to the multi-version lane (empty
-    /// when the lane is off or cold).
-    pub lane_ranges: Vec<(u64, u64)>,
-    /// Lane flips (designations plus undesignations) so far.
-    pub lane_flips: u64,
-    /// Monotone lane-table generation (bumped on every flip).
-    pub lane_generation: u64,
     /// Cumulative per-bucket key-range telemetry — commit and abort counts
     /// per key range — `None` unless the runtime attached telemetry (any
     /// adaptation-enabled build). Feed two of these to
@@ -1527,7 +1337,6 @@ impl StatsView {
             submitted: self.submitted.saturating_sub(earlier.submitted),
             completed: self.completed.saturating_sub(earlier.completed),
             repartitions: self.repartitions.saturating_sub(earlier.repartitions),
-            lane_flips: self.lane_flips.saturating_sub(earlier.lane_flips),
             stm: self.stm.since(&earlier.stm),
         }
     }
@@ -1549,21 +1358,6 @@ impl StatsView {
     /// attached one via [`Runtime::attach_net`].
     pub fn net(&self) -> Option<&NetView> {
         self.net.as_ref()
-    }
-
-    /// Multi-version re-executions per MV commit — the lane's analogue of
-    /// [`StatsView::abort_rate`] (re-running only the dependents of a moved
-    /// read is the work an abort-and-retry would have wasted wholesale).
-    pub fn mv_reexec_per_commit(&self) -> f64 {
-        self.stm.mv_reexec_ratio()
-    }
-
-    /// Fraction of all commits that went through the multi-version lane
-    /// (0.0 when the lane is off or cold). Per-range residency is the
-    /// designated ranges in [`StatsView::lane_ranges`] weighted by their
-    /// share of [`StatsView::key_ranges`] traffic.
-    pub fn mv_residency(&self) -> f64 {
-        self.stm.mv_residency()
     }
 
     /// Tasks currently waiting in queues (workers plus dispatcher).
@@ -1602,8 +1396,6 @@ pub struct StatsWindow {
     pub completed: u64,
     /// Partition republishes during the window.
     pub repartitions: u64,
-    /// Multi-version lane flips during the window.
-    pub lane_flips: u64,
     /// STM activity during the window.
     pub stm: StmStatsSnapshot,
 }

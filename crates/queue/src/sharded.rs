@@ -119,17 +119,17 @@ impl<T> ShardedSegQueue<T> {
 
     /// Append one item to this thread's shard.
     pub fn enqueue(&self, item: T) {
-        {
-            let mut segments = self.producer_shard().segments.lock();
-            match segments.back_mut() {
-                Some(open) if open.len() < OPEN_SEGMENT_CAP => open.push_back(item),
-                _ => {
-                    let mut segment = VecDeque::with_capacity(OPEN_SEGMENT_CAP.min(16));
-                    segment.push_back(item);
-                    segments.push_back(segment);
-                }
+        let mut segments = self.producer_shard().segments.lock();
+        match segments.back_mut() {
+            Some(open) if open.len() < OPEN_SEGMENT_CAP => open.push_back(item),
+            _ => {
+                let mut segment = VecDeque::with_capacity(OPEN_SEGMENT_CAP.min(16));
+                segment.push_back(item);
+                segments.push_back(segment);
             }
         }
+        // Counted before the shard lock is released: a consumer can only
+        // take the item after it, so `len` never dips below zero and wraps.
         self.len.fetch_add(1, Ordering::Release);
     }
 
@@ -140,11 +140,10 @@ impl<T> ShardedSegQueue<T> {
             return;
         }
         let n = batch.len();
-        {
-            let mut segments = self.producer_shard().segments.lock();
-            // VecDeque::from(Vec) is O(1): the allocation is reused.
-            segments.push_back(VecDeque::from(batch));
-        }
+        let mut segments = self.producer_shard().segments.lock();
+        // VecDeque::from(Vec) is O(1): the allocation is reused.
+        segments.push_back(VecDeque::from(batch));
+        // Counted under the lock, as in `enqueue`.
         self.len.fetch_add(n, Ordering::Release);
     }
 

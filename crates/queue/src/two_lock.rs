@@ -65,10 +65,10 @@ impl<T> TwoLockQueue<T> {
 
     /// Append an item at the tail. Only contends with other producers.
     pub fn enqueue(&self, item: T) {
-        {
-            let mut tail = self.tail.lock();
-            tail.push_back(item);
-        }
+        let mut tail = self.tail.lock();
+        tail.push_back(item);
+        // Counted before the lock is released: a consumer can only take
+        // the item after it, so `len` never dips below zero and wraps.
         self.len.fetch_add(1, Ordering::Release);
     }
 
@@ -100,10 +100,9 @@ impl<T> TwoLockQueue<T> {
             return;
         }
         let n = batch.len();
-        {
-            let mut tail = self.tail.lock();
-            tail.extend(batch);
-        }
+        let mut tail = self.tail.lock();
+        tail.extend(batch);
+        // Counted under the lock, as in `enqueue`.
         self.len.fetch_add(n, Ordering::Release);
     }
 
@@ -197,6 +196,33 @@ mod tests {
         q.dequeue();
         q.dequeue();
         assert_eq!(q.count(), 0);
+    }
+
+    #[test]
+    fn len_never_wraps_below_zero_under_a_racing_consumer() {
+        // A consumer that takes an item before its producer has counted it
+        // would drive `len` below zero, where it wraps to a huge backlog.
+        use std::sync::atomic::AtomicBool;
+        let q = TwoLockQueue::new();
+        let done = AtomicBool::new(false);
+        let wrapped = AtomicBool::new(false);
+        thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..300_000u64 {
+                    q.enqueue(i);
+                }
+                done.store(true, Ordering::Release);
+            });
+            s.spawn(|| {
+                while !done.load(Ordering::Acquire) {
+                    q.dequeue();
+                    if q.count() > usize::MAX / 2 {
+                        wrapped.store(true, Ordering::Relaxed);
+                    }
+                }
+            });
+        });
+        assert!(!wrapped.load(Ordering::Relaxed), "len wrapped below zero");
     }
 
     #[test]

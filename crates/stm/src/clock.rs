@@ -16,9 +16,11 @@
 //! * **GV5-style / [`crate::ClockMode::Lazy`]** — writers stamp with
 //!   `now() + 1` (or one past the stamped variable's current version,
 //!   whichever is larger) *without* advancing the clock. The clock is bumped
-//!   only on observed validation demand ([`advance_past`], driven by
-//!   validation-failure aborts), so disjoint-key commits perform **zero**
-//!   shared-clock writes. Commit stamps are no longer globally unique —
+//!   only on observed validation demand ([`advance_past`]): on validation
+//!   aborts *and* on snapshot extension, when a read sees a stamp past
+//!   `now()` while earlier reads need revalidating. Disjoint-key commits
+//!   that read one variable each perform **zero** shared-clock writes.
+//!   Commit stamps are no longer globally unique —
 //!   disjoint writers may share a stamp, and stamps may run ahead of
 //!   `now()` — but every *variable's* stamp still strictly increases with
 //!   each commit, which is the property snapshot validation relies on
@@ -59,9 +61,10 @@ pub fn tick() -> u64 {
 
 /// Raise the global version clock to at least `target` (a no-op when it is
 /// already there). Used by the lazy clock mode to publish validation demand:
-/// once a stale stamp has caused an abort, advancing the clock lets retries
-/// (and every later transaction) start their snapshots past it instead of
-/// re-discovering the conflict.
+/// once a stale stamp has caused an abort, or a read has extended its
+/// snapshot over a stamp ahead of the clock, advancing the clock lets
+/// retries (and every later transaction) start their snapshots past it
+/// instead of re-discovering the conflict.
 #[inline]
 pub fn advance_past(target: u64) {
     GLOBAL_CLOCK.fetch_max(target, Ordering::AcqRel);

@@ -65,7 +65,6 @@ pub mod config;
 pub mod contention;
 pub mod durable;
 pub mod error;
-pub mod mv;
 pub mod registry;
 mod scratch;
 pub mod stats;
@@ -81,9 +80,6 @@ pub use durable::{
     recycle_payload, recycled_payload, with_ack_scope, with_durable_payload, DurabilitySink,
 };
 pub use error::{AbortCause, TxError};
-pub use mv::{
-    run_block, run_block_tasks, run_block_with, MvBlockOutcome, MvBlockReport, MvOp, MvTask,
-};
 pub use stats::{StmStats, StmStatsSnapshot, TxnReport};
 pub use stm::Stm;
 pub use striped::CachePadded;

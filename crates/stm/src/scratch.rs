@@ -30,40 +30,8 @@
 use std::cell::Cell;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use crate::tvar::{TVarCore, TVarDyn, TVarId};
 use crate::txn::{TypedWrite, WriteEntryDyn};
-
-/// Process-wide return lane for entry boxes that leave their owning thread's
-/// arena: the multi-version lane moves write entries into block memory and
-/// publishes them on another thread, so the box cannot go back to the
-/// originating thread's free list directly. Parked here instead (vacated),
-/// and adopted by whichever thread next misses its local free list.
-static MV_BOX_POOL: Mutex<Vec<Box<dyn WriteEntryDyn>>> = Mutex::new(Vec::new());
-
-/// Bound on the global pool so a burst of MV blocks cannot pin memory.
-const MV_BOX_POOL_MAX: usize = 256;
-
-/// How many parked boxes a thread adopts per local free-list miss.
-const MV_BOX_ADOPT: usize = 8;
-
-/// Vacate an entry box that escaped its arena (multi-version block memory)
-/// and park it for reuse by any thread.
-pub(crate) fn park_mv_box(mut entry: Box<dyn WriteEntryDyn>) {
-    entry.reset();
-    let mut pool = MV_BOX_POOL.lock();
-    if pool.len() < MV_BOX_POOL_MAX {
-        pool.push(entry);
-    }
-}
-
-/// Move up to [`MV_BOX_ADOPT`] parked boxes into a thread-local free list.
-fn adopt_mv_boxes(free: &mut Vec<Box<dyn WriteEntryDyn>>) {
-    let mut pool = MV_BOX_POOL.lock();
-    let keep = pool.len().saturating_sub(MV_BOX_ADOPT);
-    free.extend(pool.drain(keep..));
-}
 
 /// A read-set entry: which variable was read and at which version.
 pub(crate) struct ReadSetEntry {
@@ -96,6 +64,11 @@ impl ReadSet {
     /// Number of distinct variables read.
     pub(crate) fn len(&self) -> usize {
         self.entries.len()
+    }
+
+    /// True when nothing has been read.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.entries.is_empty()
     }
 
     /// Look up the recorded entry for `id`.
@@ -224,40 +197,27 @@ impl WriteSet {
         core: Arc<TVarCore<T>>,
         value: Arc<T>,
     ) {
-        let mut reused = Self::refill_parked(&mut self.free, &core, &value);
-        if reused.is_none() && self.free.is_empty() {
-            // Local free list exhausted (the MV lane moves boxes into block
-            // memory): adopt from the global return lane before allocating.
-            adopt_mv_boxes(&mut self.free);
-            reused = Self::refill_parked(&mut self.free, &core, &value);
-        }
-        let entry = reused.unwrap_or_else(|| {
-            Box::new(TypedWrite {
+        let parked = self
+            .free
+            .iter()
+            .position(|entry| entry.as_any().is::<TypedWrite<T>>());
+        let entry = match parked {
+            Some(index) => {
+                let mut entry = self.free.swap_remove(index);
+                let typed = entry
+                    .as_any_mut()
+                    .downcast_mut::<TypedWrite<T>>()
+                    .expect("parked box type checked above");
+                typed.core = Some(core);
+                typed.value = Some(value);
+                entry
+            }
+            None => Box::new(TypedWrite {
                 core: Some(core),
                 value: Some(value),
-            })
-        });
+            }),
+        };
         self.entries.push((id, entry));
-    }
-
-    /// Take a parked box of the matching concrete type off `free`, refilled
-    /// with the given core and value.
-    fn refill_parked<T: Send + Sync + 'static>(
-        free: &mut Vec<Box<dyn WriteEntryDyn>>,
-        core: &Arc<TVarCore<T>>,
-        value: &Arc<T>,
-    ) -> Option<Box<dyn WriteEntryDyn>> {
-        let index = free.iter_mut().position(|entry| {
-            entry
-                .as_any_mut()
-                .downcast_mut::<TypedWrite<T>>()
-                .map(|typed| {
-                    typed.core = Some(Arc::clone(core));
-                    typed.value = Some(Arc::clone(value));
-                })
-                .is_some()
-        })?;
-        Some(free.swap_remove(index))
     }
 
     /// Iterate `(id, entry)` pairs in insertion order.
@@ -280,18 +240,9 @@ impl WriteSet {
         self.entries[self.order[rank] as usize].1.as_ref()
     }
 
-    /// Move the entry boxes out (for the multi-version lane's block
-    /// session), leaving the arena empty but with its buffers intact.
-    pub(crate) fn drain_entries(
-        &mut self,
-    ) -> std::vec::Drain<'_, (TVarId, Box<dyn WriteEntryDyn>)> {
-        self.order.clear();
-        self.entries.drain(..)
-    }
-
     /// Park a vacated box for reuse (drops it when the free list is full
     /// or the box still holds references).
-    pub(crate) fn recycle_box(&mut self, mut entry: Box<dyn WriteEntryDyn>) {
+    fn recycle_box(&mut self, mut entry: Box<dyn WriteEntryDyn>) {
         entry.reset();
         if self.free.len() < FREE_BOXES_MAX {
             self.free.push(entry);
@@ -456,24 +407,21 @@ mod tests {
         let var = TVar::new(7u32);
         let mut writes = WriteSet::default();
         writes.insert_typed(var.id(), Arc::clone(var.core()), Arc::new(8u32));
-        // The first insert found an empty local free list and may have
-        // adopted boxes that concurrently running MV tests parked on the
-        // global return lane; count from what it left behind.
-        let parked = writes.free.len();
-        let value = writes
+        assert_eq!(writes.free.len(), 0);
+        let typed = writes
             .get(var.id())
             .expect("present")
-            .value_any()
-            .downcast::<u32>()
+            .as_any()
+            .downcast_ref::<TypedWrite<u32>>()
             .expect("typed");
-        assert_eq!(*value, 8);
+        assert_eq!(**typed.value(), 8);
         writes.clear();
         assert!(writes.is_clear(), "cleared boxes must hold no references");
-        assert_eq!(writes.free.len(), parked + 1, "the box is vacated");
-        // Next insert of the same type reuses a parked box: the free list is
-        // not empty, so nothing is adopted and nothing is allocated.
+        assert_eq!(writes.free.len(), 1, "the box is vacated");
+        // Next insert of the same type reuses the parked box: nothing is
+        // allocated.
         writes.insert_typed(var.id(), Arc::clone(var.core()), Arc::new(9u32));
-        assert_eq!(writes.free.len(), parked);
+        assert_eq!(writes.free.len(), 0);
         assert_eq!(writes.len(), 1);
     }
 

@@ -35,10 +35,6 @@ struct StatShard {
     backoff_events: AtomicU64,
     reads: AtomicU64,
     writes: AtomicU64,
-    mv_blocks: AtomicU64,
-    mv_commits: AtomicU64,
-    mv_reexecutions: AtomicU64,
-    mv_block_retries: AtomicU64,
 }
 
 /// Aggregate, shareable counters for one [`crate::Stm`] runtime.
@@ -129,21 +125,6 @@ impl StmStats {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// One committed MV block: `ops` transactions published atomically after
-    /// `reexecutions` dependent repairs and `retries` publish attempts that
-    /// found a stale base. (The per-transaction commits are recorded through
-    /// [`StmStats::record_commit`] by the block publish path, so `commits`
-    /// stays comparable across lanes; these counters identify the MV subset.)
-    pub(crate) fn record_mv_block(&self, ops: u64, reexecutions: u64, retries: u64) {
-        let shard = self.shards.local();
-        shard.mv_blocks.fetch_add(1, Ordering::Relaxed);
-        shard.mv_commits.fetch_add(ops, Ordering::Relaxed);
-        shard
-            .mv_reexecutions
-            .fetch_add(reexecutions, Ordering::Relaxed);
-        shard.mv_block_retries.fetch_add(retries, Ordering::Relaxed);
-    }
-
     /// Attach key-range contention telemetry. Returns `false` (leaving the
     /// existing attachment in place) if telemetry was already attached; the
     /// attachment is permanent for the lifetime of the counters, which keeps
@@ -187,10 +168,6 @@ impl StmStats {
             snap.backoff_events += shard.backoff_events.load(Ordering::Relaxed);
             snap.reads += shard.reads.load(Ordering::Relaxed);
             snap.writes += shard.writes.load(Ordering::Relaxed);
-            snap.mv_blocks += shard.mv_blocks.load(Ordering::Relaxed);
-            snap.mv_commits += shard.mv_commits.load(Ordering::Relaxed);
-            snap.mv_reexecutions += shard.mv_reexecutions.load(Ordering::Relaxed);
-            snap.mv_block_retries += shard.mv_block_retries.load(Ordering::Relaxed);
         }
         snap
     }
@@ -222,15 +199,6 @@ pub struct StmStatsSnapshot {
     pub reads: u64,
     /// Total transactional writes performed by committed transactions.
     pub writes: u64,
-    /// Multi-version blocks published (see [`crate::mv`]).
-    pub mv_blocks: u64,
-    /// Transactions committed through the MV lane (a subset of `commits`).
-    pub mv_commits: u64,
-    /// Dependent re-executions performed by MV validation passes — the MV
-    /// lane's analogue of aborted attempts.
-    pub mv_reexecutions: u64,
-    /// MV block publish retries caused by an externally invalidated base.
-    pub mv_block_retries: u64,
 }
 
 impl StmStatsSnapshot {
@@ -253,24 +221,20 @@ impl StmStatsSnapshot {
         }
     }
 
-    /// Dependent re-executions per MV-lane commit — the MV analogue of
-    /// [`StmStatsSnapshot::contention_ratio`].
+    /// Always 0.0: kept only because the benchmark's per-layer trace
+    /// (`perfbench/src/layers.rs`) still reads it; the multi-version lane
+    /// it measured is gone.
+    #[doc(hidden)]
     pub fn mv_reexec_ratio(&self) -> f64 {
-        if self.mv_commits == 0 {
-            0.0
-        } else {
-            self.mv_reexecutions as f64 / self.mv_commits as f64
-        }
+        0.0
     }
 
-    /// Fraction of all commits that went through the MV lane (lane
-    /// residency, aggregated over the whole key space).
+    /// Always 0.0: kept only because the benchmark's per-layer trace
+    /// (`perfbench/src/layers.rs`) still reads it; the multi-version lane
+    /// it measured is gone.
+    #[doc(hidden)]
     pub fn mv_residency(&self) -> f64 {
-        if self.commits == 0 {
-            0.0
-        } else {
-            self.mv_commits as f64 / self.commits as f64
-        }
+        0.0
     }
 
     /// Difference between two snapshots (`self` taken after `earlier`).
@@ -288,10 +252,6 @@ impl StmStatsSnapshot {
             backoff_events: self.backoff_events - earlier.backoff_events,
             reads: self.reads - earlier.reads,
             writes: self.writes - earlier.writes,
-            mv_blocks: self.mv_blocks - earlier.mv_blocks,
-            mv_commits: self.mv_commits - earlier.mv_commits,
-            mv_reexecutions: self.mv_reexecutions - earlier.mv_reexecutions,
-            mv_block_retries: self.mv_block_retries - earlier.mv_block_retries,
         }
     }
 }

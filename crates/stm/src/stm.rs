@@ -149,20 +149,15 @@ impl Stm {
                 Ok(value) => match tx.commit() {
                     Ok(info) => {
                         cm.on_commit();
-                        // MV-deferred attempts were only *recorded* into a
-                        // block session; the block publish counts them once
-                        // it actually commits.
-                        if !info.mv_deferred {
-                            self.stats
-                                .record_commit(info.read_only, info.reads, info.writes);
-                            // Key-range attribution for the adaptation plane:
-                            // when the executor scoped this task to a key and
-                            // telemetry is attached, credit the commit and its
-                            // failed attempts to that key's bucket.
-                            if let Some(keyed) = self.stats.key_telemetry() {
-                                if let Some(key) = crate::telemetry::current_task_key() {
-                                    keyed.record(key, 1, attempts - 1);
-                                }
+                        self.stats
+                            .record_commit(info.read_only, info.reads, info.writes);
+                        // Key-range attribution for the adaptation plane:
+                        // when the executor scoped this task to a key and
+                        // telemetry is attached, credit the commit and its
+                        // failed attempts to that key's bucket.
+                        if let Some(keyed) = self.stats.key_telemetry() {
+                            if let Some(key) = crate::telemetry::current_task_key() {
+                                keyed.record(key, 1, attempts - 1);
                             }
                         }
                         break Ok((

@@ -20,15 +20,11 @@ use crate::scratch::{ReadSet, TxnScratch, WriteSet};
 use crate::stm::Stm;
 use crate::tvar::{TVar, TVarCore, TVarDyn, NO_OWNER};
 
-/// Type-erased write-set entry. Also the unit the multi-version lane stores
-/// in its block memory (see [`crate::mv`]), which is why it can hand out the
-/// buffered value type-erased for cross-transaction multi-version reads.
+/// Type-erased write-set entry: the variable, its buffered value, and how
+/// to publish that value at a commit timestamp.
 pub(crate) trait WriteEntryDyn: Send {
     fn var(&self) -> &dyn TVarDyn;
-    fn var_arc(&self) -> Arc<dyn TVarDyn>;
     fn publish(&self, commit_ts: u64);
-    /// The buffered value as a type-erased shared snapshot.
-    fn value_any(&self) -> Arc<dyn Any + Send + Sync>;
     fn as_any(&self) -> &dyn Any;
     fn as_any_mut(&mut self) -> &mut dyn Any;
     /// Drop the held references, leaving a vacant shell that a pool (see
@@ -63,14 +59,8 @@ impl<T: Send + Sync + 'static> WriteEntryDyn for TypedWrite<T> {
     fn var(&self) -> &dyn TVarDyn {
         self.core().as_ref()
     }
-    fn var_arc(&self) -> Arc<dyn TVarDyn> {
-        Arc::clone(self.core()) as Arc<dyn TVarDyn>
-    }
     fn publish(&self, commit_ts: u64) {
         self.core().publish(Arc::clone(self.value()), commit_ts);
-    }
-    fn value_any(&self) -> Arc<dyn Any + Send + Sync> {
-        Arc::clone(self.value()) as Arc<dyn Any + Send + Sync>
     }
     fn as_any(&self) -> &dyn Any {
         self
@@ -93,10 +83,6 @@ pub(crate) struct CommitInfo {
     pub reads: u64,
     pub writes: u64,
     pub read_only: bool,
-    /// True when the attempt was *recorded* into an MV block session instead
-    /// of publishing: the block commits (and counts) it later, so the retry
-    /// loop must skip the per-commit statistics.
-    pub mv_deferred: bool,
 }
 
 /// An in-flight transaction attempt.
@@ -181,14 +167,6 @@ impl<'a> Transaction<'a> {
             return Ok(Arc::clone(typed.value()));
         }
 
-        // Multi-version lane: inside an MV block, storage reads resolve
-        // against the block's multi-version memory (lower transactions'
-        // writes, then the shared pre-block base snapshot) and record a
-        // dependency instead of validating against the live clock.
-        if crate::mv::session::is_active() {
-            return crate::mv::session::read_active(var);
-        }
-
         self.read_committed(var)
     }
 
@@ -209,14 +187,11 @@ impl<'a> Transaction<'a> {
                 .expect("write-set entry type mismatch for TVar id");
             return Ok(f(typed.value()));
         }
-        if crate::mv::session::is_active() {
-            return crate::mv::session::read_active(var).map(|value| f(&value));
-        }
         let value = self.read_committed(var)?;
         Ok(f(&value))
     }
 
-    /// The committed-snapshot read path (no write-set hit, no MV lane).
+    /// The committed-snapshot read path (no write-set hit).
     fn read_committed<T: Send + Sync + 'static>(
         &mut self,
         var: &TVar<T>,
@@ -227,7 +202,7 @@ impl<'a> Transaction<'a> {
         loop {
             if let Some((value, version)) = core.consistent_snapshot() {
                 if version > self.read_version {
-                    self.extend_snapshot()?;
+                    self.extend_snapshot(version)?;
                 }
                 match self.scratch.reads.get(id) {
                     Some(prev) if prev.version != version => {
@@ -331,8 +306,24 @@ impl<'a> Transaction<'a> {
     }
 
     /// Try to advance the snapshot timestamp to "now", revalidating every
-    /// variable read so far.
-    fn extend_snapshot(&mut self) -> Result<(), TxError> {
+    /// variable read so far. `seen` is the stamp that triggered the
+    /// extension.
+    ///
+    /// Under the lazy clock a commit stamp may run ahead of `now()`. Taking
+    /// `now()` as the new snapshot would leave it below `seen`, and every
+    /// later read of any variable stamped since would revalidate the whole
+    /// read set again: quadratic in the number of reads. So when there is a
+    /// read set to revalidate, the clock is first raised to `seen` (the same
+    /// demand-driven advance validation aborts perform). An extension over
+    /// an empty read set validates nothing and costs nothing to repeat, so
+    /// it leaves the clock alone: a transaction whose first read is a
+    /// variable it keeps rewriting stays off the shared clock. Under the
+    /// ticked clock stamps never exceed `now()` and the branch is never
+    /// taken.
+    fn extend_snapshot(&mut self, seen: u64) -> Result<(), TxError> {
+        if seen > clock::now() && !self.scratch.reads.is_empty() {
+            clock::advance_past(seen);
+        }
         let target = clock::now();
         for entry in self.scratch.reads.iter() {
             let owner = entry.var.dyn_owner();
@@ -360,9 +351,9 @@ impl<'a> Transaction<'a> {
 
     /// Attempt to commit the transaction.
     pub(crate) fn commit(self) -> Result<CommitInfo, TxError> {
-        // Destructure so the write set (mutable: it is sorted, and the MV
-        // lane drains it) and the contention manager can be borrowed
-        // independently through the commit protocol.
+        // Destructure so the write set (mutable: it is sorted) and the
+        // contention manager can be borrowed independently through the
+        // commit protocol.
         let Transaction {
             stm,
             id,
@@ -380,25 +371,7 @@ impl<'a> Transaction<'a> {
             reads: reads.len() as u64,
             writes: writes.len() as u64,
             read_only: writes.is_empty(),
-            mv_deferred: false,
         };
-
-        // Multi-version lane: record the write set (and the staged redo
-        // payload) into the block session instead of publishing. The block
-        // validates, possibly re-executes, and publishes the whole batch as
-        // one composite commit with a deterministic order.
-        if crate::mv::session::is_active() {
-            let payload = if durability_attached && !writes.is_empty() {
-                crate::durable::take_pending_payload()
-            } else {
-                None
-            };
-            crate::mv::session::record_active(writes, payload);
-            return Ok(CommitInfo {
-                mv_deferred: true,
-                ..info
-            });
-        }
 
         if writes.is_empty() {
             if !stm.config().read_only_fast_path {
@@ -708,6 +681,29 @@ mod tests {
         assert_eq!(value, 3);
         assert!(report.read_only);
         assert_eq!(report.writes, 0);
+    }
+
+    #[test]
+    fn lazy_snapshot_extension_raises_the_clock_to_the_stamp_it_saw() {
+        let stm = Stm::new(StmConfig::default().with_clock_mode(ClockMode::Lazy));
+        let hot = TVar::new(0u64);
+        // Lazy commits stamp one past the variable's own version without
+        // advancing the clock, so repeated writes run the stamp ahead.
+        for _ in 0..100 {
+            stm.atomically(|tx| tx.modify(&hot, |x| x + 1));
+        }
+        let version = hot.version();
+        let cold = TVar::new(7u64);
+        let seen = stm.atomically(|tx| Ok(tx.read_cloned(&cold)? + tx.read_cloned(&hot)?));
+        assert_eq!(seen, 107);
+        // Extending the snapshot to cover the stamp must move the clock
+        // there too; otherwise every later read of a variable stamped since
+        // revalidates the whole read set again.
+        assert!(
+            clock::now() >= version,
+            "clock {} stays below the stamp {version} the snapshot covered",
+            clock::now()
+        );
     }
 
     #[test]

@@ -41,11 +41,6 @@ use katme_collections::TxDictionary;
 const CHILD_POINT_ENV: &str = "KATME_DURABILITY_CRASH_POINT";
 const CHILD_DIR_ENV: &str = "KATME_DURABILITY_CRASH_DIR";
 
-/// Dictionary key the MV crash child re-inserts twice per block with
-/// increasing values — the probe for redo-record ordering (disjoint from
-/// the unique-key space, which starts at 1000).
-const MV_WITNESS_KEY: u32 = 1;
-
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("katme-crash-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -59,19 +54,12 @@ type Task = Durable<WithKey<TxnSpec>>;
 type DurableRuntime = (Arc<dyn TxDictionary>, Runtime<Task, Option<u64>>);
 
 /// Build a durable runtime over `dir`: hash-table dictionary, two workers,
-/// every insert carrying its redo record. With `mv`, the whole key space is
-/// pinned to the multi-version lane, so batch submissions run as MV blocks
-/// whose redo records reach the WAL in block (= commit) order.
-fn durable_runtime(config: WalConfig, checkpoint_interval: Duration, mv: bool) -> DurableRuntime {
+/// every insert carrying its redo record.
+fn durable_runtime(config: WalConfig, checkpoint_interval: Duration) -> DurableRuntime {
     let builder = Katme::builder()
         .workers(2)
         .key_range(0, 65_535)
         .checkpoint_interval(checkpoint_interval);
-    let builder = if mv {
-        builder.mv_range(0, 65_535)
-    } else {
-        builder
-    };
     build_durable(builder, config)
 }
 
@@ -145,63 +133,24 @@ fn crash_child() {
     let dir = std::env::var(CHILD_DIR_ENV).expect("crash child needs a WAL directory");
     // crash_after counts normally flushed groups (append/fsync points) or
     // completed checkpoints; with serial submission each group holds one
-    // record (one whole MV block in the batched variant), so "3" means
-    // three groups are acknowledged and the fourth dies.
+    // record, so "3" means three groups are acknowledged and the fourth
+    // dies.
     let tag = point.as_str();
-    let (point, after, interval, mv) = match tag {
-        "mid-append" => (CrashPoint::MidAppend, 3, Duration::from_secs(3600), false),
-        "pre-fsync" => (CrashPoint::PreFsync, 3, Duration::from_secs(3600), false),
-        // Batched MV blocks through the pinned lane. A block enqueues four
-        // records back-to-back, which the writer usually — but not
-        // guaranteedly — flushes as one group, so "4" only promises that
-        // at least the first block is fully durable and acknowledged
-        // before the crash.
-        "mv-pre-fsync" => (CrashPoint::PreFsync, 4, Duration::from_secs(3600), true),
+    let (point, after, interval) = match tag {
+        "mid-append" => (CrashPoint::MidAppend, 3, Duration::from_secs(3600)),
+        "pre-fsync" => (CrashPoint::PreFsync, 3, Duration::from_secs(3600)),
         // Pipelined insert + lookup batches; groups hold several records.
-        "lookup-pre-fsync" => (CrashPoint::PreFsync, 20, Duration::from_secs(3600), false),
+        "lookup-pre-fsync" => (CrashPoint::PreFsync, 20, Duration::from_secs(3600)),
         // The checkpointer runs on a real interval here: ops acknowledged
         // before the first (crashing) checkpoint round must survive it.
-        "mid-checkpoint" => (
-            CrashPoint::MidCheckpoint,
-            0,
-            Duration::from_millis(150),
-            false,
-        ),
+        "mid-checkpoint" => (CrashPoint::MidCheckpoint, 0, Duration::from_millis(150)),
         other => panic!("unknown crash point tag {other:?}"),
     };
     let config = WalConfig::new(&dir).with_crash_point(point, after);
-    let (_dict, runtime) = durable_runtime(config, interval, mv);
+    let (_dict, runtime) = durable_runtime(config, interval);
     let deadline = std::time::Instant::now() + Duration::from_secs(20);
     if tag == "lookup-pre-fsync" {
         lookup_child(&runtime, deadline);
-    } else if mv {
-        // Batch variant: each batch becomes one MV block of
-        // [unique, witness, unique, witness] inserts. The witness key is
-        // deliberately written twice per block with increasing values, so
-        // the value that survives recovery proves the redo records hit the
-        // log in block order (see the parent test).
-        for batch in 0..60_000u32 {
-            if std::time::Instant::now() >= deadline {
-                break;
-            }
-            let base = 1_000 + batch * 2;
-            let tasks = vec![
-                insert_task(base, u64::from(base) * 10 + 7),
-                insert_task(MV_WITNESS_KEY, u64::from(4 * batch + 1)),
-                insert_task(base + 1, u64::from(base + 1) * 10 + 7),
-                insert_task(MV_WITNESS_KEY, u64::from(4 * batch + 3)),
-            ];
-            let Ok(handles) = runtime.submit_batch(tasks) else {
-                break;
-            };
-            if handles.into_iter().any(|handle| handle.wait().is_err()) {
-                // A worker died with the WAL writer; the abort is imminent.
-                break;
-            }
-            report("ACK", base, u64::from(base) * 10 + 7);
-            report("ACK", base + 1, u64::from(base + 1) * 10 + 7);
-            report("ACK", MV_WITNESS_KEY, u64::from(4 * batch + 3));
-        }
     } else {
         // Unique keys per op (never reused): an in-flight record can become
         // durable in the instant before the abort without being
@@ -334,7 +283,7 @@ fn run_crash_child_report(tag: &str, dir: &Path) -> ChildReport {
 /// Recover from the crashed log and assert every acknowledged operation
 /// survived; returns the recovery report for point-specific assertions.
 fn recover_and_verify(dir: &Path, acked: &BTreeMap<u32, u64>) -> RecoveryReport {
-    let (dict, runtime) = durable_runtime(WalConfig::new(dir), Duration::from_secs(3600), false);
+    let (dict, runtime) = durable_runtime(WalConfig::new(dir), Duration::from_secs(3600));
     let recovery = runtime.recovery().expect("durable runtime has a report");
     for (&key, &value) in acked {
         assert_eq!(
@@ -379,67 +328,6 @@ fn pre_fsync_crash_loses_nothing_acknowledged() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The MV lane's durability contract across a crash: every operation of an
-/// acknowledged MV *block* survives recovery, and the redo records replay
-/// in block (= commit) order. The child pins the whole key space to the
-/// lane and submits batches of four inserts, two of which re-insert
-/// [`MV_WITNESS_KEY`] with increasing values. The recovered witness value
-/// is whatever record replayed *last* for that key — so `witness >= last
-/// acknowledged witness` holds iff the log preserved commit order: a
-/// scrambled log (within a block or across blocks) would let one of the
-/// earlier, strictly smaller witness records replay last.
-#[test]
-fn mv_batch_pre_fsync_crash_keeps_acked_blocks_in_commit_order() {
-    let dir = temp_dir("mv-pre-fsync");
-    let acked = run_crash_child("mv-pre-fsync", &dir);
-    let witness_acked = *acked
-        .get(&MV_WITNESS_KEY)
-        .expect("at least one MV block acknowledged");
-    let unique: BTreeMap<u32, u64> = acked
-        .iter()
-        .filter(|&(&key, _)| key != MV_WITNESS_KEY)
-        .map(|(&key, &value)| (key, value))
-        .collect();
-    assert!(
-        !unique.is_empty() && unique.len() % 2 == 0,
-        "blocks acknowledge all-or-nothing, two unique keys per block: {unique:?}"
-    );
-
-    let (dict, runtime) = durable_runtime(WalConfig::new(&dir), Duration::from_secs(3600), true);
-    let recovery = runtime.recovery().expect("durable runtime has a report");
-    for (&key, &value) in &unique {
-        assert_eq!(
-            dict.lookup(key),
-            Some(value),
-            "acknowledged MV-block insert of key {key} lost across the crash"
-        );
-    }
-    let witness = dict
-        .lookup(MV_WITNESS_KEY)
-        .expect("witness key must survive — it was in every acknowledged block");
-    assert!(
-        witness >= witness_acked,
-        "a redo record replayed out of commit order: recovered witness \
-         {witness} < acknowledged {witness_acked}"
-    );
-    assert_eq!(
-        witness % 2,
-        1,
-        "the recovered witness must be one of the written values \
-         (4b+1 or 4b+3): {witness}"
-    );
-    assert!(
-        !recovery.restored_checkpoint,
-        "no checkpoint ever completed in this run: {recovery:?}"
-    );
-    assert!(
-        recovery.replayed >= acked.len() as u64,
-        "every acknowledged record is replayed: {recovery:?}"
-    );
-    runtime.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 #[test]
 fn mid_checkpoint_crash_falls_back_to_full_replay() {
     let dir = temp_dir("mid-checkpoint");
@@ -470,7 +358,7 @@ fn lookup_pre_fsync_crash_keeps_every_acknowledged_read() {
     let report = run_crash_child_report("lookup-pre-fsync", &dir);
     assert!(!report.acked.is_empty(), "some inserts acknowledged");
     assert!(!report.seen.is_empty(), "some lookups acknowledged a value");
-    let (dict, runtime) = durable_runtime(WalConfig::new(&dir), Duration::from_secs(3600), false);
+    let (dict, runtime) = durable_runtime(WalConfig::new(&dir), Duration::from_secs(3600));
     for (&key, &value) in &report.acked {
         assert_eq!(
             dict.lookup(key),

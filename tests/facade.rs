@@ -12,9 +12,6 @@ use katme::{
 };
 
 /// A self-routing task: squares its payload, scheduled by its payload.
-/// `Clone` because batch submission may re-execute tasks through the
-/// multi-version lane.
-#[derive(Clone)]
 struct Square(u64);
 
 impl KeyedTask for Square {

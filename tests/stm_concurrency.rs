@@ -155,115 +155,6 @@ fn disjoint_key_commits_linearize_under_both_clock_modes() {
     }
 }
 
-/// Mixed-lane linearizability under both clock disciplines: MV blocks
-/// repeatedly increment counters 0..8 while single-version transactions
-/// increment the overlapping range 4..16, with a read-only auditor cutting
-/// across both lanes. Every committed increment — block-published or
-/// single-version — must land exactly once, and atomic snapshots must
-/// never observe a torn or regressing state. This is the hybrid's core
-/// safety claim: blocks publish as one composite committer that single
-/// -version transactions serialize against like any other writer.
-#[test]
-fn mixed_lane_commits_linearize_under_both_clock_modes() {
-    use katme::{run_block_with, MvOp};
-    for mode in [ClockMode::Ticked, ClockMode::Lazy] {
-        let stm = Stm::new(StmConfig::default().with_clock_mode(mode));
-        let counters: Vec<TVar<u64>> = (0..16).map(|_| TVar::new(0)).collect();
-        let blocks = 40u64;
-        let block_len = 16u64;
-        let sv_increments = 840u64; // divisible by the 12 overlap counters
-
-        std::thread::scope(|s| {
-            // MV side: two threads, each publishing `blocks` sequential
-            // blocks; op j of a block increments counters[j % 8]. The two
-            // threads' blocks race each other at publish (exercising the
-            // base-invalidation retry path) as well as the single-version
-            // writers below.
-            for _ in 0..2 {
-                let stm = stm.clone();
-                let counters = &counters;
-                s.spawn(move || {
-                    for _ in 0..blocks {
-                        let ops: Vec<MvOp<'_, ()>> = (0..block_len)
-                            .map(|j| {
-                                let stm = stm.clone();
-                                let var = &counters[(j % 8) as usize];
-                                MvOp::new(move || {
-                                    stm.atomically(|tx| {
-                                        let v = *tx.read(var)?;
-                                        tx.write(var, v + 1)
-                                    });
-                                })
-                                .with_key(j % 8)
-                            })
-                            .collect();
-                        run_block_with(&stm, ops, 2);
-                    }
-                });
-            }
-            // Single-version side: two threads cycling over counters
-            // 4..16 — the lower half of their range contends with the MV
-            // blocks, the upper half only with each other.
-            for _ in 0..2 {
-                let stm = stm.clone();
-                let counters = &counters;
-                s.spawn(move || {
-                    for i in 0..sv_increments {
-                        let var = &counters[(4 + i % 12) as usize];
-                        stm.atomically(|tx| {
-                            let v = *tx.read(var)?;
-                            tx.write(var, v + 1)
-                        });
-                    }
-                });
-            }
-            // Auditor: full-array snapshots are consistent, so the total
-            // is monotone — a torn block publish would show a regression
-            // or an overshoot.
-            {
-                let stm = stm.clone();
-                let counters = &counters;
-                s.spawn(move || {
-                    let expected = 2 * blocks * block_len + 2 * sv_increments;
-                    let mut last = 0u64;
-                    for _ in 0..300 {
-                        let sum = stm.atomically(|tx| {
-                            let mut sum = 0u64;
-                            for var in counters {
-                                sum += *tx.read(var)?;
-                            }
-                            Ok(sum)
-                        });
-                        assert!(sum >= last, "{mode}: snapshot total regressed");
-                        assert!(sum <= expected, "{mode}: snapshot overshot");
-                        last = sum;
-                    }
-                });
-            }
-        });
-
-        // Exact conservation, per counter: 2 threads x `blocks` blocks x 2
-        // ops per counter for the MV half; 2 threads x 70 visits for the
-        // single-version half; both where the ranges overlap.
-        let mv_share = 2 * blocks * (block_len / 8);
-        let sv_share = 2 * (sv_increments / 12);
-        for (index, var) in counters.iter().enumerate() {
-            let expected = match index {
-                0..=3 => mv_share,
-                4..=7 => mv_share + sv_share,
-                _ => sv_share,
-            };
-            assert_eq!(
-                stm.read_now(var),
-                expected,
-                "{mode}: counter {index} lost or duplicated an increment"
-            );
-        }
-    }
-}
-
-/// Read-only audit transactions over a structure being mutated concurrently
-/// must always observe a consistent snapshot (opacity).
 #[test]
 fn read_only_snapshots_are_consistent() {
     let stm = Stm::default();
