@@ -15,17 +15,14 @@
 //! 10 000 samples (95% confidence of a 99%-accurate CDF, see
 //! [`crate::sample_size`]).
 //!
-//! Beyond the paper's one-shot switch, the scheduler can keep adapting:
-//!
-//! * **Periodic mode** ([`AdaptiveKeyScheduler::with_re_adaptation`])
-//!   recomputes the partition unconditionally every *n* observations.
-//! * **Continuous mode** ([`AdaptiveKeyScheduler::with_adaptation`]) divides
-//!   the post-adaptation stream into epochs and repartitions only when the
-//!   [`crate::drift`] triggers fire: the epoch key histogram drifted away
-//!   from the partition's reference histogram *and* the current partition is
-//!   projected imbalanced, or the per-epoch STM contention ratio (fed by a
-//!   [`ContentionSource`]) blows through its hysteresis band. Under
-//!   stationary load neither trigger fires, so the partition never churns.
+//! Beyond the paper's one-shot switch, the scheduler can keep adapting. In
+//! **continuous mode** ([`AdaptiveKeyScheduler::with_adaptation`]) it
+//! divides the post-adaptation stream into epochs and repartitions only when
+//! the [`crate::drift`] triggers fire: the epoch key histogram drifted away
+//! from the partition's reference histogram *and* the current partition is
+//! projected imbalanced, or the per-epoch STM contention ratio (fed by a
+//! [`ContentionSource`]) blows through its hysteresis band. Under stationary
+//! load neither trigger fires, so the partition never churns.
 //!
 //! Every published partition goes through a [`PartitionTable`] — an
 //! `Arc`-swapped, generation-numbered routing table — so dispatchers route
@@ -65,14 +62,10 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::Mutex;
 
 use crate::cdf::PiecewiseCdf;
-use crate::cost::{
-    CostDecision, CostModelConfig, CostModelView, CostPolicy, EpochObservation, PlanContext,
-};
 use crate::drift::{
     imbalance_under, total_variation, AdaptationCause, AdaptationConfig, AdaptationEvent,
     ContentionSample, ContentionSource, PoolController, PoolSample,
@@ -85,7 +78,7 @@ use crate::scheduler::Scheduler;
 
 /// Default adaptation-log ring capacity: enough to cover any realistic
 /// diagnosis window while bounding memory and the per-stats copy on
-/// long-lived runtimes with periodic or uncapped re-adaptation.
+/// long-lived runtimes with uncapped continuous re-adaptation.
 /// Configurable per scheduler via [`AdaptationConfig::log_capacity`] /
 /// [`AdaptiveKeyScheduler::with_log_capacity`].
 pub const ADAPTATION_LOG_CAP: usize = 256;
@@ -109,11 +102,6 @@ enum ResizeDirection {
 enum AdaptMode {
     /// The paper's protocol: adapt once, then stop sampling entirely.
     OneShot,
-    /// Recompute the partition unconditionally every `every` observations.
-    Periodic {
-        /// Observations between recomputations.
-        every: u64,
-    },
     /// Epoch-based drift-gated re-adaptation (see [`crate::drift`]).
     Continuous(AdaptationConfig),
 }
@@ -151,13 +139,6 @@ struct SampleState {
     pending_resize: Option<ResizeDirection>,
     /// A chronic-stealing epoch waiting for confirmation.
     steal_armed: bool,
-    /// When the current epoch started accumulating — the wall-clock side of
-    /// the cost plane's task-equivalent conversions.
-    epoch_started: Instant,
-    /// The previous epoch's histogram, kept by cost mode
-    /// to estimate how much of the current epoch's shape will persist into
-    /// the next one (see `EpochObservation::persistence`).
-    previous_epoch: Option<Histogram>,
 }
 
 /// Adaptive key-based scheduler.
@@ -183,8 +164,8 @@ pub struct AdaptiveKeyScheduler {
     table: PartitionTable,
     state: Mutex<SampleState>,
     /// Adaptation log, one entry per published generation, bounded at
-    /// `log_capacity` (oldest evicted) so a long-lived periodic or
-    /// uncapped continuous scheduler cannot grow it without limit.
+    /// `log_capacity` (oldest evicted) so a long-lived uncapped continuous
+    /// scheduler cannot grow it without limit.
     log: Mutex<VecDeque<AdaptationEvent>>,
     /// Number of keys observed so far (cheap, lock-free check on the hot
     /// path so we stop touching the sample lock once sampling is done).
@@ -213,11 +194,6 @@ pub struct AdaptiveKeyScheduler {
     cdf_observer: Option<CdfObserver>,
     /// Number of histogram cells.
     cells: usize,
-    /// The predictive cost plane (see [`crate::cost`]): when set and warm,
-    /// epoch evaluation asks "which plan has the best net expected
-    /// benefit?" instead of the threshold triggers. Locked strictly after
-    /// the sample-state lock.
-    cost: Option<Mutex<CostPolicy>>,
 }
 
 impl AdaptiveKeyScheduler {
@@ -243,8 +219,6 @@ impl AdaptiveKeyScheduler {
                 last_pool: None,
                 pending_resize: None,
                 steal_armed: false,
-                epoch_started: Instant::now(),
-                previous_epoch: None,
             }),
             log: Mutex::new(VecDeque::new()),
             observed: AtomicU64::new(0),
@@ -258,7 +232,6 @@ impl AdaptiveKeyScheduler {
             log_capacity_explicit: false,
             cdf_observer: None,
             cells: DEFAULT_CELLS,
-            cost: None,
         }
     }
 
@@ -305,16 +278,6 @@ impl AdaptiveKeyScheduler {
         self
     }
 
-    /// Enable unconditional periodic re-adaptation every `n` additional
-    /// observations (the pre-drift-detector extension; prefer
-    /// [`AdaptiveKeyScheduler::with_adaptation`] for drift-gated behaviour).
-    pub fn with_re_adaptation(mut self, every: u64) -> Self {
-        self.mode = AdaptMode::Periodic {
-            every: every.max(1),
-        };
-        self
-    }
-
     /// Enable continuous, epoch-based adaptation: every
     /// [`AdaptationConfig::interval`] observations the drift and contention
     /// triggers are evaluated and the partition is republished only when one
@@ -334,19 +297,6 @@ impl AdaptiveKeyScheduler {
     /// trigger and the abort-weighted repartitioning histogram.
     pub fn with_contention_source(mut self, source: Arc<dyn ContentionSource>) -> Self {
         self.contention = Some(source);
-        self
-    }
-
-    /// Enable the predictive cost plane (see [`crate::cost`]): in
-    /// continuous mode, once the swap-cost calibration is warm, every epoch
-    /// boundary scores candidate plans (boundary moves, width changes,
-    /// joint changes) by predicted next-epoch cost and adopts the one whose
-    /// trusted gain beats its margin-adjusted swap cost — subsuming the
-    /// drift, contention, steal, and resize threshold triggers. Until the
-    /// calibration warms (the initial adaptation provides the first publish
-    /// sample), the threshold triggers stay in charge.
-    pub fn with_cost_model(mut self, config: CostModelConfig) -> Self {
-        self.cost = Some(Mutex::new(CostPolicy::new(config)));
         self
     }
 
@@ -397,13 +347,6 @@ impl AdaptiveKeyScheduler {
         self.resizes.load(Ordering::Relaxed)
     }
 
-    /// Point-in-time view of the cost plane (calibration state, trust,
-    /// margin, last prediction error), `None` unless
-    /// [`AdaptiveKeyScheduler::with_cost_model`] was set.
-    pub fn cost_model_view(&self) -> Option<CostModelView> {
-        self.cost.as_ref().map(|cost| cost.lock().view())
-    }
-
     /// The worker range the elastic controller may move within (equal
     /// bounds = fixed-size pool).
     pub fn worker_range(&self) -> (usize, usize) {
@@ -419,7 +362,6 @@ impl AdaptiveKeyScheduler {
         }
         match &self.mode {
             AdaptMode::OneShot => true,
-            AdaptMode::Periodic { .. } => false,
             AdaptMode::Continuous(_) => self.finished.load(Ordering::Relaxed),
         }
     }
@@ -432,14 +374,13 @@ impl AdaptiveKeyScheduler {
         }
         match &self.mode {
             AdaptMode::OneShot => u64::MAX,
-            AdaptMode::Periodic { every } => *every,
             AdaptMode::Continuous(config) => config.interval,
         }
     }
 
     /// Act on a full histogram: adapt unconditionally before the first
-    /// adaptation and in periodic mode; evaluate the drift/contention
-    /// triggers in continuous mode.
+    /// adaptation; evaluate the drift/contention triggers in continuous
+    /// mode.
     fn on_decision_point(&self, adapted: bool) {
         if !adapted {
             self.adapt(AdaptationCause::Initial);
@@ -447,7 +388,6 @@ impl AdaptiveKeyScheduler {
         }
         match &self.mode {
             AdaptMode::OneShot => {}
-            AdaptMode::Periodic { .. } => self.adapt(AdaptationCause::Periodic),
             AdaptMode::Continuous(config) => self.evaluate_epoch(config),
         }
     }
@@ -527,7 +467,6 @@ impl AdaptiveKeyScheduler {
             // for good — the hot path goes lock-free from here on.
             self.finished.store(true, Ordering::Relaxed);
             state.hist.clear();
-            state.epoch_started = Instant::now();
             return;
         }
 
@@ -553,184 +492,24 @@ impl AdaptiveKeyScheduler {
         let last = state.last_pool.as_ref();
         let delta =
             |now: u64, then: fn(&PoolSample) -> u64| now.saturating_sub(last.map_or(0, then));
-        let (
-            executed_delta,
-            stolen_delta,
-            idle_delta,
-            busy_delta,
-            park_nanos_delta,
-            resize_nanos_delta,
-            resized_workers_delta,
-        ) = match &pool_now {
-            Some(now) => (
-                now.executed()
-                    .saturating_sub(last.map_or(0, |l| l.executed())),
-                delta(now.stolen, |l| l.stolen),
-                delta(now.idle_polls, |l| l.idle_polls),
-                delta(now.busy_wakeups, |l| l.busy_wakeups),
-                delta(now.park_nanos, |l| l.park_nanos),
-                delta(now.resize_nanos, |l| l.resize_nanos),
-                delta(now.resized_workers, |l| l.resized_workers),
-            ),
-            None => (0, 0, 0, 0, 0, 0, 0),
-        };
+        let (executed_delta, stolen_delta, idle_delta, busy_delta, park_nanos_delta) =
+            match &pool_now {
+                Some(now) => (
+                    delta(now.executed(), |l| l.executed()),
+                    delta(now.stolen, |l| l.stolen),
+                    delta(now.idle_polls, |l| l.idle_polls),
+                    delta(now.busy_wakeups, |l| l.busy_wakeups),
+                    delta(now.park_nanos, |l| l.park_nanos),
+                ),
+                None => (0, 0, 0, 0, 0),
+            };
         // Parked time converted into idle-poll equivalents: one park spans
         // the idle time of many backoff polls, so the idle side of the
         // wakeup fraction must weight duration, not park events — a fully
         // parked (maximally idle) pool would otherwise read as busy.
         let park_idle_equivalent = park_nanos_delta / crate::drift::PARK_IDLE_QUANTUM_NANOS;
         let backlog = pool_now.as_ref().map_or(0, |now| now.backlog());
-        let queue_depths = pool_now
-            .as_ref()
-            .map(|now| now.queue_depths.clone())
-            .unwrap_or_default();
         state.last_pool = pool_now;
-
-        // Predictive cost plane: when enabled and warm it consumes the
-        // epoch — score candidate plans by predicted next-epoch cost and
-        // adopt the best net-positive one — and the threshold triggers
-        // below never run. While the calibration is cold (no swap has been
-        // measured yet) we fall through to the proven threshold behaviour,
-        // whose swaps feed the calibrator.
-        if let Some(cost) = &self.cost {
-            let mut policy = cost.lock();
-            if resized_workers_delta > 0 {
-                // Measured spawn/retire time from the executor's WorkerSet,
-                // normalized per worker.
-                policy.note_resize_per_worker(
-                    resize_nanos_delta as f64 / resized_workers_delta as f64 / 1.0e9,
-                );
-            }
-            if policy.is_calibrated() {
-                let epoch_seconds = state.epoch_started.elapsed().as_secs_f64();
-                let tasks = state.hist.total();
-                // Per-range abort deltas (quantile telemetry buckets), fed
-                // to the plan scorer. Unlike the threshold path, cost mode
-                // does NOT fold abort mass into the histogram: its abort
-                // awareness is the model's explicit cut-fraction term, and
-                // folding lumpy abort spikes into the estimation histogram
-                // would inflate every projected imbalance and make the
-                // plane chase its own telemetry on contended structures.
-                let abort_ranges: Vec<(u64, u64, u64)> = match &cumulative {
-                    Some(now) => now
-                        .ranges
-                        .iter()
-                        .enumerate()
-                        .map(|(index, &(lo, hi, aborts))| {
-                            let previous = state
-                                .last_contention
-                                .as_ref()
-                                .and_then(|l| l.ranges.get(index))
-                                .map_or(0, |&(_, _, a)| a);
-                            (lo, hi, aborts.saturating_sub(previous))
-                        })
-                        .collect(),
-                    None => Vec::new(),
-                };
-                // Persistence: how much of this epoch's shape is expected
-                // to survive into the next epoch, estimated from the
-                // epoch-over-epoch histogram similarity. 0.5 for the first
-                // cost-mode epoch (no evidence either way).
-                let persistence = state
-                    .previous_epoch
-                    .as_ref()
-                    .map_or(0.5, |previous| 1.0 - total_variation(previous, &state.hist));
-                state.previous_epoch = Some(state.hist.clone());
-                let epoch_cdf = PiecewiseCdf::from_histogram(&state.hist);
-                let current = self.table.load();
-                let active = current.partition.workers();
-                let (commits_delta, aborts_delta) = match (&cumulative, &state.last_contention) {
-                    (Some(now), Some(last)) => (
-                        now.commits.saturating_sub(last.commits),
-                        now.aborts.saturating_sub(last.aborts),
-                    ),
-                    (Some(now), None) => (now.commits, now.aborts),
-                    _ => (0, 0),
-                };
-                let idle_eff = idle_delta + park_idle_equivalent;
-                let idle_fraction = if idle_eff + busy_delta > 0 {
-                    idle_eff as f64 / (idle_eff + busy_delta) as f64
-                } else {
-                    0.0
-                };
-                let observation = EpochObservation {
-                    tasks,
-                    executed: executed_delta,
-                    epoch_seconds,
-                    commits: commits_delta,
-                    aborts: aborts_delta,
-                    abort_ranges,
-                    active,
-                    backlog,
-                    queue_depths,
-                    idle_fraction,
-                    persistence,
-                };
-                // Width plans only make sense when an elastic pool is
-                // attached to carry them out.
-                let (min_workers, max_workers) = if pool.is_some() {
-                    (self.min_workers, self.max_workers)
-                } else {
-                    (active, active)
-                };
-                let reference_hist = state.reference.clone().filter(|h| h.total() > 0);
-                let reference_cdf = reference_hist.as_ref().map(PiecewiseCdf::from_histogram);
-                let ctx = PlanContext {
-                    epoch_cdf: &epoch_cdf,
-                    reference_cdf: reference_cdf.as_ref(),
-                    current: &current.partition,
-                    min_workers,
-                    max_workers,
-                    observation: &observation,
-                };
-                // Prediction-error feedback first: the cost this epoch
-                // realized under the configuration the last decision left
-                // in effect is exactly what that decision predicted.
-                let realized = policy.realized_keep_cost(&ctx);
-                policy.score_pending(realized);
-                match policy.decide(&ctx) {
-                    CostDecision::Adopt {
-                        plan,
-                        predicted_gain,
-                        swap_cost,
-                    } => {
-                        state.repartitions_done += 1;
-                        if let Some(cap) = config.max_repartitions {
-                            if state.repartitions_done >= cap {
-                                self.finished.store(true, Ordering::Relaxed);
-                            }
-                        }
-                        let width = plan.width;
-                        let (publish_seconds, rebucket_seconds) = self.publish_locked(
-                            &mut state,
-                            AdaptationCause::CostModel {
-                                predicted_gain,
-                                swap_cost,
-                            },
-                            &epoch_cdf,
-                            plan.partition,
-                        );
-                        policy.note_publish(publish_seconds);
-                        if rebucket_seconds > 0.0 {
-                            policy.note_rebucket(rebucket_seconds);
-                        }
-                        if width != active {
-                            self.resizes.fetch_add(1, Ordering::Relaxed);
-                            if let Some(controller) = pool.as_ref() {
-                                // Publish-then-resize, as in threshold mode.
-                                controller.resize(width);
-                            }
-                        }
-                    }
-                    CostDecision::Keep => {
-                        state.last_contention = cumulative;
-                        state.hist.clear();
-                        state.epoch_started = Instant::now();
-                    }
-                }
-                return;
-            }
-        }
 
         // Drift trigger: histogram distance past the threshold AND the
         // current partition projected imbalanced under the new distribution
@@ -887,7 +666,6 @@ impl AdaptiveKeyScheduler {
                     state.pending_drift = Some(state.hist.clone());
                     state.last_contention = cumulative;
                     state.hist.clear();
-                    state.epoch_started = Instant::now();
                     return;
                 }
             },
@@ -931,7 +709,6 @@ impl AdaptiveKeyScheduler {
                 // Stationary epoch: discard the window, keep the partition.
                 state.last_contention = cumulative;
                 state.hist.clear();
-                state.epoch_started = Instant::now();
             }
         }
     }
@@ -942,18 +719,10 @@ impl AdaptiveKeyScheduler {
         // Re-check the firing condition under the lock: two dispatchers can
         // both observe a crossed threshold before either adapts, and the
         // loser must not republish from the histogram the winner already
-        // consumed (in the sampling modes a handful of fresh keys could
-        // otherwise produce a degenerate partition).
-        let stale = match cause {
-            AdaptationCause::Initial => {
-                self.is_adapted() || state.hist.total() < self.sample_threshold
-            }
-            AdaptationCause::Periodic => match &self.mode {
-                AdaptMode::Periodic { every } => state.hist.total() < *every,
-                _ => false,
-            },
-            _ => false,
-        };
+        // consumed (a handful of fresh keys could otherwise produce a
+        // degenerate partition).
+        let stale = cause == AdaptationCause::Initial
+            && (self.is_adapted() || state.hist.total() < self.sample_threshold);
         if stale {
             return;
         }
@@ -971,23 +740,19 @@ impl AdaptiveKeyScheduler {
         }
         let cdf = PiecewiseCdf::from_histogram(&state.hist);
         let new_partition = KeyPartition::from_cdf(&cdf, width);
-        let timings = self.publish_locked(state, cause, &cdf, new_partition);
-        self.note_swap_timings(timings);
+        self.publish_locked(state, cause, &cdf, new_partition);
     }
 
     /// Publish `partition` (estimated from `cdf`, which must describe
     /// `state.hist`) as the next generation, resetting the per-epoch
-    /// bookkeeping. Returns the measured `(publish, rebucket)` latencies in
-    /// seconds — the cost plane's calibration feed. The caller holds the
-    /// state lock.
+    /// bookkeeping. The caller holds the state lock.
     fn publish_locked(
         &self,
         state: &mut SampleState,
         cause: AdaptationCause,
         cdf: &PiecewiseCdf,
         partition: KeyPartition,
-    ) -> (f64, f64) {
-        let publish_started = Instant::now();
+    ) {
         let snapshot = state.hist.clone();
         let keep_sampling = !matches!(self.mode, AdaptMode::OneShot);
         if keep_sampling {
@@ -1000,16 +765,11 @@ impl AdaptiveKeyScheduler {
         state.pending_resize = None;
         state.steal_armed = false;
         state.baseline_ratio = None; // next epoch re-establishes the baseline
-        let mut rebucket_seconds = 0.0;
         if let Some(observer) = &self.cdf_observer {
             // Let the facade re-derive quantile telemetry buckets from the
             // same CDF *before* the contention feed is re-baselined below,
-            // so the re-baseline already sees the new bucket geometry. The
-            // observer call is timed separately: it is dominated by the
-            // telemetry rebucket, a distinct component of the swap cost.
-            let rebucket_started = Instant::now();
+            // so the re-baseline already sees the new bucket geometry.
             observer(cdf);
-            rebucket_seconds = rebucket_started.elapsed().as_secs_f64();
         }
         // Re-baseline the contention feed at the adaptation point so the
         // next epoch's delta (and hence the new baseline ratio) covers only
@@ -1017,7 +777,6 @@ impl AdaptiveKeyScheduler {
         // initial adaptation would diff against process start and inherit
         // the sampling phase's (unbalanced, contended) counters.
         state.last_contention = self.contention.as_ref().map(|source| source.sample());
-        state.epoch_started = Instant::now();
         let generation = self.table.publish(partition);
         self.push_event(AdaptationEvent {
             generation,
@@ -1026,21 +785,6 @@ impl AdaptiveKeyScheduler {
             before_imbalance: before,
             after_imbalance: after,
         });
-        let publish_seconds = (publish_started.elapsed().as_secs_f64() - rebucket_seconds).max(0.0);
-        (publish_seconds, rebucket_seconds)
-    }
-
-    /// Feed measured swap latencies into the cost plane's calibrator (no-op
-    /// without one). Never called with the cost-policy lock held — the
-    /// cost-mode epoch path, which does hold it, feeds the policy directly.
-    fn note_swap_timings(&self, (publish_seconds, rebucket_seconds): (f64, f64)) {
-        if let Some(cost) = &self.cost {
-            let mut policy = cost.lock();
-            policy.note_publish(publish_seconds);
-            if rebucket_seconds > 0.0 {
-                policy.note_rebucket(rebucket_seconds);
-            }
-        }
     }
 
     /// Append to the bounded adaptation log.
@@ -1065,7 +809,6 @@ impl AdaptiveKeyScheduler {
         if target == from {
             return false;
         }
-        let publish_started = Instant::now();
         let hist = state
             .reference
             .clone()
@@ -1090,7 +833,6 @@ impl AdaptiveKeyScheduler {
             before_imbalance: before,
             after_imbalance: after,
         });
-        self.note_swap_timings((publish_started.elapsed().as_secs_f64(), 0.0));
         self.resizes.fetch_add(1, Ordering::Relaxed);
         if let Some(pool) = self.pool.lock().clone() {
             pool.resize(target);
@@ -1173,10 +915,6 @@ impl Scheduler for AdaptiveKeyScheduler {
 
     fn adaptation_log(&self) -> Vec<AdaptationEvent> {
         AdaptiveKeyScheduler::adaptation_log(self)
-    }
-
-    fn cost_model(&self) -> Option<CostModelView> {
-        self.cost_model_view()
     }
 
     fn describe(&self) -> String {
@@ -1311,29 +1049,6 @@ mod tests {
     }
 
     #[test]
-    fn re_adaptation_tracks_a_shifting_distribution() {
-        let s = AdaptiveKeyScheduler::new(4, KeyBounds::new(0, 9_999))
-            .with_sample_threshold(1_000)
-            .with_re_adaptation(2_000);
-        // Phase 1: keys concentrated low.
-        for i in 0..3_000u64 {
-            s.dispatch(i % 1_000);
-        }
-        assert!(s.is_adapted());
-        let first = s.adaptations();
-        // Phase 2: keys concentrated high; the scheduler should re-adapt.
-        for i in 0..6_000u64 {
-            s.dispatch(9_000 + (i % 1_000));
-        }
-        assert!(s.adaptations() > first, "should have re-adapted");
-        let p = s.current_partition();
-        assert!(
-            p.boundaries().iter().all(|&b| b >= 8_500),
-            "boundaries should follow the shifted distribution: {p}"
-        );
-    }
-
-    #[test]
     fn batched_and_per_task_dispatch_repartition_identically() {
         // The same key stream fed per-task and in mixed-size batches must
         // produce the same number of adaptations and bit-identical
@@ -1368,6 +1083,10 @@ mod tests {
 
     #[test]
     fn batched_re_adaptation_matches_per_task() {
+        // Continuous mode: the initial adaptation on low keys, then a
+        // sustained shift to high keys that the drift trigger arms and
+        // confirms — a repartition after the initial one, which batched
+        // dispatch must reproduce bit for bit.
         let keys: Vec<TxnKey> = (0..9_000u64)
             .map(|i| {
                 if i < 3_000 {
@@ -1380,7 +1099,7 @@ mod tests {
         let make = || {
             AdaptiveKeyScheduler::new(4, KeyBounds::new(0, 9_999))
                 .with_sample_threshold(1_000)
-                .with_re_adaptation(2_000)
+                .with_adaptation(AdaptationConfig::new().with_interval(2_000))
         };
         let per_task = make();
         for &key in &keys {
@@ -1595,12 +1314,12 @@ mod tests {
 
     #[test]
     fn adaptation_log_is_bounded_with_continuous_generations() {
-        let s = AdaptiveKeyScheduler::new(2, KeyBounds::new(0, 9_999))
-            .with_sample_threshold(10)
-            .with_re_adaptation(10);
-        for i in 0..(10 * (ADAPTATION_LOG_CAP as u64 + 40)) {
-            s.dispatch(i % 10_000);
+        let s = AdaptiveKeyScheduler::new(2, KeyBounds::new(0, 9_999)).with_worker_range(1, 2);
+        // Every resize publishes exactly one generation.
+        for i in 0..(ADAPTATION_LOG_CAP + 40) {
+            assert!(s.resize_now(if i % 2 == 0 { 1 } else { 2 }));
         }
+        assert_eq!(s.adaptations(), ADAPTATION_LOG_CAP + 40);
         let log = s.adaptation_log();
         assert_eq!(log.len(), ADAPTATION_LOG_CAP, "log must be capped");
         assert_eq!(
@@ -1637,8 +1356,6 @@ mod tests {
                     park_nanos: 0,
                     queue_depths: vec![0; capacity],
                     dispatcher_backlog: 0,
-                    resize_nanos: 0,
-                    resized_workers: 0,
                 }),
                 resized: Mutex::new(Vec::new()),
             })
@@ -1795,179 +1512,6 @@ mod tests {
         assert_eq!(s.resizes(), 0, "fixed-size pool must not resize");
     }
 
-    fn cost_continuous(interval: u64) -> AdaptiveKeyScheduler {
-        AdaptiveKeyScheduler::new(4, KeyBounds::new(0, 131_071))
-            .with_sample_threshold(interval as usize)
-            .with_adaptation(AdaptationConfig::new().with_interval(interval))
-            .with_cost_model(CostModelConfig::default())
-    }
-
-    /// Lengthen the running epoch's wall clock so the measured service rate
-    /// stays modest and the (seconds-denominated) swap price converts to a
-    /// small task count — keeps the cost tests robust on slow CI hosts.
-    fn stretch_epoch() {
-        std::thread::sleep(std::time::Duration::from_millis(25));
-    }
-
-    #[test]
-    fn cost_mode_swaps_on_a_sustained_shift_with_gain_above_swap_cost() {
-        let s = cost_continuous(2_000);
-        let mut dist = KeyDistribution::new(DistributionKind::exponential_paper(), 5);
-        // Initial adaptation plus one stationary epoch: the publish warms
-        // the calibrator, the stationary epoch must keep.
-        for _ in 0..4_000 {
-            s.dispatch(u64::from(dist.sample_raw()));
-        }
-        assert_eq!(s.adaptations(), 1);
-        let view = s.cost_model_view().expect("cost plane attached");
-        assert!(view.calibrated, "initial publish warms the calibration");
-        assert!(view.decisions >= 1 && view.adoptions == 0, "{view:?}");
-
-        // A sustained total phase flip: the first shifted epoch reads as
-        // persistence ≈ 0 (it contradicts its predecessor), the second
-        // confirms the shape persists and the swap lands — with the logged
-        // gain beating the logged swap cost. (A milder drift, with partial
-        // epoch-over-epoch overlap, can clear the bar in one epoch.)
-        for _ in 0..2 {
-            stretch_epoch();
-            for _ in 0..2_000 {
-                s.dispatch(131_071 - u64::from(dist.sample_raw()));
-            }
-        }
-        assert_eq!(s.adaptations(), 2, "{:?}", s.adaptation_log());
-        match s.adaptation_log().last().unwrap().cause {
-            AdaptationCause::CostModel {
-                predicted_gain,
-                swap_cost,
-            } => {
-                assert!(
-                    predicted_gain > swap_cost,
-                    "every cost swap is justified: gain {predicted_gain}, cost {swap_cost}"
-                );
-                assert!(swap_cost >= 0.0);
-            }
-            ref other => panic!("cost mode must attribute the swap: {other:?}"),
-        }
-
-        // The new phase, sustained: nothing further to gain.
-        for _ in 0..4_000 {
-            s.dispatch(131_071 - u64::from(dist.sample_raw()));
-        }
-        assert_eq!(s.adaptations(), 2, "{:?}", s.adaptation_log());
-    }
-
-    #[test]
-    fn cost_mode_holds_still_under_stationary_load() {
-        let s = cost_continuous(2_000);
-        let mut dist = KeyDistribution::new(DistributionKind::exponential_paper(), 17);
-        for _ in 0..40_000 {
-            s.dispatch(u64::from(dist.sample_raw()));
-        }
-        assert_eq!(
-            s.adaptations(),
-            1,
-            "zero swaps on a stationary run: {:?}",
-            s.adaptation_log()
-        );
-        let view = s.cost_model_view().unwrap();
-        assert!(view.decisions >= 10, "every epoch was decided: {view:?}");
-        assert_eq!(view.adoptions, 0);
-    }
-
-    #[test]
-    fn cost_mode_falls_back_to_thresholds_until_calibrated() {
-        let s = AdaptiveKeyScheduler::new(4, KeyBounds::new(0, 131_071))
-            .with_sample_threshold(2_000)
-            .with_adaptation(
-                AdaptationConfig::new()
-                    .with_interval(2_000)
-                    .with_drift_threshold(0.2),
-            )
-            .with_cost_model(CostModelConfig::default().with_min_calibration_samples(2));
-        let mut dist = KeyDistribution::new(DistributionKind::exponential_paper(), 29);
-        for _ in 0..2_000 {
-            s.dispatch(u64::from(dist.sample_raw()));
-        }
-        assert_eq!(s.adaptations(), 1);
-        assert!(
-            !s.cost_model_view().unwrap().calibrated,
-            "one publish sample is below the two-sample warm-up"
-        );
-
-        // Cold calibration: the shift must go through the threshold plane —
-        // arm on the first drifted epoch, confirm on the second, cause
-        // KeyDrift.
-        for _ in 0..4_000 {
-            s.dispatch(131_071 - u64::from(dist.sample_raw()));
-        }
-        assert_eq!(s.adaptations(), 2, "{:?}", s.adaptation_log());
-        assert!(
-            matches!(
-                s.adaptation_log().last().unwrap().cause,
-                AdaptationCause::KeyDrift { .. }
-            ),
-            "cold cost plane falls back to thresholds: {:?}",
-            s.adaptation_log()
-        );
-        assert!(
-            s.cost_model_view().unwrap().calibrated,
-            "the threshold swap's publish completes the warm-up"
-        );
-
-        // Warm now: the next sustained shift is a one-epoch cost decision.
-        stretch_epoch();
-        for _ in 0..2_000 {
-            s.dispatch(u64::from(dist.sample_raw()));
-        }
-        assert_eq!(s.adaptations(), 3, "{:?}", s.adaptation_log());
-        assert!(
-            matches!(
-                s.adaptation_log().last().unwrap().cause,
-                AdaptationCause::CostModel { .. }
-            ),
-            "{:?}",
-            s.adaptation_log()
-        );
-    }
-
-    #[test]
-    fn cost_mode_grows_a_saturated_pool_in_one_epoch() {
-        let s = AdaptiveKeyScheduler::new(2, KeyBounds::new(0, 131_071))
-            .with_worker_range(1, 8)
-            .with_sample_threshold(1_000)
-            .with_adaptation(AdaptationConfig::new().with_interval(1_000))
-            .with_cost_model(CostModelConfig::default());
-        let pool = ScriptedPool::new(2, 8);
-        Scheduler::attach_pool(&s, Arc::clone(&pool) as Arc<dyn PoolController>);
-        feed_epoch(&s, 1_000, 31); // initial adaptation warms the calibrator
-        assert!(s.cost_model_view().unwrap().calibrated);
-
-        // Deep backlog, healthy per-worker throughput, no aborts: the grow
-        // plan's overload relief prices far above the swap.
-        pool.set(|p| {
-            p.queue_depths = vec![2_000; 8];
-            p.per_worker_completed = vec![500; 8];
-        });
-        stretch_epoch();
-        feed_epoch(&s, 1_000, 32);
-        assert_eq!(
-            s.resizes(),
-            1,
-            "one epoch suffices — no confirmation: {:?}",
-            s.adaptation_log()
-        );
-        assert_eq!(pool.resized.lock().as_slice(), &[4], "grow doubles");
-        assert_eq!(Scheduler::workers(&s), 4);
-        assert!(
-            matches!(
-                s.adaptation_log().last().unwrap().cause,
-                AdaptationCause::CostModel { .. }
-            ),
-            "{:?}",
-            s.adaptation_log()
-        );
-    }
-
     #[test]
     fn resize_now_clamps_publishes_and_commands_the_pool() {
         let s = AdaptiveKeyScheduler::new(4, KeyBounds::new(0, 9_999)).with_worker_range(2, 6);
@@ -2018,11 +1562,10 @@ mod tests {
     #[test]
     fn log_capacity_knob_bounds_the_ring() {
         let s = AdaptiveKeyScheduler::new(2, KeyBounds::new(0, 9_999))
-            .with_sample_threshold(10)
-            .with_re_adaptation(10)
+            .with_worker_range(1, 2)
             .with_log_capacity(4);
-        for i in 0..1_000u64 {
-            s.dispatch(i % 10_000);
+        for i in 0..100 {
+            assert!(s.resize_now(if i % 2 == 0 { 1 } else { 2 }));
         }
         let log = s.adaptation_log();
         assert_eq!(log.len(), 4);

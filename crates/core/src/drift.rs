@@ -204,9 +204,6 @@ pub enum AdaptationCause {
     /// The first adaptation, at the end of the sampling phase (the paper's
     /// one-shot switch from the fixed to the PD-partition).
     Initial,
-    /// Unconditional periodic re-adaptation
-    /// ([`crate::AdaptiveKeyScheduler::with_re_adaptation`]).
-    Periodic,
     /// The epoch key distribution drifted past the histogram-distance
     /// threshold *and* the current partition was projected imbalanced.
     KeyDrift {
@@ -238,19 +235,6 @@ pub enum AdaptationCause {
         /// Active workers after the resize.
         to: usize,
     },
-    /// The predictive cost plane adopted the plan with the best net expected
-    /// benefit: its trust-discounted predicted saving over the next epoch
-    /// exceeded the margin-adjusted cost of performing the swap itself (see
-    /// [`crate::cost`]). Both numbers are in task-equivalents.
-    CostModel {
-        /// Trust-discounted predicted cost saving of the adopted plan over
-        /// keeping the current configuration for the next epoch.
-        predicted_gain: f64,
-        /// Margin-adjusted one-time cost of the swap (publish latency,
-        /// thread spawn/retire time, telemetry rebucket, residual drain),
-        /// converted to task-equivalents at the observed service rate.
-        swap_cost: f64,
-    },
     /// Explicitly requested (`adapt_now` / trace seeding).
     Forced,
 }
@@ -259,7 +243,6 @@ impl std::fmt::Display for AdaptationCause {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             AdaptationCause::Initial => f.write_str("initial"),
-            AdaptationCause::Periodic => f.write_str("periodic"),
             AdaptationCause::KeyDrift {
                 distance,
                 projected_imbalance,
@@ -272,13 +255,6 @@ impl std::fmt::Display for AdaptationCause {
                 write!(f, "steal-imbalance(ratio={ratio:.3})")
             }
             AdaptationCause::Resize { from, to } => write!(f, "resize({from}->{to})"),
-            AdaptationCause::CostModel {
-                predicted_gain,
-                swap_cost,
-            } => write!(
-                f,
-                "cost-model(gain={predicted_gain:.1}, swap={swap_cost:.1})"
-            ),
             AdaptationCause::Forced => f.write_str("forced"),
         }
     }
@@ -372,14 +348,6 @@ pub struct PoolSample {
     /// [`PoolSample::backlog`] — the grow signal — instead of being
     /// invisible to the controller.
     pub dispatcher_backlog: usize,
-    /// Cumulative nanoseconds the pool spent spawning and retiring worker
-    /// threads across resizes (spawn time measured around the thread spawn,
-    /// retire time from retirement request to the worker's exit). The cost
-    /// plane diffs this per epoch to calibrate per-worker resize cost.
-    pub resize_nanos: u64,
-    /// Cumulative workers spawned or retired (the denominator for
-    /// [`PoolSample::resize_nanos`]).
-    pub resized_workers: u64,
 }
 
 impl PoolSample {
@@ -563,15 +531,6 @@ mod tests {
         assert!(AdaptationCause::StealImbalance { ratio: 0.4 }
             .to_string()
             .contains("0.400"));
-        let cost = AdaptationCause::CostModel {
-            predicted_gain: 120.5,
-            swap_cost: 6.25,
-        }
-        .to_string();
-        assert!(
-            cost.contains("gain=120.5") && cost.contains("swap=6.2"),
-            "{cost}"
-        );
     }
 
     #[test]
@@ -588,8 +547,6 @@ mod tests {
             park_nanos: 50_000_000,
             queue_depths: vec![1, 2, 0, 4],
             dispatcher_backlog: 3,
-            resize_nanos: 1_000,
-            resized_workers: 2,
         };
         assert_eq!(sample.executed(), 38);
         assert_eq!(

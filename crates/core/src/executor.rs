@@ -533,15 +533,6 @@ pub struct WorkerSet<T: Send + 'static> {
     resizes: AtomicU64,
     /// Idle workers block here between bursts (see [`IdleParker`]).
     parker: IdleParker,
-    /// Cumulative nanoseconds spent spawning and retiring workers, and how
-    /// many workers those cover — the cost plane's resize calibration feed.
-    /// Spawn time is measured around the thread spawn (plus joining the
-    /// dead predecessor); retire time covers only the exit hand-off from
-    /// the moment the retiring worker finds its queue dry — the residual
-    /// drain before that point is throughput, not swap overhead, and the
-    /// cost plane prices it separately from the queue depths.
-    resize_nanos: AtomicU64,
-    resized_workers: AtomicU64,
     /// Optional probe for demand queued upstream of the workers (the
     /// centralized model's dispatcher queue), sampled into
     /// [`PoolSample::dispatcher_backlog`].
@@ -573,17 +564,9 @@ impl<T: Send + 'static> WorkerSet<T> {
             config,
             resizes: AtomicU64::new(0),
             parker: IdleParker::default(),
-            resize_nanos: AtomicU64::new(0),
-            resized_workers: AtomicU64::new(0),
             backlog_probe: Mutex::new(None),
             batch_pool: Mutex::new(BatchPool::default()),
         }
-    }
-
-    /// Fold a measured spawn/retire duration into the calibration feed.
-    fn record_resize_nanos(&self, nanos: u64, workers: u64) {
-        self.resize_nanos.fetch_add(nanos, Ordering::Relaxed);
-        self.resized_workers.fetch_add(workers, Ordering::Relaxed);
     }
 
     /// Total slots (the pool's growth ceiling).
@@ -649,8 +632,6 @@ impl<T: Send + 'static> PoolController for PoolHandle<T> {
             park_nanos: set.counters.iter().map(|c| c.park_nanos()).sum(),
             queue_depths: set.queues.iter().map(|q| q.len()).collect(),
             dispatcher_backlog: probe.map_or(0, |probe| probe()),
-            resize_nanos: set.resize_nanos.load(Ordering::Relaxed),
-            resized_workers: set.resized_workers.load(Ordering::Relaxed),
         }
     }
 
@@ -707,18 +688,11 @@ impl<T: Send + 'static> PoolController for PoolHandle<T> {
                 }
                 // INACTIVE: the previous incarnation (if any) has exited or
                 // is past its exit CAS — join it, then spawn a fresh one.
-                // The spawn (and any join of the dead predecessor) is timed
-                // into the resize-calibration feed.
-                let spawn_started = Instant::now();
                 if let Some(handle) = handles[index].take() {
                     let _ = handle.join();
                 }
                 set.slots[index].store(SLOT_ACTIVE, Ordering::SeqCst);
                 handles[index] = Some(self.spawn_slot(index));
-                set.record_resize_nanos(
-                    u64::try_from(spawn_started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                    1,
-                );
             }
         }
         set.resizes.fetch_add(1, Ordering::SeqCst);
@@ -1282,13 +1256,6 @@ where
         // empty while the slot is marked retiring — try to exit. A failed
         // CAS means a concurrent grow resurrected the slot; keep working.
         if running_now && set.slots[index].load(Ordering::SeqCst) == SLOT_RETIRING {
-            // Time only the exit hand-off (queue-observed-dry → exit): the
-            // residual drain that preceded it is throughput, not swap
-            // overhead — the cost plane prices stranded residuals
-            // separately from the observed queue depths, and folding drain
-            // time into the per-worker resize estimate would double-count
-            // it and veto cheap resizes for epochs afterwards.
-            let exit_started = Instant::now();
             if set.slots[index]
                 .compare_exchange(
                     SLOT_RETIRING,
@@ -1298,10 +1265,6 @@ where
                 )
                 .is_ok()
             {
-                set.record_resize_nanos(
-                    u64::try_from(exit_started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                    1,
-                );
                 return;
             }
             continue;

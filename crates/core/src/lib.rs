@@ -46,7 +46,6 @@
 
 pub mod adaptive;
 pub mod cdf;
-pub mod cost;
 pub mod drift;
 pub mod executor;
 pub mod histogram;
@@ -59,7 +58,6 @@ pub mod stats;
 
 pub use adaptive::AdaptiveKeyScheduler;
 pub use cdf::PiecewiseCdf;
-pub use cost::{CostModelConfig, CostModelView, CostPolicy};
 pub use drift::{
     AdaptationCause, AdaptationConfig, AdaptationEvent, ContentionSample, ContentionSource,
 };

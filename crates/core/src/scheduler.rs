@@ -12,7 +12,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::adaptive::AdaptiveKeyScheduler;
-use crate::cost::CostModelView;
 use crate::drift::{AdaptationEvent, PoolController};
 use crate::key::{KeyBounds, TxnKey};
 use crate::partition::KeyPartition;
@@ -84,14 +83,6 @@ pub trait Scheduler: Send + Sync {
     /// generation, oldest first (empty for static policies).
     fn adaptation_log(&self) -> Vec<AdaptationEvent> {
         Vec::new()
-    }
-
-    /// Point-in-time view of the predictive cost plane — calibration
-    /// state, trust, margin, last prediction error — `None` unless the
-    /// policy runs one (see
-    /// [`crate::AdaptiveKeyScheduler::with_cost_model`]).
-    fn cost_model(&self) -> Option<CostModelView> {
-        None
     }
 
     /// One-line description of the current state (partition boundaries,

@@ -10,9 +10,9 @@ katme_harness::install_counting_allocator!();
 use katme_collections::StructureKind;
 use katme_harness::experiments::executor_models;
 use katme_harness::{
-    alloc_profile, balance_table, batch_dispatch, commit_path, contention_table, cost_adaptation,
-    durability, fig3_hashtable, fig4_overhead, format_throughput, net_service, print_series_table,
-    tree_list, HarnessOptions,
+    alloc_profile, balance_table, batch_dispatch, commit_path, contention_table, durability,
+    fig3_hashtable, fig4_overhead, format_throughput, net_service, print_series_table, tree_list,
+    HarnessOptions,
 };
 use katme_workload::DistributionKind;
 
@@ -90,19 +90,6 @@ fn main() {
             "  {:>12} / batch {batch:>4}: {} txn/s",
             structure.name(),
             format_throughput(row.throughput)
-        );
-    }
-
-    println!("\n################ Threshold vs. cost-model adaptation ################");
-    for row in cost_adaptation(&opts) {
-        println!(
-            "  {:>12} / {:>10} / {:>10}: {} txn/s, {} swap(s), {} unjustified",
-            row.structure.name(),
-            row.workload,
-            row.mode,
-            format_throughput(row.result.throughput),
-            row.swaps(),
-            row.unjustified_swaps()
         );
     }
 

@@ -463,135 +463,6 @@ pub fn elastic_scaling(opts: &HarnessOptions) -> Vec<ElasticRow> {
     rows
 }
 
-/// Measurement windows per `cost_adaptation` run.
-pub const COST_WINDOWS: usize = 6;
-
-/// One row of the [`cost_adaptation`] comparison: a (structure, adaptation
-/// mode, workload) triple.
-#[derive(Debug, Clone)]
-pub struct CostRow {
-    /// Dictionary structure under test.
-    pub structure: StructureKind,
-    /// `"threshold"` (the drift/contention trigger plane) or `"cost-model"`
-    /// (the predictive cost plane).
-    pub mode: &'static str,
-    /// `"phased"` (mid-run phase shift) or `"stationary"`.
-    pub workload: &'static str,
-    /// Overall run result (including the adaptation log).
-    pub result: RunResult,
-    /// Per-window deltas.
-    pub windows: Vec<WindowReport>,
-}
-
-impl CostRow {
-    /// Partition swaps beyond the initial adaptation.
-    pub fn swaps(&self) -> u64 {
-        self.result.repartitions.saturating_sub(1)
-    }
-
-    /// Cost-model swaps whose logged `predicted_gain` did **not** exceed
-    /// their logged `swap_cost` — must be zero: the decision rule only
-    /// adopts net-positive plans.
-    pub fn unjustified_swaps(&self) -> usize {
-        self.result
-            .adaptations
-            .iter()
-            .filter(|event| {
-                matches!(
-                    event.cause,
-                    katme::AdaptationCause::CostModel {
-                        predicted_gain,
-                        swap_cost,
-                    } if predicted_gain <= swap_cost
-                )
-            })
-            .count()
-    }
-
-    /// Mean throughput of the last third of the windows (post-shift phase).
-    pub fn post_shift_throughput(&self) -> f64 {
-        let tail = (self.windows.len() / 3).max(1);
-        mean_throughput(&self.windows[self.windows.len() - tail..])
-    }
-}
-
-/// **Cost adaptation (extension)**: threshold triggers vs. the predictive
-/// cost plane, on the phased (mid-run shift) workload across all three
-/// structures plus a stationary control on the hash table. Both sides run
-/// the continuous adaptation plane with identical epochs; only the
-/// cost-model side replaces the threshold triggers with per-epoch plan
-/// scoring once its swap-cost calibration warms. Expected shape: the cost
-/// plane performs no more swaps than the threshold plane on the shift (it
-/// reacts in one epoch instead of the threshold plane's two, and its
-/// trust/margin feedback replaces the two-epoch confirmation), every
-/// cost-model swap's logged `predicted_gain` exceeds its `swap_cost`, and
-/// the stationary control performs zero swaps.
-pub fn cost_adaptation(opts: &HarnessOptions) -> Vec<CostRow> {
-    let workers = opts.worker_counts().into_iter().max().unwrap_or(4);
-    let (threshold, shift_after) = if opts.quick {
-        (1_000, 2_000)
-    } else {
-        (5_000, 20_000)
-    };
-    let run = |structure: StructureKind,
-               cost_model: bool,
-               distribution: DistributionKind,
-               workload: &'static str| {
-        let mut config = base_config(opts, structure)
-            .with_workers(workers)
-            // One producer gives both modes the *same, clean* phase shift to
-            // respond to. With several back-pressure-serialized producers
-            // the observed mixture wanders for most of the window (each
-            // producer crosses its shift point at its own pace), which is a
-            // fine stress for the drift_adaptation experiment but makes the
-            // swap-count comparison measure the workload's messiness rather
-            // than the decision policies.
-            .with_producers(1)
-            .with_scheduler(SchedulerKind::AdaptiveKey)
-            .with_sample_threshold(threshold)
-            .with_adaptation_interval(threshold as u64)
-            .with_drift_threshold(0.2)
-            .with_seed(0xc057);
-        if cost_model {
-            config = config.with_cost_model(true);
-        }
-        let (result, windows) =
-            Driver::new(config).run_dictionary_windowed(structure, distribution, COST_WINDOWS);
-        CostRow {
-            structure,
-            mode: if cost_model {
-                "cost-model"
-            } else {
-                "threshold"
-            },
-            workload,
-            result,
-            windows,
-        }
-    };
-    let mut rows = Vec::new();
-    for structure in StructureKind::ALL {
-        for cost_model in [false, true] {
-            rows.push(run(
-                structure,
-                cost_model,
-                DistributionKind::phased(shift_after),
-                "phased",
-            ));
-        }
-    }
-    // Stationary control: the cost plane must not spend a single swap.
-    for cost_model in [false, true] {
-        rows.push(run(
-            StructureKind::HashTable,
-            cost_model,
-            DistributionKind::exponential_paper(),
-            "stationary",
-        ));
-    }
-    rows
-}
-
 /// One row of the durability experiment: the same workload on the same
 /// structure, volatile vs. through the group-commit WAL.
 #[derive(Debug, Clone)]
@@ -1186,59 +1057,6 @@ mod tests {
         }
         assert!(rows.iter().any(|r| r.mode == "fixed"));
         assert!(rows.iter().any(|r| r.mode == "elastic"));
-    }
-
-    #[test]
-    fn cost_adaptation_covers_modes_and_keeps_swaps_justified() {
-        let rows = cost_adaptation(&quick());
-        assert_eq!(
-            rows.len(),
-            3 * 2 + 2,
-            "3 phased structures x 2 modes + stationary control x 2 modes"
-        );
-        for row in &rows {
-            assert_eq!(row.windows.len(), COST_WINDOWS);
-            assert!(row.result.completed > 0, "{row:?}");
-            assert_eq!(
-                row.unjustified_swaps(),
-                0,
-                "every cost-model swap must log predicted_gain > swap_cost: {:?}",
-                row.result.adaptations
-            );
-            assert!(
-                row.result.repartitions >= 1,
-                "the initial adaptation must always land: {row:?}"
-            );
-        }
-        let stationary_cost = rows
-            .iter()
-            .find(|r| r.workload == "stationary" && r.mode == "cost-model")
-            .expect("stationary control present");
-        assert_eq!(
-            stationary_cost.swaps(),
-            0,
-            "the cost plane must not spend a swap on stationary load: {:?}",
-            stationary_cost.result.adaptations
-        );
-        // On the clean phased shift the cost plane must not out-churn the
-        // threshold plane (a single justified swap when the threshold plane
-        // missed its confirmation window inside the tiny smoke run is not
-        // churn, hence the max(1)).
-        for structure in StructureKind::ALL {
-            let of = |mode: &str| {
-                rows.iter()
-                    .find(|r| r.structure == structure && r.workload == "phased" && r.mode == mode)
-                    .expect("phased rows cover every structure and mode")
-            };
-            let (threshold, cost) = (of("threshold"), of("cost-model"));
-            assert!(
-                cost.swaps() <= threshold.swaps().max(1),
-                "{structure:?}: cost-model churned ({} swaps vs threshold's {}): {:?}",
-                cost.swaps(),
-                threshold.swaps(),
-                cost.result.adaptations
-            );
-        }
     }
 
     #[test]

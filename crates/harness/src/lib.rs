@@ -12,7 +12,6 @@
 //! | Batched dispatch (extension) | [`experiments::batch_dispatch`] / `batch_dispatch` | per-task vs. batched submission throughput at equal workload |
 //! | Drift adaptation (extension) | [`experiments::drift_adaptation`] / `drift_adaptation` | one-shot vs. continuous adaptation under a mid-run phase shift |
 //! | Elastic scaling (extension) | [`experiments::elastic_scaling`] / `elastic_scaling` | fixed always-max pool vs. elastic partition-coupled scaling under a quiet → burst → quiet arrival ramp |
-//! | Cost adaptation (extension) | [`experiments::cost_adaptation`] / `cost_adaptation` | threshold triggers vs. the predictive cost plane on phased and stationary workloads |
 //! | Durability (extension) | [`experiments::durability`] / `durability` | durable (group-commit WAL + checkpoints) vs. volatile throughput, with fsyncs-per-commit and mean group size |
 //! | Commit-path microbench (extension) | [`experiments::commit_path`] / `commit_path` | commit-path cost in isolation: GV1-ticked vs. GV5-lazy clock x shared vs. striped stats counters on disjoint keys, with scaling efficiency and clock advances per commit |
 //! | Allocation profile (extension) | [`experiments::alloc_profile`] / `alloc_profile` | steady-state heap allocations and bytes per committed transaction on the submit→execute→commit path, per workload (read-only, read-write, durable), with CI budget gating |
@@ -37,11 +36,10 @@ pub mod options;
 pub mod report;
 
 pub use experiments::{
-    alloc_profile, balance_table, batch_dispatch, commit_path, contention_table, cost_adaptation,
-    drift_adaptation, durability, elastic_scaling, fig3_hashtable, fig4_overhead, tree_list,
-    AllocRow, CommitPathRow, CostRow, DriftRow, DurabilityRow, ElasticRow, ExperimentRow, Fig4Row,
-    ALLOC_BUDGETS, BATCH_SIZES, COST_WINDOWS, DRIFT_WINDOWS, ELASTIC_QUIET_INTENSITY,
-    ELASTIC_WINDOWS,
+    alloc_profile, balance_table, batch_dispatch, commit_path, contention_table, drift_adaptation,
+    durability, elastic_scaling, fig3_hashtable, fig4_overhead, tree_list, AllocRow, CommitPathRow,
+    DriftRow, DurabilityRow, ElasticRow, ExperimentRow, Fig4Row, ALLOC_BUDGETS, BATCH_SIZES,
+    DRIFT_WINDOWS, ELASTIC_QUIET_INTENSITY, ELASTIC_WINDOWS,
 };
 pub use net::{
     drive_connection, net_service, percentile_us, ConnStats, ElasticNetSummary, NetRow,

@@ -6,7 +6,6 @@ use std::time::Duration;
 
 use katme_core::adaptive::AdaptiveKeyScheduler;
 use katme_core::cdf::PiecewiseCdf;
-use katme_core::cost::CostModelConfig;
 use katme_core::drift::{AdaptationConfig, ContentionSample};
 use katme_core::executor::ExecutorConfig;
 use katme_core::key::{KeyBounds, TxnKey};
@@ -69,7 +68,6 @@ pub struct Builder {
     elastic: bool,
     min_workers: Option<usize>,
     max_workers: Option<usize>,
-    cost_model: bool,
     queue: QueueKind,
     model: ExecutorModel,
     stm_config: StmConfig,
@@ -101,7 +99,6 @@ impl Default for Builder {
             elastic: false,
             min_workers: None,
             max_workers: None,
-            cost_model: false,
             queue: QueueKind::TwoLock,
             model: ExecutorModel::Parallel,
             stm_config: StmConfig::default(),
@@ -238,24 +235,6 @@ impl Builder {
     pub fn max_workers(mut self, max: usize) -> Self {
         self.max_workers = Some(max);
         self.elastic = true;
-        self
-    }
-
-    /// Enable the **predictive cost plane** (see `katme_core::cost`): once
-    /// its swap-cost calibration is warm (the initial adaptation provides
-    /// the first sample), the adaptive scheduler replaces the drift /
-    /// contention / steal / resize threshold triggers with a single
-    /// cost-model decision per epoch — score candidate plans (boundary
-    /// moves, width changes, joint changes) by predicted next-epoch abort +
-    /// queueing-imbalance cost, and adopt the best one only when its
-    /// trusted gain exceeds the measured cost of the swap itself.
-    /// Mispredictions shrink the model's trust and widen its decision
-    /// margin, so a wrong model stops swapping instead of oscillating.
-    /// Implies continuous adaptation; requires the adaptive scheduler.
-    /// Threshold mode remains the default (and the fallback while
-    /// calibration is cold).
-    pub fn cost_model(mut self, enabled: bool) -> Self {
-        self.cost_model = enabled;
         self
     }
 
@@ -454,14 +433,12 @@ impl Builder {
     }
 
     /// True when any continuous-adaptation knob was set — or the pool is
-    /// elastic (whose concurrency controller runs on the epoch plane), or
-    /// the cost model is on (which decides on the same plane).
+    /// elastic (whose concurrency controller runs on the epoch plane).
     fn adaptation_enabled(&self) -> bool {
         self.adaptation_interval.is_some()
             || self.drift_threshold.is_some()
             || self.max_repartitions.is_some()
             || self.elastic
-            || self.cost_model
     }
 
     /// The elastic worker range implied by the set knobs (meaningful only
@@ -517,7 +494,7 @@ impl Builder {
                 }
                 if let Some(capacity) = self.adaptation_log_capacity {
                     // Continuous mode re-applies this via AdaptationConfig;
-                    // setting it here covers one-shot/periodic runs too.
+                    // setting it here covers one-shot runs too.
                     adaptive = adaptive.with_log_capacity(capacity);
                 }
                 if self.adaptation_enabled() {
@@ -574,9 +551,6 @@ impl Builder {
                         .with_adaptation(self.adaptation_config())
                         .with_contention_source(Arc::new(source))
                         .with_cdf_observer(Arc::new(observer));
-                    if self.cost_model {
-                        adaptive = adaptive.with_cost_model(CostModelConfig::default());
-                    }
                 }
                 Arc::new(adaptive)
             }
@@ -644,7 +618,6 @@ impl std::fmt::Debug for Builder {
             .field("elastic", &self.elastic)
             .field("min_workers", &self.min_workers)
             .field("max_workers", &self.max_workers)
-            .field("cost_model", &self.cost_model)
             .field("queue", &self.queue)
             .field("model", &self.model)
             .field("max_queue_depth", &self.max_queue_depth)

@@ -84,11 +84,6 @@ pub struct DriverConfig {
     /// ([`crate::Builder::min_workers`] / [`crate::Builder::max_workers`]),
     /// with [`DriverConfig::workers`] as the initial size.
     pub elastic_workers: Option<(usize, usize)>,
-    /// Enable the predictive cost plane ([`crate::Builder::cost_model`]):
-    /// adaptation decisions come from the calibrated cost model instead of
-    /// the threshold triggers once its calibration warms. Implies
-    /// continuous adaptation.
-    pub cost_model: bool,
     /// Arrival-intensity profile over the measurement window; `None` runs
     /// the paper's unthrottled producers. The quiet phases of a ramp are
     /// what make elastic scaling observable.
@@ -120,7 +115,6 @@ impl Default for DriverConfig {
             drift_threshold: None,
             max_repartitions: None,
             elastic_workers: None,
-            cost_model: false,
             ramp: None,
             durability: None,
         }
@@ -239,12 +233,6 @@ impl DriverConfig {
         self
     }
 
-    /// Enable the predictive cost plane (implies continuous adaptation).
-    pub fn with_cost_model(mut self, enabled: bool) -> Self {
-        self.cost_model = enabled;
-        self
-    }
-
     /// Shape producer arrivals over the window (see [`ArrivalRamp`]).
     pub fn with_ramp(mut self, ramp: ArrivalRamp) -> Self {
         self.ramp = Some(ramp);
@@ -287,8 +275,7 @@ pub struct RunResult {
     /// (0 for fixed-size pools).
     pub resizes: u64,
     /// The scheduler's adaptation log at the window's close (one entry per
-    /// published generation, with its trigger cause — including the cost
-    /// plane's `predicted_gain`/`swap_cost` for cost-model swaps).
+    /// published generation, with its trigger cause).
     pub adaptations: Vec<katme_core::drift::AdaptationEvent>,
     /// Durability-plane counters at the window's close (`None` for a
     /// volatile run): appends, fsyncs, mean group size, checkpoint lag.
@@ -402,9 +389,6 @@ impl Driver {
         }
         if let Some(cap) = cfg.max_repartitions {
             builder = builder.max_repartitions(cap);
-        }
-        if cfg.cost_model {
-            builder = builder.cost_model(true);
         }
         builder
     }

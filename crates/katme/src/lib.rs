@@ -51,14 +51,6 @@
 //!   so stationary load never churns). Each republished partition appears
 //!   in the [`StatsView`] adaptation log with its generation and trigger
 //!   cause.
-//! * With [`Builder::cost_model`], adaptation upgrades from threshold
-//!   triggers to the **predictive cost plane**: every epoch, candidate
-//!   plans (boundary moves, width changes, joint changes) are scored by
-//!   predicted next-epoch abort + queueing cost, and the best one is
-//!   adopted only when its trusted gain exceeds the *measured* (EWMA
-//!   calibrated) cost of the swap itself. Cost-model swaps are logged with
-//!   their `predicted_gain`/`swap_cost`, and [`StatsView::cost_model`]
-//!   exposes the calibration, trust, and prediction-error state.
 //! * The whole submit→schedule→enqueue→drain path is **batch-first**:
 //!   [`Runtime::submit_batch`] hands over a `Vec` of tasks, the scheduler
 //!   routes all keys in one pass, each worker queue is crossed with a single
@@ -104,7 +96,6 @@ pub use katme_workload as workload;
 // …and the names almost every user of the facade touches.
 pub use katme_collections::StructureKind;
 pub use katme_core::adaptive::AdaptiveKeyScheduler;
-pub use katme_core::cost::{CalibrationView, CostModelConfig, CostModelView, CostPolicy};
 pub use katme_core::drift::{
     AdaptationCause, AdaptationConfig, AdaptationEvent, ContentionSample, ContentionSource,
 };

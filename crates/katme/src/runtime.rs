@@ -5,7 +5,6 @@ use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use katme_core::cost::CostModelView;
 use katme_core::drift::AdaptationEvent;
 use katme_core::executor::{Executor, ShutdownGate, SubmitError, SubmitRejection};
 use katme_core::key::TxnKey;
@@ -308,7 +307,7 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
                 // The dispatcher's queue is demand the workers have not seen
                 // yet: expose its depth to the pool telemetry so a saturated
                 // dispatcher counts as a grow signal for the elastic
-                // controller and the cost plane.
+                // controller.
                 {
                     let probe = Arc::clone(&queue);
                     executor.attach_backlog_probe(Arc::new(move || probe.count()));
@@ -1039,7 +1038,6 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
             repartitions: self.scheduler.repartitions(),
             partition_generation: self.scheduler.generation(),
             adaptations: self.scheduler.adaptation_log(),
-            cost_model: self.scheduler.cost_model(),
             stm: self.stm.snapshot().since(&self.stm_baseline),
             durability: self.durability(),
             commit_wait_nanos: self.ack_delay_nanos(),
@@ -1266,10 +1264,6 @@ pub struct StatsView {
     /// ([`katme_core::adaptive::ADAPTATION_LOG_CAP`]); the generation
     /// numbers stay continuous, so eviction is detectable.
     pub adaptations: Vec<AdaptationEvent>,
-    /// The predictive cost plane's state (calibration, trust, margin, last
-    /// prediction error), `None` unless [`crate::Builder::cost_model`] is
-    /// on. Also readable through [`StatsView::cost_model`].
-    pub cost_model: Option<CostModelView>,
     /// STM activity since the runtime started.
     pub stm: StmStatsSnapshot,
     /// Durability-plane counters — appends, fsyncs, mean group size,
@@ -1339,13 +1333,6 @@ impl StatsView {
             repartitions: self.repartitions.saturating_sub(earlier.repartitions),
             stm: self.stm.since(&earlier.stm),
         }
-    }
-
-    /// The predictive cost plane's state — calibration, trust, decision
-    /// margin, last prediction error — `None` unless the runtime was built
-    /// with [`crate::Builder::cost_model`].
-    pub fn cost_model(&self) -> Option<&CostModelView> {
-        self.cost_model.as_ref()
     }
 
     /// The durability plane's counters — `None` unless the runtime was

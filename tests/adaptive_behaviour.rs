@@ -7,7 +7,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use katme::{
-    AdaptiveKeyScheduler, Driver, DriverConfig, Katme, KeyBounds, Scheduler, SchedulerKind,
+    AdaptiveKeyScheduler, BucketKeyMapper, Driver, DriverConfig, Katme, KeyBounds, KeyMapper,
+    LoadBalance, OpGenerator, Scheduler, SchedulerKind, TxnSpec,
 };
 use katme_collections::StructureKind;
 use katme_workload::{DistributionKind, KeyDistribution};
@@ -78,17 +79,38 @@ fn adaptive_keeps_locality_after_rebalancing() {
 }
 
 /// Uniform keys: the adaptive scheduler should not do noticeably worse than
-/// the fixed scheduler in load balance (both are near-perfect), and both
-/// should beat round-robin on locality (measured via distinct workers per
-/// key neighbourhood).
+/// the fixed scheduler in load balance (both are near-perfect). The check
+/// replays the driver's seeded uniform hash-table stream (each producer's
+/// generator, interleaved) through each scheduler's `dispatch` and bounds
+/// the imbalance of the per-worker *routed* counts. Completions inside a
+/// short timed window would measure OS scheduling on a host with fewer
+/// cores than workers, not the schedulers' load balance.
 #[test]
 fn adaptive_matches_fixed_on_uniform_keys() {
-    let fixed = Driver::new(quick_config(4, SchedulerKind::FixedKey))
-        .run_dictionary(StructureKind::HashTable, DistributionKind::Uniform);
-    let adaptive = Driver::new(quick_config(4, SchedulerKind::AdaptiveKey))
-        .run_dictionary(StructureKind::HashTable, DistributionKind::Uniform);
-    assert!(adaptive.load.imbalance() < 1.8, "{:?}", adaptive.load);
-    assert!(fixed.load.imbalance() < 1.8, "{:?}", fixed.load);
+    let config = quick_config(4, SchedulerKind::FixedKey);
+    let mapper = BucketKeyMapper::paper();
+    let routed = |kind: SchedulerKind| {
+        let scheduler = kind.build(config.workers, KeyMapper::<TxnSpec>::bounds(&mapper));
+        let mut producers: Vec<OpGenerator> = (0..config.producers)
+            .map(|producer| {
+                OpGenerator::paper(
+                    DistributionKind::Uniform,
+                    config.seed.wrapping_add(1000 + producer as u64),
+                )
+            })
+            .collect();
+        let mut counts = vec![0u64; config.workers];
+        for _ in 0..10_000 {
+            for generator in &mut producers {
+                counts[scheduler.dispatch(mapper.key(&generator.next_spec()))] += 1;
+            }
+        }
+        LoadBalance::new(counts)
+    };
+    let fixed = routed(SchedulerKind::FixedKey);
+    let adaptive = routed(SchedulerKind::AdaptiveKey);
+    assert!(adaptive.imbalance() < 1.8, "{adaptive:?}");
+    assert!(fixed.imbalance() < 1.8, "{fixed:?}");
 }
 
 /// The scheduler adapts exactly once by default, after the paper's 10,000

@@ -4,7 +4,7 @@
 //! queue-full failure), and prompt shutdown of blocked producers.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use katme::{
     BuilderError, ExecutorModel, Katme, KatmeError, KeyedTask, QueueKind, SchedulerKind, TxnKey,
@@ -414,13 +414,12 @@ fn stats_view_reports_progress_and_throughput() {
     for i in 0..1_000u64 {
         runtime.submit_detached(WithKey::new(i % 100, i)).unwrap();
     }
-    // Wait for the drain.
+    // Wait for the drain against a wall-clock deadline: a bounded count of
+    // yields measures how fast the host yields, not the runtime.
+    let deadline = Instant::now() + Duration::from_secs(10);
     let mut stats = runtime.stats();
-    for _ in 0..10_000 {
-        if stats.completed == 1_000 {
-            break;
-        }
-        std::thread::yield_now();
+    while stats.completed < 1_000 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
         stats = runtime.stats();
     }
     assert_eq!(stats.submitted, 1_000);
@@ -431,4 +430,29 @@ fn stats_view_reports_progress_and_throughput() {
     assert_eq!(stats.backlog(), 0);
     assert!(stats.imbalance() >= 1.0);
     runtime.shutdown();
+}
+
+/// Idle workers park on the condvar between bursts (zero CPU) and wake on
+/// the next submission; the parks are counted through the stats surface.
+#[test]
+fn idle_workers_park_between_bursts_and_wake_on_submit() {
+    let runtime = Katme::builder()
+        .workers(2)
+        .key_range(0, 131_071)
+        .build(|_worker, _task: WithKey<()>| {})
+        .unwrap();
+    for key in 0..100u64 {
+        runtime.submit_detached(WithKey::new(key, ())).unwrap();
+    }
+    // Let the pool drain and go idle long enough to escalate into parking.
+    let started = Instant::now();
+    while runtime.stats().parks == 0 && started.elapsed() < Duration::from_secs(2) {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(runtime.stats().parks > 0, "idle workers must park");
+    // Parked workers still serve the next burst promptly.
+    let handle = runtime.submit(WithKey::new(7, ())).unwrap();
+    handle.wait().expect("woken worker executes the task");
+    let report = runtime.shutdown();
+    assert!(report.parks > 0, "{report:?}");
 }
