@@ -192,8 +192,6 @@ pub struct AdaptiveKeyScheduler {
     /// Invoked with the CDF behind every published partition — the facade
     /// uses it to re-derive quantile telemetry bucket boundaries.
     cdf_observer: Option<CdfObserver>,
-    /// Number of histogram cells.
-    cells: usize,
 }
 
 impl AdaptiveKeyScheduler {
@@ -231,7 +229,6 @@ impl AdaptiveKeyScheduler {
             log_capacity: ADAPTATION_LOG_CAP,
             log_capacity_explicit: false,
             cdf_observer: None,
-            cells: DEFAULT_CELLS,
         }
     }
 
@@ -300,14 +297,6 @@ impl AdaptiveKeyScheduler {
         self
     }
 
-    /// Override the histogram resolution.
-    pub fn with_cells(mut self, cells: usize) -> Self {
-        assert!(cells > 0, "need at least one histogram cell");
-        self.cells = cells;
-        self.state.lock().hist = Histogram::new(self.bounds, cells);
-        self
-    }
-
     /// True once the scheduler has switched from the fixed to the adaptive
     /// partition.
     pub fn is_adapted(&self) -> bool {
@@ -328,11 +317,6 @@ impl AdaptiveKeyScheduler {
     /// The partition currently in effect.
     pub fn current_partition(&self) -> KeyPartition {
         self.table.partition()
-    }
-
-    /// The generation-numbered routing table (for diagnostics and tests).
-    pub fn partition_table(&self) -> &PartitionTable {
-        &self.table
     }
 
     /// The adaptation log: one entry per published generation, oldest

@@ -36,11 +36,6 @@ impl Histogram {
         }
     }
 
-    /// Create a histogram with the default cell count.
-    pub fn with_default_cells(bounds: KeyBounds) -> Self {
-        Self::new(bounds, DEFAULT_CELLS)
-    }
-
     /// Build a histogram directly from a batch of samples.
     pub fn from_samples(bounds: KeyBounds, cells: usize, samples: &[TxnKey]) -> Self {
         let mut h = Self::new(bounds, cells);

@@ -204,11 +204,6 @@ impl FixedKeyScheduler {
             partition: KeyPartition::equal_width(bounds, workers),
         }
     }
-
-    /// Create a fixed scheduler from an explicit partition.
-    pub fn from_partition(partition: KeyPartition) -> Self {
-        FixedKeyScheduler { partition }
-    }
 }
 
 impl Scheduler for FixedKeyScheduler {

@@ -83,7 +83,7 @@ pub use durability::{
 pub use error::{BuilderError, KatmeError};
 pub use net::{NetCounters, NetView};
 pub use runtime::{BatchSubmitError, Runtime, ShutdownReport, StatsView, StatsWindow};
-pub use task::{Durable, KeyedTask, TaskHandle, WithKey};
+pub use task::{BatchHandle, Durable, KeyedTask, TaskHandle, WithKey};
 
 // The composed layers, re-exported whole for advanced use…
 pub use katme_collections as collections;
@@ -122,7 +122,7 @@ pub mod prelude {
     pub use crate::error::KatmeError;
     pub use crate::net::{NetCounters, NetView};
     pub use crate::runtime::{BatchSubmitError, Runtime, ShutdownReport, StatsView};
-    pub use crate::task::{Durable, KeyedTask, TaskHandle, WithKey};
+    pub use crate::task::{BatchHandle, Durable, KeyedTask, TaskHandle, WithKey};
     pub use katme_core::key::{KeyBounds, TxnKey};
     pub use katme_core::models::ExecutorModel;
     pub use katme_core::scheduler::SchedulerKind;

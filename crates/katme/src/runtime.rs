@@ -21,7 +21,7 @@ use crate::ack::AckBoard;
 use crate::durability::{DurabilityPlane, RecoveryReport};
 use crate::error::KatmeError;
 use crate::net::{NetCounters, NetView};
-use crate::task::{handle_pair, Completion, KeyedTask, TaskHandle};
+use crate::task::{handle_pair, BatchHandle, Completion, KeyedTask, TaskHandle};
 
 /// One queued unit of work: the pre-computed transaction key, the payload,
 /// and (for handle-returning submissions) the completion side of the handle.
@@ -30,8 +30,8 @@ pub(crate) struct Envelope<T, R> {
     task: T,
     completion: Option<Completion<R>>,
     /// Position in the originating batch (0 for single submissions); lets a
-    /// partial batch failure map rejected envelopes back to their handles
-    /// and restore the caller's submission order.
+    /// partial batch failure map rejected envelopes back to their slots and
+    /// restore the caller's submission order.
     batch_index: usize,
     /// Serialized redo record for the durability plane, extracted at
     /// submission time (where the `KeyedTask` bound lives) and staged
@@ -41,7 +41,7 @@ pub(crate) struct Envelope<T, R> {
 }
 
 /// Typed partial-failure report from the batch submission API
-/// ([`Runtime::submit_batch`], [`Runtime::try_submit_batch`] and their
+/// ([`Runtime::submit_batch`], [`Runtime::try_submit_batch`] and the
 /// detached variants).
 ///
 /// Distinguishes "never accepted" (`accepted == 0`) from "partially
@@ -99,33 +99,41 @@ impl<T, R> std::fmt::Display for BatchSubmitError<T, R> {
 impl<T, R> std::error::Error for BatchSubmitError<T, R> {}
 
 /// Build a [`BatchSubmitError`] from rejected envelopes: restores the
-/// caller's submission order, discards the rejected tasks' completions (the
-/// matching handles are dropped here, never returned), and keeps only the
-/// handles of accepted tasks. `accepted` is left at 0 for the caller to fill
-/// in.
+/// caller's submission order, answers each rejected task's slot with
+/// `error`, and hands out handles for the accepted slots only.
 fn unpack_rejection<T, R>(
     mut rejected: Vec<Envelope<T, R>>,
-    handles: Vec<TaskHandle<R>>,
+    batch: Option<&BatchHandle<R>>,
+    accepted: usize,
     error: KatmeError,
 ) -> BatchSubmitError<T, R> {
-    rejected.sort_by_key(|envelope| envelope.batch_index);
-    let accepted_handles = if handles.is_empty() {
-        handles
-    } else {
-        let rejected_indices: std::collections::HashSet<usize> = rejected
-            .iter()
-            .map(|envelope| envelope.batch_index)
-            .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .filter_map(|(index, handle)| (!rejected_indices.contains(&index)).then_some(handle))
-            .collect()
+    rejected.sort_unstable_by_key(|envelope| envelope.batch_index);
+    let handles = match batch {
+        None => Vec::new(),
+        Some(batch) => {
+            let mut skip = rejected
+                .iter()
+                .map(|envelope| envelope.batch_index)
+                .peekable();
+            (0..batch.len())
+                .filter(|&index| skip.next_if_eq(&index).is_none())
+                .map(|index| batch.handle(index))
+                .collect()
+        }
     };
+    let rejected = rejected
+        .into_iter()
+        .map(|envelope| {
+            if let Some(completion) = envelope.completion {
+                completion.fail(error.clone());
+            }
+            envelope.task
+        })
+        .collect();
     BatchSubmitError {
-        accepted: 0,
-        handles: accepted_handles,
-        rejected: rejected.into_iter().map(|envelope| envelope.task).collect(),
+        accepted,
+        handles,
+        rejected,
         error,
     }
 }
@@ -499,7 +507,8 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
     /// scheduler pass over all keys, one queue lock round-trip per worker
     /// run, one shutdown-gate crossing per run — the per-task dispatch cost
     /// of a loop over [`Runtime::submit`] collapses to a handful of
-    /// operations per batch. On failure (shutdown observed mid-batch) the
+    /// operations per batch. The handles are slots of one shared completion
+    /// object. On failure (shutdown observed mid-batch) the
     /// [`BatchSubmitError`] reports the accepted prefix's handles and hands
     /// the rejected tasks back in submission order.
     pub fn submit_batch(
@@ -509,8 +518,7 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
     where
         T: KeyedTask,
     {
-        self.dispatch_batch(&mut tasks, true, true)
-            .map(|(_, handles)| handles)
+        self.submit_batch_handles(&mut tasks, true)
     }
 
     /// Non-blocking [`Runtime::submit_batch`]: instead of waiting out
@@ -526,8 +534,23 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
     where
         T: KeyedTask,
     {
-        self.dispatch_batch(&mut tasks, true, false)
-            .map(|(_, handles)| handles)
+        self.submit_batch_handles(&mut tasks, false)
+    }
+
+    /// Non-blocking batch submission for a caller that answers every task in
+    /// order, accepted or not: returns one [`BatchHandle`] whose slots follow
+    /// submission order. A task the runtime rejects (full queue, shutdown)
+    /// is not handed back; its slot resolves at once with the rejection
+    /// error. Drains `tasks` in place and leaves the emptied buffer, capacity
+    /// intact, with the caller.
+    pub fn try_submit_batch_handle(&self, tasks: &mut Vec<T>) -> BatchHandle<R>
+    where
+        T: KeyedTask,
+    {
+        let batch = BatchHandle::new(tasks.len());
+        // The rejected tasks' slots carry the error; the report adds nothing.
+        let _ = self.dispatch_batch(tasks, Some(&batch), false);
+        batch
     }
 
     /// Fire-and-forget batch submission (no handle allocations) — the hot
@@ -537,8 +560,7 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
     where
         T: KeyedTask,
     {
-        self.dispatch_batch(&mut tasks, false, true)
-            .map(|(accepted, _)| accepted)
+        self.dispatch_batch(&mut tasks, None, true)
     }
 
     /// [`Runtime::submit_batch_detached`] that drains `tasks` in place and
@@ -554,39 +576,45 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
     where
         T: KeyedTask,
     {
-        self.dispatch_batch(tasks, false, true)
-            .map(|(accepted, _)| accepted)
+        self.dispatch_batch(tasks, None, true)
     }
 
-    /// Non-blocking [`Runtime::submit_batch_detached`].
-    pub fn try_submit_batch_detached(
+    /// The handle-returning batch calls: one completion object for the
+    /// batch, one handle per slot.
+    fn submit_batch_handles(
         &self,
-        mut tasks: Vec<T>,
-    ) -> Result<usize, BatchSubmitError<T, R>>
+        tasks: &mut Vec<T>,
+        blocking: bool,
+    ) -> Result<Vec<TaskHandle<R>>, BatchSubmitError<T, R>>
     where
         T: KeyedTask,
     {
-        self.dispatch_batch(&mut tasks, false, false)
-            .map(|(accepted, _)| accepted)
+        let batch = BatchHandle::new(tasks.len());
+        self.dispatch_batch(tasks, Some(&batch), blocking)?;
+        Ok((0..batch.len()).map(|index| batch.handle(index)).collect())
     }
 
-    /// Batch spine shared by the four `*_batch` entry points. Returns the
-    /// accepted count and (for `with_handles`) one handle per accepted task.
-    #[allow(clippy::type_complexity)]
+    /// Batch spine shared by every `*_batch` entry point. Returns the
+    /// accepted count; with a `batch`, task `i` resolves slot `i`.
     fn dispatch_batch(
         &self,
         tasks: &mut Vec<T>,
-        with_handles: bool,
+        batch: Option<&BatchHandle<R>>,
         blocking: bool,
-    ) -> Result<(usize, Vec<TaskHandle<R>>), BatchSubmitError<T, R>>
+    ) -> Result<usize, BatchSubmitError<T, R>>
     where
         T: KeyedTask,
     {
         let total = tasks.len();
         if total == 0 {
-            return Ok((0, Vec::new()));
+            return Ok(0);
         }
         if !self.accepting.load(Ordering::Acquire) {
+            if let Some(batch) = batch {
+                for completion in batch.completions() {
+                    completion.fail(KatmeError::ShuttingDown);
+                }
+            }
             return Err(BatchSubmitError {
                 accepted: 0,
                 handles: Vec::new(),
@@ -600,29 +628,26 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
                 // Figure 1(a): the batch executes inline in the submitting
                 // thread; one striped-counter update (and, when durable, one
                 // ack wait) covers the whole batch.
-                let mut results = Vec::with_capacity(if with_handles { total } else { 0 });
+                let mut results = Vec::with_capacity(if batch.is_some() { total } else { 0 });
                 let acked = self.run_acked(|| {
                     for task in tasks.drain(..) {
                         let result = self.run_inline(task);
-                        if with_handles {
+                        if batch.is_some() {
                             results.push(result);
                         }
                     }
                 });
                 self.inline_completed.increment_by(total as u64);
-                let handles = results
-                    .into_iter()
-                    .map(|result| {
-                        let (handle, completion) = handle_pair();
+                if let Some(batch) = batch {
+                    for (completion, result) in batch.completions().zip(results) {
                         resolve(completion, acked.clone().map(|()| result));
-                        handle
-                    })
-                    .collect();
-                Ok((total, handles))
+                    }
+                }
+                Ok(total)
             }
             ExecutorModel::Centralized => {
                 let central = self.central.as_ref().expect("centralized model");
-                let (mut envelopes, handles) = self.package(tasks, with_handles);
+                let mut envelopes = self.package(tasks, batch);
 
                 // Back-pressure against the central queue, respected
                 // chunk-wise: never enqueue more than the observed free
@@ -644,13 +669,12 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
                                         break space;
                                     }
                                     if !self.accepting.load(Ordering::Acquire) {
-                                        let mut err = unpack_rejection(
+                                        return Err(unpack_rejection(
                                             envelopes,
-                                            handles,
+                                            batch,
+                                            accepted,
                                             KatmeError::ShuttingDown,
-                                        );
-                                        err.accepted = accepted;
-                                        return Err(err);
+                                        ));
                                     }
                                     backoff.snooze();
                                 }
@@ -660,9 +684,12 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
                         }
                     };
                     if space == 0 {
-                        let mut err = unpack_rejection(envelopes, handles, KatmeError::QueueFull);
-                        err.accepted = accepted;
-                        return Err(err);
+                        return Err(unpack_rejection(
+                            envelopes,
+                            batch,
+                            accepted,
+                            KatmeError::QueueFull,
+                        ));
                     }
                     let overflow = if space < envelopes.len() {
                         envelopes.split_off(space)
@@ -678,30 +705,35 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
                         self.submitted
                             .fetch_sub(chunk_len as u64, Ordering::Relaxed);
                         envelopes.extend(overflow);
-                        let mut err =
-                            unpack_rejection(envelopes, handles, KatmeError::ShuttingDown);
-                        err.accepted = accepted;
-                        return Err(err);
+                        return Err(unpack_rejection(
+                            envelopes,
+                            batch,
+                            accepted,
+                            KatmeError::ShuttingDown,
+                        ));
                     }
                     central.queue.enqueue_batch(envelopes);
                     central.gate.exit();
                     accepted += chunk_len;
 
                     if overflow.is_empty() {
-                        return Ok((accepted, handles));
+                        return Ok(accepted);
                     }
                     if !blocking {
                         // Filled to the bound with tasks left over: overflow.
-                        let mut err = unpack_rejection(overflow, handles, KatmeError::QueueFull);
-                        err.accepted = accepted;
-                        return Err(err);
+                        return Err(unpack_rejection(
+                            overflow,
+                            batch,
+                            accepted,
+                            KatmeError::QueueFull,
+                        ));
                     }
                     envelopes = overflow;
                 }
             }
             ExecutorModel::Parallel => {
                 let executor = self.executor.as_ref().expect("parallel model");
-                let (keyed, handles) = self.package_keyed(tasks, with_handles);
+                let keyed = self.package_keyed(tasks, batch);
                 // Count the acceptance before the push so a concurrent
                 // stats() never observes completed > submitted.
                 self.submitted.fetch_add(total as u64, Ordering::Relaxed);
@@ -711,7 +743,7 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
                     executor.try_submit_batch(keyed)
                 };
                 match outcome {
-                    Ok(accepted) => Ok((accepted, handles)),
+                    Ok(accepted) => Ok(accepted),
                     Err(err) => {
                         self.submitted
                             .fetch_sub(err.rejected.len() as u64, Ordering::Relaxed);
@@ -725,9 +757,7 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
                             .into_iter()
                             .map(|(_, envelope)| envelope)
                             .collect();
-                        let mut batch_err = unpack_rejection(rejected_envelopes, handles, error);
-                        batch_err.accepted = accepted;
-                        Err(batch_err)
+                        Err(unpack_rejection(rejected_envelopes, batch, accepted, error))
                     }
                 }
             }
@@ -765,30 +795,20 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
         })
     }
 
-    /// Wrap a batch of tasks into indexed envelopes, allocating one handle
-    /// per task when requested. Drains `tasks` in place so the caller's
-    /// buffer keeps its capacity for the next batch.
-    fn package(
-        &self,
-        tasks: &mut Vec<T>,
-        with_handles: bool,
-    ) -> (Vec<Envelope<T, R>>, Vec<TaskHandle<R>>)
+    /// Wrap a batch of tasks into indexed envelopes, task `i` carrying the
+    /// completion of `batch`'s slot `i` when a batch is given. Drains
+    /// `tasks` in place so the caller's buffer keeps its capacity for the
+    /// next batch.
+    fn package(&self, tasks: &mut Vec<T>, batch: Option<&BatchHandle<R>>) -> Vec<Envelope<T, R>>
     where
         T: KeyedTask,
     {
         let durable = self.durability.is_some();
-        let mut handles = Vec::with_capacity(if with_handles { tasks.len() } else { 0 });
-        let envelopes = tasks
+        let mut completions = batch.map(BatchHandle::completions);
+        tasks
             .drain(..)
             .enumerate()
             .map(|(batch_index, mut task)| {
-                let completion = if with_handles {
-                    let (handle, completion) = handle_pair();
-                    handles.push(handle);
-                    Some(completion)
-                } else {
-                    None
-                };
                 let payload = if durable {
                     task.take_durable_payload()
                 } else {
@@ -797,13 +817,12 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
                 Envelope {
                     key: task.key(),
                     task,
-                    completion,
+                    completion: completions.as_mut().and_then(Iterator::next),
                     batch_index,
                     payload,
                 }
             })
-            .collect();
-        (envelopes, handles)
+            .collect()
     }
 
     /// [`Runtime::package`], but producing the `(key, envelope)` pairs the
@@ -811,17 +830,16 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
     /// buffer recycled from the executor's batch pool (see
     /// [`katme_core::executor::Executor::recycled_batch`]), so the parallel
     /// model's steady-state packaging allocates nothing.
-    #[allow(clippy::type_complexity)]
     fn package_keyed(
         &self,
         tasks: &mut Vec<T>,
-        with_handles: bool,
-    ) -> (Vec<(TxnKey, Envelope<T, R>)>, Vec<TaskHandle<R>>)
+        batch: Option<&BatchHandle<R>>,
+    ) -> Vec<(TxnKey, Envelope<T, R>)>
     where
         T: KeyedTask,
     {
         let durable = self.durability.is_some();
-        let mut handles = Vec::with_capacity(if with_handles { tasks.len() } else { 0 });
+        let mut completions = batch.map(BatchHandle::completions);
         let mut keyed = self
             .executor
             .as_ref()
@@ -829,13 +847,6 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
             .unwrap_or_default();
         keyed.reserve(tasks.len());
         for (batch_index, mut task) in tasks.drain(..).enumerate() {
-            let completion = if with_handles {
-                let (handle, completion) = handle_pair();
-                handles.push(handle);
-                Some(completion)
-            } else {
-                None
-            };
             let key = task.key();
             let payload = if durable {
                 task.take_durable_payload()
@@ -847,13 +858,13 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
                 Envelope {
                     key,
                     task,
-                    completion,
+                    completion: completions.as_mut().and_then(Iterator::next),
                     batch_index,
                     payload,
                 },
             ));
         }
-        (keyed, handles)
+        keyed
     }
 
     fn dispatch(
@@ -1470,5 +1481,54 @@ impl ShutdownReport {
     /// STM aborts per committed transaction.
     pub fn abort_rate(&self) -> f64 {
         self.stm.contention_ratio()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::{mpsc, Mutex};
+
+    use katme_core::scheduler::SchedulerKind;
+
+    use crate::{Katme, KatmeError};
+
+    #[test]
+    fn a_batch_abandoned_at_shutdown_releases_its_waiter() {
+        const BLOCKER: u64 = u64::MAX;
+        let (started_tx, started) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel::<()>();
+        let gate = Mutex::new((started_tx, release_rx));
+        let runtime = Katme::builder()
+            .workers(1)
+            .scheduler(SchedulerKind::RoundRobin)
+            .drain_on_shutdown(false)
+            .build(move |_worker, task: u64| {
+                if task == BLOCKER {
+                    let gate = gate.lock().unwrap();
+                    gate.0.send(()).unwrap();
+                    gate.1.recv().unwrap();
+                }
+                task
+            })
+            .expect("valid configuration");
+        let blocker = runtime.submit(BLOCKER).unwrap();
+        // The only worker now holds the blocker, so the batch stays queued.
+        started.recv().unwrap();
+        let batch = runtime.try_submit_batch_handle(&mut (0..8).collect());
+        let probe = batch.probe();
+        let waiter = std::thread::spawn(move || batch.wait().collect::<Vec<_>>());
+        while !probe.has_waiter() {
+            std::thread::yield_now();
+        }
+        runtime.stop();
+        release.send(()).unwrap();
+        let report = runtime.shutdown();
+        assert_eq!(blocker.wait(), Ok(BLOCKER));
+        assert_eq!(report.abandoned, 8);
+        assert_eq!(
+            waiter.join().unwrap(),
+            vec![Err(KatmeError::TaskAbandoned); 8]
+        );
+        assert_eq!(probe.notifies(), 1, "the last abandoned slot wakes it");
     }
 }

@@ -1,6 +1,7 @@
 //! Self-routing tasks and typed completion handles.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use katme_core::key::TxnKey;
@@ -127,91 +128,190 @@ enum Slot<R> {
     Abandoned,
 }
 
-struct Shared<R> {
-    slot: Mutex<Slot<R>>,
+impl<R> Slot<R> {
+    /// Move a resolved result out, leaving `Taken`; `None` while pending.
+    fn take(&mut self) -> Option<Result<R, KatmeError>> {
+        match std::mem::replace(self, Slot::Taken) {
+            Slot::Pending => {
+                *self = Slot::Pending;
+                None
+            }
+            Slot::Done(value) => Some(Ok(value)),
+            Slot::Failed(error) => Some(Err(error)),
+            Slot::Abandoned | Slot::Taken => Some(Err(KatmeError::TaskAbandoned)),
+        }
+    }
+}
+
+/// [`Slab::watch`] when nobody is blocked on the slab.
+const WATCH_NONE: usize = usize::MAX;
+/// [`Slab::watch`] when the blocked waiters want the whole batch.
+const WATCH_ALL: usize = usize::MAX - 1;
+/// [`Slab::watch`] when blocked waiters want different targets: every
+/// resolution notifies.
+const WATCH_MANY: usize = usize::MAX - 2;
+
+/// The completion object of one submitted batch: a result slot per task, a
+/// countdown of unresolved slots, and one waiter registration.
+///
+/// A resolver notifies only when the registration covers what it just
+/// resolved — the waited-on slot, or the last slot for a whole-batch
+/// waiter — so a batch nobody blocks on costs no wake-ups, and a
+/// whole-batch waiter over `n` slots is woken once, not `n` times.
+///
+/// No wake-up is lost. A waiter registers (under `waiters`) before its
+/// final check and stays registered until it returns. A resolver writes
+/// its slot and counts down before it reads `watch`. For a slot waiter the
+/// slot's own mutex orders the two sides: either the waiter's check sees
+/// the result, or the resolver's read of `watch` comes after the waiter's
+/// registration. For a whole-batch waiter the `SeqCst` countdown and
+/// `watch` accesses give the same either-or. A resolver that sees the
+/// registration takes `waiters` before notifying, which it can do only
+/// once the waiter sleeps on the condvar.
+struct Slab<R> {
+    slots: Box<[Mutex<Slot<R>>]>,
+    /// Slots not yet resolved.
+    pending: AtomicUsize,
+    /// What the registered waiters block on: a slot index, [`WATCH_ALL`],
+    /// [`WATCH_MANY`], or [`WATCH_NONE`]. Written only under `waiters`.
+    watch: AtomicUsize,
+    /// Number of registered waiters; the condvar's mutex.
+    waiters: Mutex<usize>,
     ready: Condvar,
+    #[cfg(test)]
+    notifies: AtomicUsize,
+}
+
+impl<R> Slab<R> {
+    fn new(len: usize) -> Arc<Self> {
+        Arc::new(Slab {
+            slots: (0..len).map(|_| Mutex::new(Slot::Pending)).collect(),
+            pending: AtomicUsize::new(len),
+            watch: AtomicUsize::new(WATCH_NONE),
+            waiters: Mutex::new(0),
+            ready: Condvar::new(),
+            #[cfg(test)]
+            notifies: AtomicUsize::new(0),
+        })
+    }
+
+    /// Resolve slot `index` (exactly once, by its [`Completion`]) and wake
+    /// the waiters that wait for it.
+    fn resolve(&self, index: usize, outcome: Slot<R>) {
+        *lock(&self.slots[index]) = outcome;
+        let last = self.pending.fetch_sub(1, Ordering::SeqCst) == 1;
+        let watch = self.watch.load(Ordering::SeqCst);
+        if watch == index || watch == WATCH_MANY || (last && watch == WATCH_ALL) {
+            drop(lock(&self.waiters));
+            #[cfg(test)]
+            self.notifies.fetch_add(1, Ordering::Relaxed);
+            self.ready.notify_all();
+        }
+    }
+
+    fn is_resolved(&self, index: usize) -> bool {
+        !matches!(*lock(&self.slots[index]), Slot::Pending)
+    }
+
+    fn take(&self, index: usize) -> Option<Result<R, KatmeError>> {
+        lock(&self.slots[index]).take()
+    }
+
+    /// True once `target` (a slot index or [`WATCH_ALL`]) is resolved.
+    fn done(&self, target: usize) -> bool {
+        if target == WATCH_ALL {
+            self.pending.load(Ordering::SeqCst) == 0
+        } else {
+            self.is_resolved(target)
+        }
+    }
+
+    /// Block until `target` is resolved or `deadline` passes; true when it
+    /// resolved.
+    fn block(&self, target: usize, deadline: Option<Instant>) -> bool {
+        if self.done(target) {
+            return true;
+        }
+        let mut waiters = lock(&self.waiters);
+        let watch = self.watch.load(Ordering::SeqCst);
+        if *waiters == 0 {
+            self.watch.store(target, Ordering::SeqCst);
+        } else if watch != target {
+            self.watch.store(WATCH_MANY, Ordering::SeqCst);
+        }
+        *waiters += 1;
+        let resolved = loop {
+            if self.done(target) {
+                break true;
+            }
+            waiters = match deadline {
+                None => self
+                    .ready
+                    .wait(waiters)
+                    .unwrap_or_else(PoisonError::into_inner),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        break false;
+                    }
+                    self.ready
+                        .wait_timeout(waiters, deadline - now)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
+            };
+        };
+        *waiters -= 1;
+        if *waiters == 0 {
+            self.watch.store(WATCH_NONE, Ordering::SeqCst);
+        }
+        resolved
+    }
 }
 
 /// Typed handle to one submitted task, returned by
-/// [`Runtime::submit`](crate::Runtime::submit).
+/// [`Runtime::submit`](crate::Runtime::submit) (and, one per task, by
+/// [`Runtime::submit_batch`](crate::Runtime::submit_batch)).
 ///
-/// The result can be awaited ([`TaskHandle::wait`],
-/// [`TaskHandle::wait_timeout`]) or polled ([`TaskHandle::poll`],
-/// [`TaskHandle::is_finished`]). If the runtime shuts down without executing
-/// the task (possible only with `drain_on_shutdown(false)`), the handle
-/// resolves to [`KatmeError::TaskAbandoned`].
+/// A handle is one slot of its batch's completion object: the handles of one
+/// batch share it, and a single submission is a batch of one. The result can
+/// be awaited ([`TaskHandle::wait`], [`TaskHandle::wait_timeout`]) or polled
+/// ([`TaskHandle::poll`], [`TaskHandle::is_finished`]); a waiter is woken
+/// only when its own slot resolves. If the runtime shuts down without
+/// executing the task (possible only with `drain_on_shutdown(false)`), the
+/// handle resolves to [`KatmeError::TaskAbandoned`].
 pub struct TaskHandle<R> {
-    shared: Arc<Shared<R>>,
+    slab: Arc<Slab<R>>,
+    index: usize,
 }
 
 impl<R> TaskHandle<R> {
     /// True once the task has completed (or been abandoned); `wait` will not
     /// block after this returns true.
     pub fn is_finished(&self) -> bool {
-        !matches!(*lock(&self.shared.slot), Slot::Pending)
+        self.slab.is_resolved(self.index)
     }
 
     /// Non-blocking poll: `None` while the task is still in flight, the
     /// result once it finished. The result is moved out, so a second poll
     /// after `Some` reports [`KatmeError::TaskAbandoned`].
     pub fn poll(&self) -> Option<Result<R, KatmeError>> {
-        let mut slot = lock(&self.shared.slot);
-        match std::mem::replace(&mut *slot, Slot::Taken) {
-            Slot::Pending => {
-                *slot = Slot::Pending;
-                None
-            }
-            Slot::Done(value) => Some(Ok(value)),
-            Slot::Failed(error) => Some(Err(error)),
-            Slot::Abandoned => Some(Err(KatmeError::TaskAbandoned)),
-            Slot::Taken => Some(Err(KatmeError::TaskAbandoned)),
-        }
+        self.slab.take(self.index)
     }
 
     /// Block until the task completes and return its result.
     pub fn wait(self) -> Result<R, KatmeError> {
-        let mut slot = lock(&self.shared.slot);
-        loop {
-            match std::mem::replace(&mut *slot, Slot::Taken) {
-                Slot::Pending => {
-                    *slot = Slot::Pending;
-                    slot = self
-                        .shared
-                        .ready
-                        .wait(slot)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                }
-                Slot::Done(value) => return Ok(value),
-                Slot::Failed(error) => return Err(error),
-                Slot::Abandoned | Slot::Taken => return Err(KatmeError::TaskAbandoned),
-            }
-        }
+        self.slab.block(self.index, None);
+        self.poll().expect("the slot resolved")
     }
 
     /// Block for at most `timeout`; [`KatmeError::Timeout`] if the task is
     /// still in flight when it elapses.
     pub fn wait_timeout(self, timeout: Duration) -> Result<R, KatmeError> {
-        let deadline = Instant::now() + timeout;
-        let mut slot = lock(&self.shared.slot);
-        loop {
-            match std::mem::replace(&mut *slot, Slot::Taken) {
-                Slot::Pending => {
-                    *slot = Slot::Pending;
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(KatmeError::Timeout);
-                    }
-                    let (guard, _timed_out) = self
-                        .shared
-                        .ready
-                        .wait_timeout(slot, deadline - now)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    slot = guard;
-                }
-                Slot::Done(value) => return Ok(value),
-                Slot::Failed(error) => return Err(error),
-                Slot::Abandoned | Slot::Taken => return Err(KatmeError::TaskAbandoned),
-            }
+        if self.slab.block(self.index, Some(Instant::now() + timeout)) {
+            self.poll().expect("the slot resolved")
+        } else {
+            Err(KatmeError::Timeout)
         }
     }
 }
@@ -224,11 +324,95 @@ impl<R> std::fmt::Debug for TaskHandle<R> {
     }
 }
 
-/// Producer side of the handle, carried inside the runtime's task envelopes.
+/// One completion object for a whole submitted batch, returned by
+/// [`Runtime::try_submit_batch_handle`](crate::Runtime::try_submit_batch_handle).
+///
+/// It holds one result slot per task, in submission order. A rejected task
+/// answers its own slot with the rejection error
+/// ([`KatmeError::QueueFull`] or [`KatmeError::ShuttingDown`]), so every
+/// task of the batch has a result to read. [`BatchHandle::wait`] sleeps at
+/// most once: the last slot to resolve wakes it.
+pub struct BatchHandle<R> {
+    slab: Arc<Slab<R>>,
+}
+
+impl<R> BatchHandle<R> {
+    /// A batch of `len` pending slots.
+    pub(crate) fn new(len: usize) -> Self {
+        BatchHandle {
+            slab: Slab::new(len),
+        }
+    }
+
+    /// Block until every task has resolved, then yield the results in
+    /// submission order.
+    pub fn wait(self) -> impl Iterator<Item = Result<R, KatmeError>> {
+        self.slab.block(WATCH_ALL, None);
+        let slab = self.slab;
+        (0..slab.slots.len()).map(move |index| slab.take(index).expect("every slot resolved"))
+    }
+
+    /// The producer side of every slot, in order. Call once per batch: each
+    /// slot resolves exactly once, through its completion.
+    pub(crate) fn completions(&self) -> impl Iterator<Item = Completion<R>> + '_ {
+        (0..self.slab.slots.len()).map(|index| Completion {
+            slab: Arc::clone(&self.slab),
+            index,
+            fulfilled: false,
+        })
+    }
+
+    /// The handle of slot `index`.
+    pub(crate) fn handle(&self, index: usize) -> TaskHandle<R> {
+        TaskHandle {
+            slab: Arc::clone(&self.slab),
+            index,
+        }
+    }
+
+    /// Number of slots.
+    pub(crate) fn len(&self) -> usize {
+        self.slab.slots.len()
+    }
+
+    /// Observe the waiter registration and the notify count (tests only).
+    #[cfg(test)]
+    pub(crate) fn probe(&self) -> SlabProbe<R> {
+        SlabProbe(Arc::clone(&self.slab))
+    }
+}
+
+impl<R> std::fmt::Debug for BatchHandle<R> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BatchHandle")
+            .field("len", &self.len())
+            .finish()
+    }
+}
+
+/// Test-side view of a batch's waiter registration and wake-ups.
+#[cfg(test)]
+pub(crate) struct SlabProbe<R>(Arc<Slab<R>>);
+
+#[cfg(test)]
+impl<R> SlabProbe<R> {
+    /// True while some waiter is registered on the batch.
+    pub(crate) fn has_waiter(&self) -> bool {
+        self.0.watch.load(Ordering::SeqCst) != WATCH_NONE
+    }
+
+    /// Condvar notifications issued so far.
+    pub(crate) fn notifies(&self) -> usize {
+        self.0.notifies.load(Ordering::Relaxed)
+    }
+}
+
+/// Producer side of one slot, carried inside the runtime's task envelopes.
 /// Dropping it unfulfilled (task abandoned in a queue at shutdown) resolves
-/// the handle with [`KatmeError::TaskAbandoned`].
+/// the slot with [`KatmeError::TaskAbandoned`].
 pub(crate) struct Completion<R> {
-    shared: Arc<Shared<R>>,
+    slab: Arc<Slab<R>>,
+    index: usize,
     fulfilled: bool,
 }
 
@@ -238,52 +422,34 @@ impl<R> Completion<R> {
         self.resolve(Slot::Done(value));
     }
 
-    /// Resolve the handle with `error` instead of a result.
+    /// Resolve the slot with `error` instead of a result.
     pub(crate) fn fail(self, error: KatmeError) {
         self.resolve(Slot::Failed(error));
     }
 
-    fn resolve(mut self, slot: Slot<R>) {
-        *lock(&self.shared.slot) = slot;
+    fn resolve(mut self, outcome: Slot<R>) {
         self.fulfilled = true;
-        self.shared.ready.notify_all();
+        self.slab.resolve(self.index, outcome);
     }
 }
 
 impl<R> Drop for Completion<R> {
     fn drop(&mut self) {
         if !self.fulfilled {
-            let mut slot = lock(&self.shared.slot);
-            if matches!(*slot, Slot::Pending) {
-                *slot = Slot::Abandoned;
-            }
-            drop(slot);
-            self.shared.ready.notify_all();
+            self.slab.resolve(self.index, Slot::Abandoned);
         }
     }
 }
 
-/// Create a connected (handle, completion) pair.
+/// Create a connected (handle, completion) pair: a batch of one.
 pub(crate) fn handle_pair<R>() -> (TaskHandle<R>, Completion<R>) {
-    let shared = Arc::new(Shared {
-        slot: Mutex::new(Slot::Pending),
-        ready: Condvar::new(),
-    });
-    (
-        TaskHandle {
-            shared: Arc::clone(&shared),
-        },
-        Completion {
-            shared,
-            fulfilled: false,
-        },
-    )
+    let batch = BatchHandle::new(1);
+    let completion = batch.completions().next().expect("one slot");
+    (batch.handle(0), completion)
 }
 
-fn lock<R>(mutex: &Mutex<Slot<R>>) -> std::sync::MutexGuard<'_, Slot<R>> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -357,5 +523,42 @@ mod tests {
             Err(KatmeError::Timeout)
         );
         completion.complete(1); // late completion must not panic
+    }
+
+    #[test]
+    fn a_whole_batch_waiter_is_notified_once() {
+        const SLOTS: usize = 16;
+        let batch = BatchHandle::<usize>::new(SLOTS);
+        let probe = batch.probe();
+        let completions: Vec<_> = batch.completions().collect();
+        let waiter = std::thread::spawn(move || batch.wait().collect::<Result<Vec<_>, _>>());
+        while !probe.has_waiter() {
+            std::thread::yield_now();
+        }
+        for (index, completion) in completions.into_iter().enumerate() {
+            completion.complete(index);
+        }
+        assert_eq!(waiter.join().unwrap(), Ok((0..SLOTS).collect()));
+        assert_eq!(probe.notifies(), 1, "woken by the last slot only");
+    }
+
+    #[test]
+    fn a_slot_waiter_is_woken_by_its_own_slot_only() {
+        let batch = BatchHandle::<u32>::new(3);
+        let probe = batch.probe();
+        let mut completions = batch.completions().collect::<Vec<_>>().into_iter();
+        let handle = batch.handle(2);
+        completions.next().unwrap().complete(0);
+        assert_eq!(probe.notifies(), 0, "nobody waits: no notify");
+        let waiter = std::thread::spawn(move || handle.wait());
+        while !probe.has_waiter() {
+            std::thread::yield_now();
+        }
+        completions.next().unwrap().complete(1);
+        assert_eq!(probe.notifies(), 0, "another slot resolved");
+        completions.next().unwrap().complete(2);
+        assert_eq!(waiter.join().unwrap(), Ok(2));
+        assert_eq!(probe.notifies(), 1);
+        assert!(!probe.has_waiter(), "the waiter deregistered");
     }
 }

@@ -7,6 +7,9 @@
 
 use std::time::Duration;
 
+/// Longest single sleep once the backoff has escalated past yielding.
+const MAX_SLEEP: Duration = Duration::from_micros(500);
+
 /// Escalating backoff helper.
 ///
 /// Call [`Backoff::snooze`] each time an operation finds nothing to do and
@@ -16,7 +19,6 @@ pub struct Backoff {
     step: u32,
     spin_limit: u32,
     yield_limit: u32,
-    max_sleep: Duration,
 }
 
 impl Default for Backoff {
@@ -32,14 +34,7 @@ impl Backoff {
             step: 0,
             spin_limit: 6,
             yield_limit: 12,
-            max_sleep: Duration::from_micros(500),
         }
-    }
-
-    /// Override the maximum sleep interval.
-    pub fn with_max_sleep(mut self, max_sleep: Duration) -> Self {
-        self.max_sleep = max_sleep;
-        self
     }
 
     /// Record that progress was made; the next snooze starts from the
@@ -69,7 +64,7 @@ impl Backoff {
             std::thread::yield_now();
         } else {
             let exp = (self.step - self.yield_limit).min(10);
-            let sleep = Duration::from_micros(1u64 << exp).min(self.max_sleep);
+            let sleep = Duration::from_micros(1u64 << exp).min(MAX_SLEEP);
             std::thread::sleep(sleep);
         }
         self.step = self.step.saturating_add(1);
@@ -97,12 +92,12 @@ mod tests {
 
     #[test]
     fn sleep_is_bounded_by_max_sleep() {
-        let mut b = Backoff::new().with_max_sleep(Duration::from_micros(100));
+        let mut b = Backoff::new();
         for _ in 0..30 {
             b.snooze();
         }
         // One more snooze at the deepest level must not take dramatically
-        // longer than max_sleep (allow generous slack for scheduling).
+        // longer than MAX_SLEEP (allow generous slack for scheduling).
         let start = Instant::now();
         b.snooze();
         assert!(start.elapsed() < Duration::from_millis(50));

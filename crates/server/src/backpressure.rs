@@ -2,11 +2,11 @@
 //! and the mapping from executor rejections to protocol-level pushback.
 //!
 //! A connection never buffers more than its window of decoded-but-unreplied
-//! commands. The connection worker fills the window from the socket, flushes
-//! it as one `try_submit_batch`, and *waits for the replies to hit the wire*
-//! before admitting more — so server-side memory per connection is bounded
-//! by the window regardless of how fast the client writes or how slowly it
-//! reads. When the executor rejects part of a batch
+//! commands. The connection worker fills the window from the socket,
+//! flushes it as one `try_submit_batch_handle`, and *waits for the replies
+//! to hit the wire* before admitting more — so server-side memory per
+//! connection is bounded by the window regardless of how fast the client
+//! writes or how slowly it reads. When the executor rejects part of a batch
 //! ([`katme::KatmeError::QueueFull`] / [`katme::KatmeError::ShuttingDown`]),
 //! the rejected commands get [`Reply::Busy`] / [`Reply::Shutdown`] instead
 //! of being queued again: the *client* owns the retry, which is what keeps

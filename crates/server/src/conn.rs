@@ -2,15 +2,15 @@
 //! pipelined byte stream into executor batches and writes ordered replies.
 //!
 //! The loop alternates read → decode → flush. Decoded dictionary commands
-//! accumulate into a batch tagged with per-connection sequence numbers;
-//! when the batch reaches the in-flight window (or the read side goes
-//! momentarily quiet, or an in-line command needs a barrier) the batch is
-//! flushed: one `try_submit_batch`, wait for every accepted handle, merge
-//! rejected commands back as pushback replies, sort by sequence number, and
-//! write the whole reply run from one pooled buffer. Sorting by sequence —
-//! rather than trusting handle order — keeps per-connection reply order
-//! correct across batch boundaries *and* across executor lanes that may
-//! resolve handles out of submission order.
+//! accumulate into a batch in pipeline order; when the batch reaches the
+//! in-flight window (or the read side goes momentarily quiet, or an in-line
+//! command needs a barrier) the batch is flushed: one
+//! `try_submit_batch_handle`, one wait for the whole batch, and the whole
+//! reply run encoded from the batch's result slots into one pooled buffer.
+//! Slot `i` holds command `i`'s reply whichever worker resolved it, and a
+//! command the executor rejected answers its own slot with the pushback, so
+//! reading the slots in order is pipeline order. Flushes run one at a time,
+//! so order also holds across batch boundaries.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -25,27 +25,16 @@ use crate::backpressure::{Pushback, Window};
 use crate::decode::CommandDecoder;
 use crate::protocol::{Command, Reply};
 
-/// A dictionary command in flight through the executor, tagged with its
-/// position in the connection's pipeline so replies can be re-sequenced.
+/// A dictionary command in flight through the executor.
 #[derive(Debug, Clone)]
-pub(crate) struct NetTask {
-    pub(crate) seq: u64,
-    pub(crate) cmd: Command,
-}
+pub(crate) struct NetTask(pub(crate) Command);
 
 impl KeyedTask for NetTask {
     fn key(&self) -> TxnKey {
         // In-line commands never reach the executor; `unwrap_or` keeps the
         // impl total anyway.
-        self.cmd.dict_key().unwrap_or(0) as TxnKey
+        self.0.dict_key().unwrap_or(0) as TxnKey
     }
-}
-
-/// The handler's result: the reply plus the pipeline position it belongs to.
-#[derive(Debug, Clone)]
-pub(crate) struct SeqReply {
-    pub(crate) seq: u64,
-    pub(crate) reply: Reply,
 }
 
 /// Per-connection limits, copied out of the server config.
@@ -61,7 +50,7 @@ pub(crate) struct ConnLimits {
 /// begins shutdown (after draining in-flight replies).
 pub(crate) fn run_connection(
     mut stream: TcpStream,
-    runtime: &Runtime<NetTask, SeqReply>,
+    runtime: &Runtime<NetTask, Reply>,
     counters: &NetCounters,
     limits: &ConnLimits,
     shutdown: &Arc<AtomicBool>,
@@ -78,8 +67,8 @@ pub(crate) fn run_connection(
     let mut decoder = CommandDecoder::new(limits.max_frame_bytes);
     let mut window = Window::new(limits.inflight_window);
     let mut batch: Vec<NetTask> = Vec::new();
-    let mut next_seq = 0u64;
     let mut rbuf = [0u8; 4096];
+    let mut nonblocking = false;
 
     'session: loop {
         if shutdown.load(Ordering::Acquire) {
@@ -91,9 +80,14 @@ pub(crate) fn run_connection(
         // With commands already decoded and waiting, poll instead of block:
         // if the peer has nothing more queued right now, flush immediately
         // rather than serving a partial pipeline at read-timeout latency
-        // (SO_RCVTIMEO only resolves to kernel-tick granularity).
-        if stream.set_nonblocking(!batch.is_empty()).is_err() {
-            break;
+        // (SO_RCVTIMEO only resolves to kernel-tick granularity). The mode
+        // is set only when it changes: one syscall per switch, not per read.
+        let poll = !batch.is_empty();
+        if poll != nonblocking {
+            if stream.set_nonblocking(poll).is_err() {
+                break;
+            }
+            nonblocking = poll;
         }
         let quiet = match stream.read(&mut rbuf) {
             Ok(0) => {
@@ -134,8 +128,7 @@ pub(crate) fn run_connection(
                         }
                     } else {
                         window.admit();
-                        batch.push(NetTask { seq: next_seq, cmd });
-                        next_seq += 1;
+                        batch.push(NetTask(cmd));
                         if window.full()
                             && flush(&mut stream, runtime, counters, &mut window, &mut batch)
                                 .is_err()
@@ -167,11 +160,11 @@ pub(crate) fn run_connection(
     counters.connection_closed();
 }
 
-/// Submit the pending batch, wait every accepted handle, merge pushback for
-/// the rejected remainder, and write the replies in pipeline order.
+/// Submit the pending batch, wait once for all of it, and write the replies
+/// in pipeline order straight from its result slots.
 fn flush(
     stream: &mut TcpStream,
-    runtime: &Runtime<NetTask, SeqReply>,
+    runtime: &Runtime<NetTask, Reply>,
     counters: &NetCounters,
     window: &mut Window,
     batch: &mut Vec<NetTask>,
@@ -179,79 +172,69 @@ fn flush(
     if batch.is_empty() {
         return Ok(());
     }
-    let tasks = std::mem::take(batch);
-    let count = tasks.len();
+    let count = batch.len();
     counters.observe_inflight(count as u64);
-
-    let mut replies: Vec<Reply> = Vec::with_capacity(count);
-    let mut sequenced: Vec<SeqReply> = Vec::with_capacity(count);
-    // Handles come back in submission order; the sequence numbers let a
-    // failed handle still answer its own pipeline slot.
-    let seqs: Vec<u64> = tasks.iter().map(|task| task.seq).collect();
-    match runtime.try_submit_batch(tasks) {
-        Ok(handles) => {
-            for (handle, seq) in handles.into_iter().zip(seqs) {
-                sequenced.push(resolve(handle.wait(), seq));
-            }
+    let mut buf = recycled_payload();
+    let (mut busy, mut shutdown) = (0u64, 0u64);
+    for result in runtime.try_submit_batch_handle(batch).wait() {
+        let (reply, pushback) = answer(result);
+        match pushback {
+            Some(Pushback::Busy) => busy += 1,
+            Some(Pushback::Shutdown) => shutdown += 1,
+            None => {}
         }
-        Err(partial) => {
-            let pushback = Pushback::from_error(&partial.error).unwrap_or(Pushback::Busy);
-            match pushback {
-                Pushback::Busy => counters.pushback_busy(partial.rejected.len() as u64),
-                Pushback::Shutdown => counters.pushback_shutdown(partial.rejected.len() as u64),
-            }
-            // Accepted and rejected tasks each keep submission order.
-            let accepted = seqs
-                .into_iter()
-                .filter(|seq| !partial.rejected.iter().any(|task| task.seq == *seq));
-            for (handle, seq) in partial.handles.into_iter().zip(accepted) {
-                sequenced.push(resolve(handle.wait(), seq));
-            }
-            for task in partial.rejected {
-                sequenced.push(SeqReply {
-                    seq: task.seq,
-                    reply: pushback.reply(),
-                });
-            }
-        }
+        reply.encode_into(&mut buf);
     }
-    // Pipeline order is the sequence numbers, not handle or lane order.
-    sequenced.sort_by_key(|entry| entry.seq);
-    replies.extend(sequenced.into_iter().map(|entry| entry.reply));
+    if busy > 0 {
+        counters.pushback_busy(busy);
+    }
+    if shutdown > 0 {
+        counters.pushback_shutdown(shutdown);
+    }
     window.retire(count);
-    write_replies(stream, counters, &replies)
+    send(stream, counters, buf, count)
 }
 
-/// Map a handle resolution to its reply for pipeline slot `seq`. A task
-/// abandoned by a non-draining shutdown answers `-SHUTDOWN`; any other
-/// failure (a durable runtime whose log failed) answers with its error.
-fn resolve(result: Result<SeqReply, KatmeError>, seq: u64) -> SeqReply {
-    let reply = match result {
-        Ok(reply) => return reply,
-        Err(KatmeError::TaskAbandoned) => Reply::Shutdown,
-        Err(error) => Reply::Err(error.to_string()),
-    };
-    SeqReply { seq, reply }
+/// Map a slot's resolution to its reply, and to the pushback it counts as
+/// when the executor rejected the command. A task abandoned by a
+/// non-draining shutdown answers `-SHUTDOWN`; any other failure (a durable
+/// runtime whose log failed) answers with its error.
+fn answer(result: Result<Reply, KatmeError>) -> (Reply, Option<Pushback>) {
+    match result {
+        Ok(reply) => (reply, None),
+        Err(error) => match Pushback::from_error(&error) {
+            Some(pushback) => (pushback.reply(), Some(pushback)),
+            None if error == KatmeError::TaskAbandoned => (Reply::Shutdown, None),
+            None => (Reply::Err(error.to_string()), None),
+        },
+    }
 }
 
-/// Encode a reply run into one pooled buffer and write it with a single
-/// syscall-friendly `write_all`.
+/// Encode a reply run into one pooled buffer and send it.
 fn write_replies(
     stream: &mut TcpStream,
     counters: &NetCounters,
     replies: &[Reply],
 ) -> std::io::Result<()> {
-    if replies.is_empty() {
-        return Ok(());
-    }
     let mut buf = recycled_payload();
     for reply in replies {
         reply.encode_into(&mut buf);
     }
+    send(stream, counters, buf, replies.len())
+}
+
+/// Write an encoded run of `count` replies with a single syscall-friendly
+/// `write_all`, then return the buffer to the pool.
+fn send(
+    stream: &mut TcpStream,
+    counters: &NetCounters,
+    buf: Vec<u8>,
+    count: usize,
+) -> std::io::Result<()> {
     let outcome = stream.write_all(&buf);
     if outcome.is_ok() {
         counters.bytes_out(buf.len() as u64);
-        counters.replies(replies.len() as u64);
+        counters.replies(count as u64);
     }
     recycle_payload(buf);
     outcome
@@ -263,16 +246,21 @@ mod tests {
 
     #[test]
     fn failed_handles_answer_their_own_pipeline_slot() {
-        let ok = SeqReply {
-            seq: 3,
-            reply: Reply::Ok,
-        };
-        let resolved = resolve(Ok(ok), 9);
-        assert_eq!((resolved.seq, resolved.reply), (3, Reply::Ok));
-        let abandoned = resolve(Err(KatmeError::TaskAbandoned), 4);
-        assert_eq!((abandoned.seq, abandoned.reply), (4, Reply::Shutdown));
-        let lost = resolve(Err(KatmeError::NotDurable), 5);
-        assert_eq!(lost.seq, 5);
-        assert!(matches!(lost.reply, Reply::Err(message) if message.contains("write-ahead log")));
+        assert_eq!(answer(Ok(Reply::Int(3))), (Reply::Int(3), None));
+        assert_eq!(
+            answer(Err(KatmeError::TaskAbandoned)),
+            (Reply::Shutdown, None)
+        );
+        assert_eq!(
+            answer(Err(KatmeError::QueueFull)),
+            (Reply::Busy, Some(Pushback::Busy))
+        );
+        assert_eq!(
+            answer(Err(KatmeError::ShuttingDown)),
+            (Reply::Shutdown, Some(Pushback::Shutdown))
+        );
+        let (lost, pushback) = answer(Err(KatmeError::NotDurable));
+        assert_eq!(pushback, None);
+        assert!(matches!(lost, Reply::Err(message) if message.contains("write-ahead log")));
     }
 }

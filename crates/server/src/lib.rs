@@ -10,9 +10,9 @@
 //! * [`protocol`] defines the frame format, the command and reply alphabets,
 //!   and the encoders; [`decode`] turns torn byte runs back into frames,
 //!   rejecting oversized and garbage-prefixed input without buffering it.
-//! * the connection worker's worker loop decodes pipelined commands into executor
-//!   batches (`try_submit_batch`), preserves per-connection reply order
-//!   across batch boundaries by sequence-tagging every command, and holds a
+//! * the connection worker's loop decodes pipelined commands into executor
+//!   batches (`try_submit_batch_handle`), writes each batch's replies in
+//!   pipeline order from its result slots after one wait, and holds a
 //!   bounded in-flight window — the [`backpressure`] contract under which
 //!   `QueueFull`/`ShuttingDown` surface as `-BUSY`/`-SHUTDOWN` replies
 //!   instead of unbounded buffering.

@@ -1,17 +1,16 @@
 //! The TCP front end: acceptor, connection workers, and the facade hook
 //! that turns a configured [`katme::Builder`] into a listening [`Server`].
 //!
-//! The acceptor thread polls a non-blocking listener with the queue crate's
-//! [`Backoff`] (spin → yield → sleep, the same idle discipline the worker
-//! pool uses) so an idle server costs no CPU; each accepted socket gets a
-//! connection-worker thread running the `conn` module's loop against the
-//! shared runtime. Shutdown is drain-first: stop accepting, let every
-//! connection flush its in-flight replies, join the workers, then shut the
-//! runtime down — so the terminal [`ShutdownReport`] accounts for every
-//! accepted command.
+//! The acceptor thread blocks in `accept`, so an idle server costs no CPU;
+//! shutdown wakes it by connecting to the listener itself. Each accepted
+//! socket gets a connection-worker thread running the `conn` module's loop
+//! against the shared runtime. Shutdown is drain-first: stop accepting, let
+//! every connection flush its in-flight replies, join the workers, then
+//! shut the runtime down — so the terminal [`ShutdownReport`] accounts for
+//! every accepted command.
 
 use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -24,7 +23,7 @@ use katme::{
 use katme_collections::TxDictionary;
 use katme_queue::Backoff;
 
-use crate::conn::{run_connection, ConnLimits, NetTask, SeqReply};
+use crate::conn::{run_connection, ConnLimits, NetTask};
 use crate::protocol::{Command, Reply, MAX_REQUEST_FRAME};
 use crate::stats::render_stats;
 
@@ -140,7 +139,7 @@ impl ServeExt for Builder {
 /// workers behind one handle. Create via [`ServeExt::serve`]; tear down via
 /// [`Server::shutdown`] (dropping the handle tears down without a report).
 pub struct Server {
-    runtime: Option<Arc<Runtime<NetTask, SeqReply>>>,
+    runtime: Option<Arc<Runtime<NetTask, Reply>>>,
     counters: Arc<NetCounters>,
     dict: Arc<dyn TxDictionary>,
     addr: SocketAddr,
@@ -156,7 +155,6 @@ impl Server {
         config: ServerConfig,
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
         let stm = Stm::new(config.stm_config.clone());
@@ -166,14 +164,11 @@ impl Server {
         let op_delay = config.op_delay;
         let runtime = builder
             .stm(stm)
-            .build(move |_worker, task: NetTask| {
+            .build(move |_worker, NetTask(cmd)| {
                 if let Some(delay) = op_delay {
                     spin_for(delay);
                 }
-                SeqReply {
-                    seq: task.seq,
-                    reply: execute(&*handler_dict, &handler_stm, task.cmd),
-                }
+                execute(&*handler_dict, &handler_stm, cmd)
             })
             .map_err(|error| io::Error::new(io::ErrorKind::InvalidInput, error))?;
         let runtime = Arc::new(runtime);
@@ -257,9 +252,11 @@ impl Server {
 
     /// Common teardown: returns the runtime Arc once every thread that
     /// cloned it has been joined.
-    fn teardown(&mut self) -> Option<Arc<Runtime<NetTask, SeqReply>>> {
+    fn teardown(&mut self) -> Option<Arc<Runtime<NetTask, Reply>>> {
         self.shutdown.store(true, Ordering::Release);
         if let Some(acceptor) = self.acceptor.take() {
+            // Wake the acceptor out of `accept`; it sees the flag and exits.
+            let _ = TcpStream::connect(wake_addr(self.addr));
             let _ = acceptor.join();
         }
         let workers = {
@@ -291,21 +288,28 @@ impl Drop for Server {
     }
 }
 
-/// The acceptor: poll the non-blocking listener, spawn a connection worker
-/// per socket, bounce extras with `-BUSY`, reap finished workers.
+/// The acceptor: block in `accept`, spawn a connection worker per socket,
+/// bounce extras with `-BUSY`, reap finished workers. Exits on the first
+/// connection it accepts after the shutdown flag is set.
 #[allow(clippy::too_many_arguments)]
 fn accept_loop(
     listener: TcpListener,
-    runtime: Arc<Runtime<NetTask, SeqReply>>,
+    runtime: Arc<Runtime<NetTask, Reply>>,
     counters: Arc<NetCounters>,
     shutdown: Arc<AtomicBool>,
     conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
     limits: ConnLimits,
     max_connections: usize,
 ) {
-    let mut backoff = Backoff::new().with_max_sleep(Duration::from_millis(5));
-    while !shutdown.load(Ordering::Acquire) {
-        match listener.accept() {
+    // Paces retries only when `accept` itself fails (e.g. out of file
+    // descriptors).
+    let mut backoff = Backoff::new();
+    loop {
+        let accepted = listener.accept();
+        if shutdown.load(Ordering::Acquire) {
+            return;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 backoff.reset();
                 if counters.view().connected >= max_connections as u64 {
@@ -343,11 +347,21 @@ fn accept_loop(
                     }
                 }
             }
-            Err(error) if error.kind() == io::ErrorKind::WouldBlock => backoff.snooze(),
             Err(error) if error.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => backoff.snooze(),
         }
     }
+}
+
+/// Where the shutdown wake-up connects: the listener's own address, with an
+/// unspecified (wildcard) IP replaced by loopback.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr {
+        SocketAddr::V4(v4) if v4.ip().is_unspecified() => Ipv4Addr::LOCALHOST.into(),
+        SocketAddr::V6(v6) if v6.ip().is_unspecified() => Ipv6Addr::LOCALHOST.into(),
+        other => other.ip(),
+    };
+    SocketAddr::new(ip, addr.port())
 }
 
 /// Refuse a connection over the cap: one `-BUSY` frame, then close.
@@ -538,5 +552,66 @@ mod tests {
         assert!(second.recv().is_err(), "bounced connection is closed");
         drop(first);
         server.shutdown();
+    }
+
+    #[test]
+    fn partial_busy_answers_every_pipeline_slot_in_order() {
+        // Two slow workers behind queues of depth 2. The first eight GETs
+        // route to worker 0 and the rest to worker 1, so a flush accepts a
+        // few commands at the head of each run and rejects the ones between.
+        let window = 32usize;
+        let server = katme::Katme::builder()
+            .workers(2)
+            .key_range(0, u32::MAX as u64)
+            .max_queue_depth(Some(2))
+            .serve_with(
+                "127.0.0.1:0",
+                ServerConfig::default()
+                    .with_op_delay(Duration::from_micros(200))
+                    .with_inflight_window(window),
+            )
+            .expect("loopback bind");
+        let keys: Vec<u32> = (0..window as u32)
+            .map(|i| if i < 8 { i } else { 0x8000_0000 + i })
+            .collect();
+        for (i, &key) in keys.iter().enumerate() {
+            server.dictionary().insert(key, 100 + i as u64);
+        }
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let commands: Vec<Command> = keys.iter().map(|&key| Command::Get { key }).collect();
+        client.send(&commands).unwrap();
+        let replies = client.recv_n(window).unwrap();
+
+        let mut busy = 0u64;
+        for (i, reply) in replies.iter().enumerate() {
+            match reply {
+                Reply::Int(value) => assert_eq!(*value, 100 + i as u64, "slot {i} out of order"),
+                Reply::Busy => busy += 1,
+                other => panic!("slot {i}: unexpected reply {other:?}"),
+            }
+        }
+        assert!(busy > 0, "depth-2 queues must push back");
+        assert!(busy < window as u64, "the accepted commands still run");
+        assert_eq!(client.request(Command::Ping).unwrap(), Reply::Ok);
+        let net = server
+            .shutdown()
+            .net
+            .expect("served runtime carries net counters");
+        assert_eq!(net.pushback_busy, busy);
+    }
+
+    #[test]
+    fn shutdown_wakes_a_wildcard_listener_through_loopback() {
+        let wake = |addr: &str| wake_addr(addr.parse().unwrap());
+        assert_eq!(wake("0.0.0.0:4000"), "127.0.0.1:4000".parse().unwrap());
+        assert_eq!(wake("[::]:4000"), "[::1]:4000".parse().unwrap());
+        assert_eq!(wake("10.1.2.3:4000"), "10.1.2.3:4000".parse().unwrap());
+
+        let server = katme::Katme::builder()
+            .workers(1)
+            .serve("0.0.0.0:0")
+            .expect("wildcard bind");
+        let report = server.shutdown();
+        assert_eq!(report.net.expect("net counters").accepted, 0);
     }
 }
