@@ -1,9 +1,9 @@
 //! STM substrate micro-benchmarks: read-only, write-only and read-modify-
-//! write transaction costs, transaction size scaling, and a contention-
-//! manager ablation under conflict (the paper runs everything under Polka).
+//! write transaction costs, transaction size scaling, and the backoff
+//! policy under a two-thread conflict.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use katme_stm::{CmKind, Stm, TVar};
+use katme_stm::{Stm, TVar};
 
 fn bench_single_var(c: &mut Criterion) {
     let stm = Stm::default();
@@ -46,31 +46,29 @@ fn bench_footprint_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_contention_managers(c: &mut Criterion) {
-    // Two threads hammering the same counter: the contention manager decides
-    // how gracefully the loser backs off.
-    let mut group = c.benchmark_group("stm/contention-manager");
+fn bench_conflict(c: &mut Criterion) {
+    // Two threads hammering the same counter: the loser of each conflict
+    // backs off while the winner commits.
+    let mut group = c.benchmark_group("stm/conflict");
     group.sample_size(15);
-    for cm in CmKind::ALL {
-        group.bench_with_input(BenchmarkId::from_parameter(cm.name()), &cm, |b, &cm| {
-            b.iter(|| {
-                let stm = Stm::with_contention_manager(cm);
-                let counter = TVar::new(0u64);
-                std::thread::scope(|s| {
-                    for _ in 0..2 {
-                        let stm = stm.clone();
-                        let counter = counter.clone();
-                        s.spawn(move || {
-                            for _ in 0..500 {
-                                stm.atomically(|tx| tx.modify(&counter, |v| v + 1));
-                            }
-                        });
-                    }
-                });
-                *counter.load()
-            })
-        });
-    }
+    group.bench_function("two-threads-one-counter", |b| {
+        b.iter(|| {
+            let stm = Stm::default();
+            let counter = TVar::new(0u64);
+            std::thread::scope(|s| {
+                for _ in 0..2 {
+                    let stm = stm.clone();
+                    let counter = counter.clone();
+                    s.spawn(move || {
+                        for _ in 0..500 {
+                            stm.atomically(|tx| tx.modify(&counter, |v| v + 1));
+                        }
+                    });
+                }
+            });
+            *counter.load()
+        })
+    });
     group.finish();
 }
 
@@ -78,6 +76,6 @@ criterion_group!(
     benches,
     bench_single_var,
     bench_footprint_scaling,
-    bench_contention_managers
+    bench_conflict
 );
 criterion_main!(benches);

@@ -7,8 +7,8 @@
 //! * `fig4_overhead` — executor vs. free-running trivial transactions.
 //! * `rbtree_list` — the tech-report tree/list sweeps.
 //! * `pd_partition` — cost of sampling, CDF estimation and partitioning.
-//! * `stm_ops` — raw STM read/write/commit costs and contention-manager
-//!   ablation.
+//! * `stm_ops` — raw STM read/write/commit costs and a two-thread
+//!   conflict on one counter.
 //! * `queues` — Michael & Scott two-lock queue vs. the single-lock baseline.
 //! * `ablation_contention` — scheduler ablation under forced conflicts.
 //!

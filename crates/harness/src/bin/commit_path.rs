@@ -5,8 +5,8 @@
 //! ticked vs. GV5 lazy) and stats-counter layout (shared single stripe
 //! vs. cache-line-padded per-thread stripes), plus a read-only series for
 //! the read-only fast path. Disjoint writers never conflict, so any
-//! scaling loss is pure commit-path bookkeeping: the clock `fetch_add`,
-//! the stats counters, the transaction registry.
+//! scaling loss is pure commit-path bookkeeping: the clock `fetch_add`
+//! and the stats counters.
 //!
 //! ```text
 //! cargo run --release -p katme-harness --bin commit_path -- --seconds 1

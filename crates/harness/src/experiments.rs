@@ -565,7 +565,7 @@ pub fn executor_models(opts: &HarnessOptions) -> Vec<(ExecutorModel, f64)> {
 
 /// Transactional variables each commit-path worker owns (disjoint across
 /// workers, so commits never conflict and the measured cost is pure
-/// commit-path bookkeeping: clock traffic, stats counters, registry).
+/// commit-path bookkeeping: clock traffic and stats counters).
 const COMMIT_PATH_VARS_PER_THREAD: usize = 64;
 
 /// One data point of the commit-path microbench.
@@ -693,7 +693,7 @@ fn commit_path_thread_counts(opts: &HarnessOptions) -> Vec<usize> {
 /// (shared single stripe vs. cache-line-padded per-thread stripes), plus a
 /// read-only series exercising the read-only fast path. Disjoint writers
 /// never conflict, so any scaling loss is pure commit-path bookkeeping:
-/// the clock `fetch_add`, the stats counters, the registry. Expected
+/// the clock `fetch_add` and the stats counters. Expected
 /// shape: the lazy clock performs ~0 clock advances per commit (vs. ~1 for
 /// GV1) and, on multi-core hosts, the lazy + striped series scales closest
 /// to linearly.

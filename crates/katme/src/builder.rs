@@ -14,7 +14,7 @@ use katme_core::scheduler::{Scheduler, SchedulerKind};
 use katme_durability::WalConfig;
 use katme_queue::QueueKind;
 use katme_stm::telemetry::{KeyRangeTelemetry, DEFAULT_TELEMETRY_BUCKETS};
-use katme_stm::{ClockMode, CmKind, Stm, StmConfig};
+use katme_stm::{ClockMode, Stm, StmConfig};
 
 use crate::durability::{DurabilityPlane, DurableState, WalSink, DEFAULT_CHECKPOINT_INTERVAL};
 use crate::error::{BuilderError, KatmeError};
@@ -48,10 +48,12 @@ impl Katme {
 ///
 /// Every setting has a paper-faithful default: 4 workers, 4 producers, the
 /// adaptive scheduler over the 16-bit dictionary key space, the two-lock
-/// queue, the parallel-executors model, Polka contention management, and a
-/// 10 000-task back-pressure bound. [`Builder::build`] validates the
-/// combination and rejects misconfigurations with
-/// [`KatmeError::InvalidConfig`] instead of panicking deep in a worker.
+/// queue, the parallel-executors model and a 10 000-task back-pressure
+/// bound. Conflicting transactions use the STM's one bounded-backoff policy
+/// where the paper used Polka (the `katme_stm` crate docs say why).
+/// [`Builder::build`] validates the combination and rejects
+/// misconfigurations with [`KatmeError::InvalidConfig`] instead of
+/// panicking deep in a worker.
 #[derive(Clone)]
 pub struct Builder {
     workers: usize,
@@ -262,13 +264,6 @@ impl Builder {
     /// that instance.
     pub fn stm(mut self, stm: Stm) -> Self {
         self.stm_instance = Some(stm);
-        self
-    }
-
-    /// Contention-management policy (shorthand for the matching
-    /// [`Builder::stm_config`] tweak).
-    pub fn contention_manager(mut self, cm: CmKind) -> Self {
-        self.stm_config = self.stm_config.with_contention_manager(cm);
         self
     }
 

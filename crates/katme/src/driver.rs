@@ -24,7 +24,7 @@ use katme_core::scheduler::SchedulerKind;
 use katme_core::stats::LoadBalance;
 use katme_durability::DurabilityView;
 use katme_queue::QueueKind;
-use katme_stm::{CmKind, Stm, StmConfig, StmStatsSnapshot, TVar};
+use katme_stm::{Stm, StmStatsSnapshot, TVar};
 use katme_workload::{ArrivalRamp, DistributionKind, OpGenerator, OpKind, TxnSpec};
 
 use crate::builder::Katme;
@@ -50,8 +50,6 @@ pub struct DriverConfig {
     pub duration: Duration,
     /// Task-queue implementation.
     pub queue: QueueKind,
-    /// Contention manager for the STM ("Polka" in the paper).
-    pub contention_manager: CmKind,
     /// Enable work stealing for idle workers.
     pub work_stealing: bool,
     /// Producer back-pressure bound (tasks per queue).
@@ -104,7 +102,6 @@ impl Default for DriverConfig {
             model: ExecutorModel::Parallel,
             duration: Duration::from_millis(200),
             queue: QueueKind::TwoLock,
-            contention_manager: CmKind::Polka,
             work_stealing: false,
             max_queue_depth: Some(10_000),
             seed: 0x5eed,
@@ -160,12 +157,6 @@ impl DriverConfig {
     /// Set the task-queue implementation.
     pub fn with_queue(mut self, queue: QueueKind) -> Self {
         self.queue = queue;
-        self
-    }
-
-    /// Set the contention manager.
-    pub fn with_contention_manager(mut self, cm: CmKind) -> Self {
-        self.contention_manager = cm;
         self
     }
 
@@ -417,7 +408,7 @@ impl Driver {
         windows: usize,
     ) -> (RunResult, Vec<WindowReport>) {
         let cfg = &self.config;
-        let stm = Stm::new(StmConfig::default().with_contention_manager(cfg.contention_manager));
+        let stm = Stm::default();
         let dict = structure.build(stm.clone());
         preload(&*dict, cfg.preload, cfg.seed, distribution);
 
@@ -492,7 +483,7 @@ impl Driver {
             .durability
             .clone()
             .expect("run_dictionary_durable requires DriverConfig::with_durability");
-        let stm = Stm::new(StmConfig::default().with_contention_manager(cfg.contention_manager));
+        let stm = Stm::default();
         let dict = structure.build(stm.clone());
         // Preloaded entries are not logged: only a checkpoint captures
         // them. The first checkpoint round covers the preload; crash tests
@@ -550,7 +541,7 @@ impl Driver {
     /// the configured number of producers (`use_executor == true`).
     pub fn run_trivial(&self, use_executor: bool) -> RunResult {
         let cfg = &self.config;
-        let stm = Stm::new(StmConfig::default().with_contention_manager(cfg.contention_manager));
+        let stm = Stm::default();
         // One counter per lane: trivial transactions do not conflict, so the
         // measurement isolates executor overhead exactly as in the paper.
         let counters: Arc<Vec<TVar<u64>>> =
@@ -900,7 +891,6 @@ mod tests {
             .with_model(ExecutorModel::Centralized)
             .with_duration(Duration::from_millis(50))
             .with_queue(QueueKind::Mutex)
-            .with_contention_manager(CmKind::Karma)
             .with_work_stealing(true)
             .with_max_queue_depth(Some(64))
             .with_preload(5)
@@ -919,7 +909,6 @@ mod tests {
         assert_eq!(cfg.scheduler, SchedulerKind::FixedKey);
         assert_eq!(cfg.model, ExecutorModel::Centralized);
         assert_eq!(cfg.queue, QueueKind::Mutex);
-        assert_eq!(cfg.contention_manager, CmKind::Karma);
         assert!(cfg.work_stealing);
         assert_eq!(cfg.max_queue_depth, Some(64));
         assert_eq!(cfg.preload, 5);

@@ -109,7 +109,7 @@ pub use katme_core::stats::LoadBalance;
 pub use katme_durability::{CrashPoint, DurabilityView, WalConfig};
 pub use katme_queue::QueueKind;
 pub use katme_stm::{
-    ClockMode, CmKind, KeyRangeSnapshot, KeyRangeTelemetry, Stm, StmConfig, StmStatsSnapshot, TVar,
+    ClockMode, KeyRangeSnapshot, KeyRangeTelemetry, Stm, StmConfig, StmStatsSnapshot, TVar,
     Transaction, TxError,
 };
 pub use katme_workload::{ArrivalRamp, DistributionKind, OpGenerator, OpKind, RampPhase, TxnSpec};
@@ -128,5 +128,5 @@ pub mod prelude {
     pub use katme_core::scheduler::SchedulerKind;
     pub use katme_durability::{DurabilityView, WalConfig};
     pub use katme_queue::QueueKind;
-    pub use katme_stm::{CmKind, Stm, StmConfig, TVar};
+    pub use katme_stm::{Stm, StmConfig, TVar};
 }

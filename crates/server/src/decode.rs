@@ -172,7 +172,7 @@ impl ReplyDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{OP_GET, OP_PING};
+    use crate::protocol::{MAX_REQUEST_FRAME, OP_GET, OP_PING};
 
     fn encoded(commands: &[Command]) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -309,6 +309,131 @@ mod tests {
                 }
             }
             assert_eq!(decoded, replies, "chunk size {chunk}");
+        }
+    }
+
+    /// splitmix64: a seeded, dependency-free source for the fuzz loop.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn random_command(state: &mut u64) -> Command {
+        let key = next(state) as u32;
+        match next(state) % 6 {
+            0 => Command::Get { key },
+            1 => Command::Put {
+                key,
+                value: next(state),
+            },
+            2 => Command::Del { key },
+            3 => Command::Cas {
+                key,
+                expected: next(state),
+                new: next(state),
+            },
+            4 => Command::Ping,
+            _ => Command::Stats,
+        }
+    }
+
+    /// Seeded fuzz loop: valid commands mixed with random bytes, fed in
+    /// random chunk sizes and drained after every feed. The decoder never
+    /// panics, never buffers past one frame plus the last feed, decodes
+    /// every command that precedes the first garbage byte exactly, and
+    /// keeps its first error.
+    #[test]
+    fn seeded_fuzz_of_mixed_valid_and_random_input() {
+        for case in 0..400u64 {
+            let mut state = case;
+            let max_frame = if case % 2 == 0 { MAX_REQUEST_FRAME } else { 64 };
+            // A quarter of the streams are all valid; the rest splice in
+            // garbage now and then: raw random bytes (which read as absurd
+            // lengths), or a plausible header of a small length over a
+            // random, possibly torn body (empty frames, unknown opcodes,
+            // wrong payload sizes, frames that swallow the next command).
+            let garbage_odds = if case % 4 == 0 {
+                0
+            } else {
+                2 + next(&mut state) % 30
+            };
+            let mut stream = Vec::new();
+            let mut expected = Vec::new();
+            let mut clean_prefix = None;
+            for _ in 0..(1 + next(&mut state) % 60) {
+                if garbage_odds > 0 && next(&mut state) % garbage_odds == 0 {
+                    clean_prefix.get_or_insert(expected.len());
+                    let body = if next(&mut state) % 2 == 0 {
+                        1 + next(&mut state) % 12
+                    } else {
+                        let len = next(&mut state) % (max_frame as u64 + 4);
+                        stream.extend_from_slice(&(len as u32).to_le_bytes());
+                        next(&mut state) % (len + 1)
+                    };
+                    for _ in 0..body {
+                        stream.push(next(&mut state) as u8);
+                    }
+                } else {
+                    let command = random_command(&mut state);
+                    command.encode_into(&mut stream);
+                    if clean_prefix.is_none() {
+                        expected.push(command);
+                    }
+                }
+            }
+
+            let mut decoder = CommandDecoder::new(max_frame);
+            let mut decoded = Vec::new();
+            let mut error = None;
+            let mut rest = &stream[..];
+            while !rest.is_empty() && error.is_none() {
+                let chunk = (1 + next(&mut state) as usize % 40).min(rest.len());
+                let (part, tail) = rest.split_at(chunk);
+                rest = tail;
+                decoder.feed(part);
+                loop {
+                    match decoder.try_next() {
+                        Ok(Some(command)) => decoded.push(command),
+                        Ok(None) => break,
+                        Err(e) => {
+                            error = Some(e);
+                            break;
+                        }
+                    }
+                }
+                assert!(
+                    decoder.buffered() < HEADER_LEN + max_frame + part.len(),
+                    "case {case}: {} bytes buffered after a {}-byte feed",
+                    decoder.buffered(),
+                    part.len()
+                );
+            }
+
+            match clean_prefix {
+                None => {
+                    assert_eq!(error, None, "case {case}: valid stream rejected");
+                    assert_eq!(decoded, expected, "case {case}");
+                    assert_eq!(decoder.buffered(), 0, "case {case}");
+                }
+                Some(clean) => {
+                    // Garbage may happen to parse, but everything encoded
+                    // before it must come out first and unchanged.
+                    let n = clean.min(decoded.len());
+                    assert_eq!(decoded[..n], expected[..n], "case {case}");
+                    if error.is_some() {
+                        assert!(decoded.len() >= clean, "case {case}");
+                    }
+                }
+            }
+            if let Some(error) = error {
+                decoder.feed(rest);
+                decoder.feed(&encoded(&[Command::Ping]));
+                assert_eq!(decoder.try_next(), Err(error.clone()), "case {case}");
+                assert_eq!(decoder.try_next(), Err(error), "case {case}");
+            }
         }
     }
 

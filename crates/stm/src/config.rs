@@ -1,74 +1,5 @@
 //! Runtime configuration for an [`crate::Stm`] instance.
 
-use std::time::Duration;
-
-/// Which contention-management policy to instantiate for each transaction.
-///
-/// The paper's experiments use **Polka** (Scherer & Scott, PODC'05), which
-/// combines randomized exponential backoff with a priority-accumulation
-/// mechanism that favours transactions in which the system has already
-/// invested significant work. The remaining policies are the standard DSTM
-/// suite, adapted to a commit-time-locking STM (the losing transaction
-/// restarts itself instead of aborting its enemy — see the crate docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum CmKind {
-    /// Randomized exponential backoff + priority accumulation (paper default).
-    #[default]
-    Polka,
-    /// Priority accumulation retained across aborts; wait as many rounds as
-    /// the priority deficit before giving up.
-    Karma,
-    /// Fixed number of randomized exponential backoff rounds.
-    Polite,
-    /// Never wait: restart immediately on any conflict.
-    Aggressive,
-    /// Older transaction (smaller start timestamp) insists; younger yields.
-    Timestamp,
-}
-
-impl CmKind {
-    /// All built-in policies (useful for sweeps/ablations).
-    pub const ALL: [CmKind; 5] = [
-        CmKind::Polka,
-        CmKind::Karma,
-        CmKind::Polite,
-        CmKind::Aggressive,
-        CmKind::Timestamp,
-    ];
-
-    /// Human-readable policy name (matches the literature).
-    pub fn name(&self) -> &'static str {
-        match self {
-            CmKind::Polka => "Polka",
-            CmKind::Karma => "Karma",
-            CmKind::Polite => "Polite",
-            CmKind::Aggressive => "Aggressive",
-            CmKind::Timestamp => "Timestamp",
-        }
-    }
-}
-
-impl std::fmt::Display for CmKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for CmKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "polka" => Ok(CmKind::Polka),
-            "karma" => Ok(CmKind::Karma),
-            "polite" => Ok(CmKind::Polite),
-            "aggressive" => Ok(CmKind::Aggressive),
-            "timestamp" | "greedy" => Ok(CmKind::Timestamp),
-            other => Err(format!("unknown contention manager '{other}'")),
-        }
-    }
-}
-
 /// Which commit-timestamp discipline the runtime uses (see [`crate::clock`]).
 ///
 /// The clock itself is process-wide; this knob only selects how *this*
@@ -112,26 +43,16 @@ impl std::fmt::Display for ClockMode {
 }
 
 /// Configuration of an [`crate::Stm`] runtime.
-#[derive(Debug, Clone)]
+///
+/// Conflict handling has no knobs: a transaction that meets a variable
+/// owned by a committer backs off for a bounded number of randomized
+/// exponential rounds, then aborts the attempt (see [`crate::txn`]).
+#[derive(Debug, Clone, Default)]
 pub struct StmConfig {
-    /// Contention-management policy used for new transactions.
-    pub contention_manager: CmKind,
     /// Maximum number of attempts before [`crate::Stm::try_atomically`]
     /// reports failure. `None` means retry forever (the behaviour of
     /// [`crate::Stm::atomically`]).
     pub max_attempts: Option<u64>,
-    /// Base delay for exponential backoff decisions made by contention
-    /// managers.
-    pub backoff_base: Duration,
-    /// Upper bound for a single backoff wait.
-    pub backoff_cap: Duration,
-    /// Number of busy-wait spins performed before a backoff falls back to
-    /// yielding/sleeping. Tuned low because the development host may be a
-    /// single hardware thread.
-    pub spin_limit: u32,
-    /// Whether read-only transactions skip commit-time work entirely
-    /// (they are serializable at their snapshot timestamp).
-    pub read_only_fast_path: bool,
     /// Commit-timestamp discipline (see [`ClockMode`]).
     pub clock_mode: ClockMode,
     /// Number of per-thread shards the statistics counters are striped over
@@ -142,54 +63,15 @@ pub struct StmConfig {
     pub stats_stripes: usize,
 }
 
-impl Default for StmConfig {
-    fn default() -> Self {
-        StmConfig {
-            contention_manager: CmKind::Polka,
-            max_attempts: None,
-            backoff_base: Duration::from_micros(2),
-            backoff_cap: Duration::from_millis(2),
-            spin_limit: 64,
-            read_only_fast_path: true,
-            clock_mode: ClockMode::default(),
-            stats_stripes: 0,
-        }
-    }
-}
-
 impl StmConfig {
     /// Start from the defaults.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Select the contention-management policy.
-    pub fn with_contention_manager(mut self, kind: CmKind) -> Self {
-        self.contention_manager = kind;
-        self
-    }
-
     /// Bound the number of attempts made by `try_atomically`.
     pub fn with_max_attempts(mut self, attempts: u64) -> Self {
         self.max_attempts = Some(attempts);
-        self
-    }
-
-    /// Set the exponential-backoff base delay.
-    pub fn with_backoff_base(mut self, base: Duration) -> Self {
-        self.backoff_base = base;
-        self
-    }
-
-    /// Set the exponential-backoff cap.
-    pub fn with_backoff_cap(mut self, cap: Duration) -> Self {
-        self.backoff_cap = cap;
-        self
-    }
-
-    /// Enable or disable the read-only commit fast path.
-    pub fn with_read_only_fast_path(mut self, enabled: bool) -> Self {
-        self.read_only_fast_path = enabled;
         self
     }
 
@@ -209,29 +91,14 @@ impl StmConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::str::FromStr;
-
-    #[test]
-    fn default_uses_polka() {
-        assert_eq!(StmConfig::default().contention_manager, CmKind::Polka);
-        assert_eq!(CmKind::default(), CmKind::Polka);
-    }
 
     #[test]
     fn builder_methods_compose() {
         let cfg = StmConfig::new()
-            .with_contention_manager(CmKind::Karma)
             .with_max_attempts(5)
-            .with_backoff_base(Duration::from_micros(10))
-            .with_backoff_cap(Duration::from_millis(1))
-            .with_read_only_fast_path(false)
             .with_clock_mode(ClockMode::Ticked)
             .with_stats_stripes(1);
-        assert_eq!(cfg.contention_manager, CmKind::Karma);
         assert_eq!(cfg.max_attempts, Some(5));
-        assert_eq!(cfg.backoff_base, Duration::from_micros(10));
-        assert_eq!(cfg.backoff_cap, Duration::from_millis(1));
-        assert!(!cfg.read_only_fast_path);
         assert_eq!(cfg.clock_mode, ClockMode::Ticked);
         assert_eq!(cfg.stats_stripes, 1);
     }
@@ -247,20 +114,5 @@ mod tests {
     fn clock_mode_names_are_stable() {
         assert_eq!(ClockMode::Ticked.to_string(), "gv1-ticked");
         assert_eq!(ClockMode::Lazy.to_string(), "gv5-lazy");
-    }
-
-    #[test]
-    fn cm_kind_round_trips_through_strings() {
-        for kind in CmKind::ALL {
-            let parsed = CmKind::from_str(&kind.name().to_lowercase()).unwrap();
-            assert_eq!(parsed, kind);
-        }
-        assert!(CmKind::from_str("nonsense").is_err());
-    }
-
-    #[test]
-    fn display_matches_name() {
-        assert_eq!(CmKind::Polka.to_string(), "Polka");
-        assert_eq!(CmKind::Timestamp.to_string(), "Timestamp");
     }
 }

@@ -14,8 +14,9 @@ pub enum TxError {
     /// The transaction observed (or would have committed) state that
     /// conflicts with a concurrent transaction.
     Conflict(AbortCause),
-    /// The contention manager decided this transaction should abort and
-    /// retry rather than keep waiting for an enemy transaction.
+    /// The transaction spent its backoff rounds waiting for a committing
+    /// owner (this STM's one contention policy) and aborts the attempt to
+    /// retry rather than keep waiting.
     ContentionManager(AbortCause),
     /// The user requested an explicit retry of the whole atomic block
     /// (e.g. a condition it waits for does not hold yet).
@@ -65,8 +66,8 @@ pub enum AbortCause {
     /// A read observed a variable whose version is newer than the
     /// transaction's snapshot and the snapshot could not be extended.
     ReadValidation,
-    /// A read found the variable owned (being committed) by another
-    /// transaction and the contention manager chose not to keep waiting.
+    /// A read found the variable owned by a committing transaction through
+    /// every backoff round.
     ReadOwned,
     /// Commit-time acquisition of a written variable failed because another
     /// transaction owns it.

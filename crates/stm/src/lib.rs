@@ -8,17 +8,14 @@
 //! > **Start with the [`katme`](../katme/index.html) facade crate.** Its
 //! > `Katme::builder()` wires this STM together with the key-based executor,
 //! > task queues and statistics, and re-exports the types below
-//! > (`katme::{Stm, StmConfig, CmKind, TVar, ...}`). Depend on `katme-stm`
+//! > (`katme::{Stm, StmConfig, TVar, ...}`). Depend on `katme-stm`
 //! > directly only for standalone transactional-memory use.
 //!
 //! The programming model is the one the paper relies on: shared mutable state
 //! lives in transactional variables ([`TVar`]), and arbitrary blocks of code
 //! run atomically against them via [`Stm::atomically`]. Conflicting
 //! transactions are detected at commit (and on inconsistent reads) and one of
-//! them is retried, with the decision of *who waits and for how long*
-//! delegated to a pluggable [`ContentionManager`] — including a port of the
-//! **Polka** manager (randomized exponential backoff combined with priority
-//! accumulation) used in the paper's experiments.
+//! them is retried after a bounded, randomized exponential backoff.
 //!
 //! ## Design
 //!
@@ -35,9 +32,19 @@
 //!   per-variable version stamped from a global version clock (TL2-style).
 //! * Commit acquires per-variable ownership in a canonical order, validates
 //!   the read set, publishes the buffered values, and releases ownership.
-//! * On every conflict the contention manager chooses between waiting
-//!   (bounded, randomized-exponential backoff) and aborting the current
-//!   attempt; priority accumulation mirrors Polka/Karma.
+//! * A transaction that finds a variable owned waits out up to eight
+//!   randomized exponential backoff rounds, then aborts its own attempt.
+//!
+//! ## Why one backoff policy, not a contention-manager suite
+//!
+//! The paper runs every experiment under the Polka contention manager on the
+//! obstruction-free DSTM, where a manager may abort the transaction that
+//! blocks it and so must rank the two by priority. Here ownership is taken
+//! only at commit, in canonical order, so the blocking transaction is always
+//! mid-commit and always finishes: a manager could only choose how long to
+//! wait. One fixed policy does that, with no priorities to publish and no
+//! registry of in-flight transactions to consult (Kuznetsov & Ravi argue the
+//! same for progressive lock-based TMs).
 //!
 //! ## Quick example
 //!
@@ -62,10 +69,8 @@
 
 pub mod clock;
 pub mod config;
-pub mod contention;
 pub mod durable;
 pub mod error;
-pub mod registry;
 mod scratch;
 pub mod stats;
 pub mod stm;
@@ -74,8 +79,7 @@ pub mod telemetry;
 pub mod tvar;
 pub mod txn;
 
-pub use config::{ClockMode, CmKind, StmConfig};
-pub use contention::{Conflict, ConflictKind, ContentionManager, Resolution};
+pub use config::{ClockMode, StmConfig};
 pub use durable::{
     recycle_payload, recycled_payload, with_ack_scope, with_durable_payload, DurabilitySink,
 };
@@ -89,5 +93,5 @@ pub use txn::Transaction;
 
 /// Convenience prelude bringing the most commonly used items into scope.
 pub mod prelude {
-    pub use crate::{CmKind, Stm, StmConfig, TVar, Transaction, TxError};
+    pub use crate::{Stm, StmConfig, TVar, Transaction, TxError};
 }

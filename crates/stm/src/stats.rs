@@ -188,7 +188,8 @@ pub struct StmStatsSnapshot {
     pub aborts_commit_acquire: u64,
     /// Attempts aborted during commit-time read-set validation.
     pub aborts_commit_validation: u64,
-    /// Aborts that were decided by the contention manager (subset of the
+    /// Aborts after the backoff rounds ran out against a committing owner
+    /// ([`crate::TxError::ContentionManager`]; a subset of the
     /// cause-specific counters above).
     pub cm_aborts: u64,
     /// User-requested retries of the atomic block.

@@ -4,17 +4,15 @@ use std::sync::Arc;
 
 use crate::clock;
 use crate::config::StmConfig;
-use crate::contention;
 use crate::error::TxError;
-use crate::registry;
 use crate::stats::{StmStats, StmStatsSnapshot, TxnReport};
 use crate::tvar::TVar;
 use crate::txn::Transaction;
 
 /// A software-transactional-memory runtime.
 ///
-/// An `Stm` owns the configuration (contention-management policy, backoff
-/// tuning) and the statistics counters; the transactional variables
+/// An `Stm` owns the configuration (attempt bound, clock discipline, stats
+/// striping) and the statistics counters; the transactional variables
 /// themselves ([`TVar`]) are independent and may be shared between `Stm`
 /// instances because versions come from a process-wide clock.
 ///
@@ -37,11 +35,6 @@ impl Stm {
     pub fn new(config: StmConfig) -> Self {
         let stats = StmStats::with_stripes(config.stats_stripes);
         Stm { config, stats }
-    }
-
-    /// Convenience constructor selecting only the contention manager.
-    pub fn with_contention_manager(kind: crate::config::CmKind) -> Self {
-        Stm::new(StmConfig::default().with_contention_manager(kind))
     }
 
     /// The runtime configuration.
@@ -112,9 +105,6 @@ impl Stm {
         F: FnMut(&mut Transaction<'_>) -> Result<R, TxError>,
     {
         let txn_id = clock::next_txn_id();
-        let start_ts = clock::now();
-        let shared = registry::register(txn_id, start_ts);
-        let mut cm = contention::checkout(&self.config);
         // Pooled read/write-set buffers: cleared (cheaply) at each attempt,
         // recycled across transactions by the guard's drop — the retry loop
         // never re-creates scratch, it re-uses it.
@@ -124,31 +114,21 @@ impl Stm {
         // never touch the durability OnceLock on the commit path.
         let durability_attached = self.stats.durability_sink().is_some();
 
-        let result = loop {
+        loop {
             if let Some(max) = max_attempts {
                 if attempts >= max {
                     break Err(TxError::AttemptsExhausted { attempts });
                 }
             }
             attempts += 1;
-            cm.on_begin_attempt();
 
             let scratch = scratch_guard.scratch();
             scratch.clear();
-            let mut tx = Transaction::new(
-                self,
-                txn_id,
-                start_ts,
-                scratch,
-                &mut *cm,
-                &shared,
-                durability_attached,
-            );
+            let mut tx = Transaction::new(self, txn_id, scratch, durability_attached);
             let outcome = body(&mut tx);
             match outcome {
                 Ok(value) => match tx.commit() {
                     Ok(info) => {
-                        cm.on_commit();
                         self.stats
                             .record_commit(info.read_only, info.reads, info.writes);
                         // Key-range attribution for the adaptation plane:
@@ -170,29 +150,18 @@ impl Stm {
                             },
                         ));
                     }
-                    Err(err) => {
-                        self.note_abort(&err);
-                        cm.on_abort();
-                    }
+                    Err(err) => self.note_abort(&err),
                 },
                 Err(TxError::ExplicitRetry) => {
                     self.stats.record_explicit_retry();
-                    cm.on_abort();
                     // Yield so the state we are waiting for has a chance to
                     // change before the next attempt.
                     std::thread::yield_now();
                 }
                 Err(err @ TxError::AttemptsExhausted { .. }) => break Err(err),
-                Err(err) => {
-                    self.note_abort(&err);
-                    cm.on_abort();
-                }
+                Err(err) => self.note_abort(&err),
             }
-        };
-
-        registry::unregister(txn_id);
-        registry::recycle(shared);
-        result
+        }
     }
 
     fn note_abort(&self, err: &TxError) {
@@ -220,7 +189,7 @@ impl Stm {
 impl std::fmt::Debug for Stm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Stm")
-            .field("contention_manager", &self.config.contention_manager)
+            .field("config", &self.config)
             .field("stats", &self.stats.snapshot())
             .finish()
     }
@@ -229,7 +198,6 @@ impl std::fmt::Debug for Stm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CmKind;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Barrier;
     use std::thread;
@@ -284,30 +252,24 @@ mod tests {
 
     #[test]
     fn concurrent_increments_are_not_lost() {
-        for kind in CmKind::ALL {
-            let stm = Stm::with_contention_manager(kind);
-            let counter = TVar::new(0u64);
-            let threads: u64 = 4;
-            let increments: u64 = 200;
+        let stm = Stm::default();
+        let counter = TVar::new(0u64);
+        let threads: u64 = 4;
+        let increments: u64 = 200;
 
-            thread::scope(|s| {
-                for _ in 0..threads {
-                    let stm = stm.clone();
-                    let counter = counter.clone();
-                    s.spawn(move || {
-                        for _ in 0..increments {
-                            stm.atomically(|tx| tx.modify(&counter, |v| v + 1));
-                        }
-                    });
-                }
-            });
+        thread::scope(|s| {
+            for _ in 0..threads {
+                let stm = stm.clone();
+                let counter = counter.clone();
+                s.spawn(move || {
+                    for _ in 0..increments {
+                        stm.atomically(|tx| tx.modify(&counter, |v| v + 1));
+                    }
+                });
+            }
+        });
 
-            assert_eq!(
-                stm.read_now(&counter),
-                threads * increments,
-                "lost updates under {kind}"
-            );
-        }
+        assert_eq!(stm.read_now(&counter), threads * increments, "lost updates");
     }
 
     #[test]
@@ -451,8 +413,9 @@ mod tests {
 
     #[test]
     fn debug_format_includes_policy() {
-        let stm = Stm::with_contention_manager(CmKind::Karma);
-        assert!(format!("{stm:?}").contains("Karma"));
+        use crate::config::ClockMode;
+        let stm = Stm::new(StmConfig::default().with_clock_mode(ClockMode::Ticked));
+        assert!(format!("{stm:?}").contains("Ticked"));
     }
 
     #[test]

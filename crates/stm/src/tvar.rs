@@ -176,8 +176,8 @@ impl<T> TVarCore<T> {
     /// Attempt a consistent (version-stable, unowned) snapshot of the value.
     ///
     /// Returns `None` when the variable is currently owned by a committing
-    /// transaction or its version changed mid-read; callers retry or consult
-    /// the contention manager.
+    /// transaction or its version changed mid-read; callers retry or back
+    /// off.
     pub(crate) fn consistent_snapshot(&self) -> Option<(Arc<T>, u64)> {
         let v1 = self.version.load(Ordering::Acquire);
         let owner1 = self.owner.load(Ordering::Acquire);

@@ -13,9 +13,7 @@ use std::time::{Duration, Instant};
 
 use crate::clock;
 use crate::config::ClockMode;
-use crate::contention::{Conflict, ConflictKind, ContentionManager, Resolution};
 use crate::error::{AbortCause, TxError};
-use crate::registry::{self, TxnShared};
 use crate::scratch::{ReadSet, TxnScratch, WriteSet};
 use crate::stm::Stm;
 use crate::tvar::{TVar, TVarCore, TVarDyn, NO_OWNER};
@@ -98,13 +96,9 @@ pub struct Transaction<'a> {
     /// Snapshot timestamp: all reads are consistent as of this clock value
     /// (extended on demand, TL2-style).
     read_version: u64,
-    /// Timestamp of the first attempt of this logical transaction.
-    start_ts: u64,
     /// Pooled read/write-set storage, recycled across attempts and
     /// transactions by the retry loop in [`crate::Stm`].
     scratch: &'a mut TxnScratch,
-    cm: &'a mut dyn ContentionManager,
-    shared: &'a TxnShared,
     /// Whether a durability sink was attached when the transaction started,
     /// cached as a plain bool so volatile-mode commits skip the
     /// `OnceLock<Arc<dyn DurabilitySink>>` lookups on the commit path.
@@ -118,10 +112,7 @@ impl<'a> Transaction<'a> {
     pub(crate) fn new(
         stm: &'a Stm,
         id: u64,
-        start_ts: u64,
         scratch: &'a mut TxnScratch,
-        cm: &'a mut dyn ContentionManager,
-        shared: &'a TxnShared,
         durability_attached: bool,
     ) -> Self {
         debug_assert!(scratch.is_clear(), "attempt must start from clear scratch");
@@ -129,10 +120,7 @@ impl<'a> Transaction<'a> {
             stm,
             id,
             read_version: clock::now(),
-            start_ts,
             scratch,
-            cm,
-            shared,
             durability_attached,
         }
     }
@@ -217,14 +205,13 @@ impl<'a> Transaction<'a> {
                             Arc::clone(core) as Arc<dyn TVarDyn>,
                             version,
                         );
-                        self.record_open();
                     }
                 }
                 return Ok(value);
             }
 
             // The variable is owned by a committing transaction (or the
-            // version moved under us). Consult the contention manager.
+            // version moved under us): back off while it finishes.
             let owner = core.owner();
             if owner == NO_OWNER || owner == self.id {
                 // Transient race: the committer finished between our checks.
@@ -232,15 +219,8 @@ impl<'a> Transaction<'a> {
                 continue;
             }
             attempt += 1;
-            match self.resolve_conflict(ConflictKind::Read, owner, attempt) {
-                Resolution::Retry => continue,
-                Resolution::Wait(d) => {
-                    self.backoff(d);
-                    continue;
-                }
-                Resolution::Abort => {
-                    return Err(TxError::ContentionManager(AbortCause::ReadOwned));
-                }
+            if !back_off(self.stm, self.id, attempt) {
+                return Err(TxError::ContentionManager(AbortCause::ReadOwned));
             }
         }
     }
@@ -281,7 +261,6 @@ impl<'a> Transaction<'a> {
             self.scratch
                 .writes
                 .insert_typed(id, Arc::clone(var.core()), value);
-            self.record_open();
         }
         Ok(())
     }
@@ -335,33 +314,13 @@ impl<'a> Transaction<'a> {
         Ok(())
     }
 
-    fn record_open(&mut self) {
-        self.cm.on_open();
-        self.shared.set_priority(self.cm.priority());
-    }
-
-    fn resolve_conflict(&mut self, kind: ConflictKind, enemy: u64, attempt: u32) -> Resolution {
-        resolve_conflict_with(&mut *self.cm, self.start_ts, kind, enemy, attempt)
-    }
-
-    fn backoff(&self, duration: Duration) {
-        self.stm.stats_ref().record_backoff();
-        pause(duration);
-    }
-
     /// Attempt to commit the transaction.
     pub(crate) fn commit(self) -> Result<CommitInfo, TxError> {
-        // Destructure so the write set (mutable: it is sorted) and the
-        // contention manager can be borrowed independently through the
-        // commit protocol.
         let Transaction {
             stm,
             id,
             read_version: _,
-            start_ts,
             scratch,
-            cm,
-            shared: _,
             durability_attached,
         } = self;
         let reads = &scratch.reads;
@@ -374,9 +333,6 @@ impl<'a> Transaction<'a> {
         };
 
         if writes.is_empty() {
-            if !stm.config().read_only_fast_path {
-                validate_reads(reads, id)?;
-            }
             // Read-only transactions are serializable at their snapshot
             // timestamp: every read was validated (and extended) as it was
             // performed. Under durability, what they read may not be on
@@ -409,17 +365,9 @@ impl<'a> Transaction<'a> {
                     continue;
                 }
                 attempt += 1;
-                match resolve_conflict_with(cm, start_ts, ConflictKind::Acquire, owner, attempt) {
-                    Resolution::Retry => continue,
-                    Resolution::Wait(d) => {
-                        stm.stats_ref().record_backoff();
-                        pause(d);
-                        continue;
-                    }
-                    Resolution::Abort => {
-                        release_ranked(writes, acquired, id);
-                        return Err(TxError::ContentionManager(AbortCause::CommitAcquire));
-                    }
+                if !back_off(stm, id, attempt) {
+                    release_ranked(writes, acquired, id);
+                    return Err(TxError::ContentionManager(AbortCause::CommitAcquire));
                 }
             }
         }
@@ -487,26 +435,6 @@ impl<'a> Transaction<'a> {
     }
 }
 
-/// Consult the contention manager about a conflict (free function so the
-/// commit path can borrow the write set and the manager independently).
-fn resolve_conflict_with(
-    cm: &mut dyn ContentionManager,
-    my_start_ts: u64,
-    kind: ConflictKind,
-    enemy: u64,
-    attempt: u32,
-) -> Resolution {
-    let conflict = Conflict {
-        kind,
-        enemy,
-        enemy_priority: registry::priority_of(enemy),
-        enemy_start_ts: registry::start_ts_of(enemy),
-        attempt,
-        my_start_ts,
-    };
-    cm.on_conflict(&conflict)
-}
-
 /// Commit-time read-set validation: every read variable must still be at its
 /// recorded version and unowned (or owned by us).
 fn validate_reads(reads: &ReadSet, me: u64) -> Result<(), TxError> {
@@ -525,6 +453,49 @@ fn release_ranked(writes: &WriteSet, count: usize, me: u64) {
     for rank in 0..count {
         writes.ranked(rank).var().dyn_release(me);
     }
+}
+
+/// Backoff rounds a transaction waits out on one conflict before it aborts
+/// the attempt.
+const BACKOFF_ROUNDS: u32 = 8;
+/// Upper bound of the first round's delay; each later round doubles it.
+const BACKOFF_BASE: Duration = Duration::from_micros(2);
+/// Upper bound of any single round's delay.
+const BACKOFF_CAP: Duration = Duration::from_millis(2);
+
+/// The STM's one contention policy, for a conflict with the committing
+/// owner of a variable: wait out `round` (1-based) and return `true`, or
+/// return `false` once [`BACKOFF_ROUNDS`] rounds are spent and the attempt
+/// should abort.
+///
+/// Ownership is held only during a commit section that acquires in
+/// canonical order, so the owner always finishes: waiting is safe, and there
+/// is no enemy to abort or rank against (which is what the obstruction-free
+/// DSTM's priority-based managers decide).
+fn back_off(stm: &Stm, txn_id: u64, round: u32) -> bool {
+    if round > BACKOFF_ROUNDS {
+        return false;
+    }
+    stm.stats_ref().record_backoff();
+    pause(backoff_delay(txn_id, round - 1));
+    true
+}
+
+/// Randomized exponential delay for the (0-based) `round`: uniform in
+/// `[0, min(BACKOFF_CAP, BACKOFF_BASE * 2^round)]`, drawn from a stateless
+/// splitmix64 mix of the transaction id and the round so that transactions
+/// colliding on one variable spread their retries apart.
+fn backoff_delay(txn_id: u64, round: u32) -> Duration {
+    let bound = (BACKOFF_BASE.as_nanos() as u64)
+        .saturating_mul(1u64 << round.min(20))
+        .min(BACKOFF_CAP.as_nanos() as u64);
+    let mut z = txn_id
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(u64::from(round));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    Duration::from_nanos(z % (bound + 1))
 }
 
 /// Sleep-or-spin for approximately `duration`.
@@ -567,6 +538,88 @@ mod tests {
         let start = Instant::now();
         pause(Duration::from_millis(2));
         assert!(start.elapsed() >= Duration::from_millis(1));
+    }
+
+    #[test]
+    fn backoff_delay_respects_cap() {
+        for txn_id in 0..50 {
+            for round in 0..30 {
+                let d = backoff_delay(txn_id, round);
+                assert!(d <= BACKOFF_CAP, "txn {txn_id} round {round} delay {d:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn backoff_delay_grows_in_expectation() {
+        let avg = |round| -> f64 {
+            (0..200u64)
+                .map(|txn_id| backoff_delay(txn_id, round).as_nanos() as f64)
+                .sum::<f64>()
+                / 200.0
+        };
+        let early = avg(0);
+        let late = avg(10);
+        assert!(
+            late > early * 4.0,
+            "expected later rounds to back off longer: early={early} late={late}"
+        );
+    }
+
+    /// An owner id no transaction is ever given (ids count up from 1): a
+    /// committer that never finishes.
+    const STUCK_OWNER: u64 = u64::MAX;
+
+    #[test]
+    fn read_of_an_owned_variable_aborts_after_the_backoff_rounds() {
+        let stm = Stm::new(StmConfig::default().with_max_attempts(1));
+        let v = TVar::new(0u32);
+        assert!(v.core().try_acquire(STUCK_OWNER));
+        let mut seen = None;
+        let result = stm.try_atomically(|tx| {
+            let read = tx.read(&v).map(|x| *x);
+            seen = Some(read.clone());
+            read
+        });
+        assert_eq!(
+            seen,
+            Some(Err(TxError::ContentionManager(AbortCause::ReadOwned)))
+        );
+        assert_eq!(
+            result.unwrap_err(),
+            TxError::AttemptsExhausted { attempts: 1 }
+        );
+        let snap = stm.snapshot();
+        assert_eq!(snap.backoff_events, u64::from(BACKOFF_ROUNDS));
+        assert_eq!(snap.cm_aborts, 1);
+        assert_eq!(snap.aborts_read_owned, 1);
+        v.core().release(STUCK_OWNER);
+    }
+
+    #[test]
+    fn commit_against_an_owned_variable_aborts_after_the_backoff_rounds_and_releases() {
+        let stm = Stm::new(StmConfig::default().with_max_attempts(1));
+        // Created first, so `free` precedes `held` in the canonical acquire
+        // order and is already owned when the commit meets `held`.
+        let free = TVar::new(0u32);
+        let held = TVar::new(0u32);
+        assert!(held.core().try_acquire(STUCK_OWNER));
+        let result = stm.try_atomically(|tx| {
+            tx.write(&free, 1)?;
+            tx.write(&held, 1)
+        });
+        assert_eq!(
+            result.unwrap_err(),
+            TxError::AttemptsExhausted { attempts: 1 }
+        );
+        let snap = stm.snapshot();
+        assert_eq!(snap.backoff_events, u64::from(BACKOFF_ROUNDS));
+        assert_eq!(snap.cm_aborts, 1);
+        assert_eq!(snap.aborts_commit_acquire, 1);
+        assert_eq!(free.core().owner(), NO_OWNER, "acquired variable released");
+        assert_eq!(held.core().owner(), STUCK_OWNER);
+        held.core().release(STUCK_OWNER);
+        assert_eq!((*free.load(), *held.load()), (0, 0), "nothing published");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use katme::{CmKind, Stm, TVar};
+use katme::{Stm, TVar};
 
 const ACCOUNTS: usize = 64;
 const THREADS: usize = 4;
@@ -17,7 +17,7 @@ const TRANSFERS_PER_THREAD: usize = 5_000;
 const INITIAL_BALANCE: i64 = 1_000;
 
 fn main() {
-    let stm = Stm::with_contention_manager(CmKind::Polka);
+    let stm = Stm::default();
     let accounts: Arc<Vec<TVar<i64>>> =
         Arc::new((0..ACCOUNTS).map(|_| TVar::new(INITIAL_BALANCE)).collect());
 

@@ -13,8 +13,8 @@ use katme_collections::{Dictionary, HashTable};
 use katme_workload::{DistributionKind, OpGenerator, OpKind, TxnSpec};
 
 fn main() {
-    // 1. An STM runtime (Polka contention management, as in the paper) and a
-    //    hash table with the paper's 30031 buckets built on top of it.
+    // 1. An STM runtime (conflicting transactions back off, then retry) and
+    //    a hash table with the paper's 30031 buckets built on top of it.
     let stm = Stm::default();
     let table = Arc::new(HashTable::new(stm.clone()));
 
