@@ -9,7 +9,6 @@
 //! * `pd_partition` — cost of sampling, CDF estimation and partitioning.
 //! * `stm_ops` — raw STM read/write/commit costs and a two-thread
 //!   conflict on one counter.
-//! * `queues` — Michael & Scott two-lock queue vs. the single-lock baseline.
 //! * `ablation_contention` — scheduler ablation under forced conflicts.
 //!
 //! Criterion measures *time per iteration*; for the figure benches each

@@ -468,9 +468,7 @@ impl AdaptiveKeyScheduler {
 
         // Per-epoch pool delta from the executor feed: routed throughput,
         // steals, idle polls and parks (cumulative counters diffed against
-        // the last epoch boundary) plus the instantaneous backlog — which
-        // includes the central dispatcher's queue, so a saturated
-        // dispatcher reads as demand rather than being invisible.
+        // the last epoch boundary) plus the instantaneous queue backlog.
         let pool = self.pool.lock().clone();
         let pool_now = pool.as_ref().map(|controller| controller.sample());
         let last = state.last_pool.as_ref();
@@ -1339,7 +1337,6 @@ mod tests {
                     parks: 0,
                     park_nanos: 0,
                     queue_depths: vec![0; capacity],
-                    dispatcher_backlog: 0,
                 }),
                 resized: Mutex::new(Vec::new()),
             })

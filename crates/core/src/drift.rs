@@ -342,12 +342,6 @@ pub struct PoolSample {
     pub park_nanos: u64,
     /// Instantaneous depth of every worker queue (length = `capacity`).
     pub queue_depths: Vec<usize>,
-    /// Instantaneous backlog of the central dispatcher queue feeding this
-    /// pool (0 when the model has no dispatcher). A saturated dispatcher is
-    /// demand the workers have not seen yet, so it counts as part of
-    /// [`PoolSample::backlog`] — the grow signal — instead of being
-    /// invisible to the controller.
-    pub dispatcher_backlog: usize,
 }
 
 impl PoolSample {
@@ -356,10 +350,9 @@ impl PoolSample {
         self.per_worker_completed.iter().sum::<u64>() + self.stolen + self.adopted
     }
 
-    /// Tasks currently queued across all workers, plus whatever is still
-    /// waiting in the central dispatcher's queue (centralized model).
+    /// Tasks currently queued across all workers.
     pub fn backlog(&self) -> usize {
-        self.queue_depths.iter().sum::<usize>() + self.dispatcher_backlog
+        self.queue_depths.iter().sum()
     }
 }
 
@@ -546,13 +539,8 @@ mod tests {
             parks: 2,
             park_nanos: 50_000_000,
             queue_depths: vec![1, 2, 0, 4],
-            dispatcher_backlog: 3,
         };
         assert_eq!(sample.executed(), 38);
-        assert_eq!(
-            sample.backlog(),
-            10,
-            "dispatcher backlog counts as demand the workers have not seen"
-        );
+        assert_eq!(sample.backlog(), 7);
     }
 }

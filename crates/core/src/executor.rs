@@ -13,7 +13,7 @@
 //! scheduler once over the whole key slice
 //! ([`Scheduler::dispatch_batch`]), groups the tasks into per-worker runs,
 //! and crosses each worker queue with a single lock round-trip
-//! ([`katme_queue::TaskQueue::push_batch`]) under a single
+//! ([`TwoLockQueue::enqueue_batch`]) under a single
 //! [`ShutdownGate`] enter/exit. The single-task API is the batch-of-one
 //! special case, kept as a direct path so it pays no `Vec` round-trip.
 //!
@@ -48,7 +48,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use katme_queue::{Backoff, QueueKind, TaskQueue};
+use katme_queue::{Backoff, TwoLockQueue};
 use parking_lot::{Condvar, Mutex};
 
 use crate::drift::{PoolController, PoolSample};
@@ -59,8 +59,6 @@ use crate::stats::{LoadBalance, WorkerCounters};
 /// Configuration of an [`Executor`].
 #[derive(Debug, Clone)]
 pub struct ExecutorConfig {
-    /// Which task-queue implementation to use.
-    pub queue: QueueKind,
     /// Whether workers drain their queues before exiting at shutdown.
     pub drain_on_shutdown: bool,
     /// Whether an idle worker may steal from other workers' queues
@@ -74,14 +72,9 @@ pub struct ExecutorConfig {
     /// without changing steady-state behaviour.
     pub max_queue_depth: Option<usize>,
     /// Maximum tasks a worker drains from its queue per wakeup (one
-    /// `pop_batch` lock round-trip covers the whole run). Must be at
+    /// `dequeue_batch` lock round-trip covers the whole run). Must be at
     /// least 1.
     pub batch_size: usize,
-    /// Whether an idle worker, once its backoff has escalated past
-    /// spinning, parks on a condvar (woken by the next enqueue, a resize,
-    /// or shutdown) instead of backoff-polling forever. A parked worker
-    /// burns zero CPU between bursts; parks are counted in the pool stats.
-    pub parking: bool,
 }
 
 /// Default worker drain batch: large enough to amortize the queue lock and
@@ -92,12 +85,10 @@ pub const DEFAULT_BATCH_SIZE: usize = 32;
 impl Default for ExecutorConfig {
     fn default() -> Self {
         ExecutorConfig {
-            queue: QueueKind::TwoLock,
             drain_on_shutdown: false,
             work_stealing: false,
             max_queue_depth: Some(10_000),
             batch_size: DEFAULT_BATCH_SIZE,
-            parking: true,
         }
     }
 }
@@ -106,12 +97,6 @@ impl ExecutorConfig {
     /// Default configuration.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Select the queue implementation.
-    pub fn with_queue(mut self, queue: QueueKind) -> Self {
-        self.queue = queue;
-        self
     }
 
     /// Enable or disable queue draining at shutdown.
@@ -135,12 +120,6 @@ impl ExecutorConfig {
     /// Set the worker drain batch size (clamped to at least 1).
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size.max(1);
-        self
-    }
-
-    /// Enable or disable condvar parking for idle workers.
-    pub fn with_parking(mut self, parking: bool) -> Self {
-        self.parking = parking;
         self
     }
 }
@@ -443,7 +422,7 @@ impl IdleParker {
 /// so steady-state batch dispatch allocates neither its keyed staging
 /// buffer nor the per-worker run table (see
 /// [`Executor::submit_batch_blocking`]). The inner run vectors are *not*
-/// pooled: `push_batch` consumes them as queue segment storage, which is
+/// pooled: `enqueue_batch` consumes them as queue segment storage, which is
 /// the one allocation the batch path inherently pays.
 struct BatchPool<T> {
     /// Emptied `(key, task)` staging buffers, handed back to producers via
@@ -475,6 +454,19 @@ thread_local! {
     /// Per-producer scratch for the batch submission path. Thread-local
     /// because the keys and routes never leave the submitting thread.
     static DISPATCH_SCRATCH: Cell<Option<DispatchScratch>> = const { Cell::new(None) };
+}
+
+/// A worker queue on cache lines of its own, so one worker's pops never
+/// invalidate the line a neighbouring queue's producers push on.
+#[repr(align(128))]
+struct SlotQueue<T>(TwoLockQueue<T>);
+
+impl<T> std::ops::Deref for SlotQueue<T> {
+    type Target = TwoLockQueue<T>;
+
+    fn deref(&self) -> &TwoLockQueue<T> {
+        &self.0
+    }
 }
 
 /// The generation-scoped owner of the executor's queues and worker threads.
@@ -519,7 +511,7 @@ thread_local! {
 /// retiring worker's residual drain, an adopting active worker, or the
 /// shutdown drain.
 pub struct WorkerSet<T: Send + 'static> {
-    queues: Vec<Arc<dyn TaskQueue<T>>>,
+    queues: Vec<SlotQueue<T>>,
     counters: Arc<Vec<WorkerCounters>>,
     /// Per-slot lifecycle state (see the retirement protocol above).
     slots: Vec<AtomicU8>,
@@ -533,18 +525,14 @@ pub struct WorkerSet<T: Send + 'static> {
     resizes: AtomicU64,
     /// Idle workers block here between bursts (see [`IdleParker`]).
     parker: IdleParker,
-    /// Optional probe for demand queued upstream of the workers (the
-    /// centralized model's dispatcher queue), sampled into
-    /// [`PoolSample::dispatcher_backlog`].
-    backlog_probe: Mutex<Option<Arc<dyn Fn() -> usize + Send + Sync>>>,
     /// Recycled submission-path buffers (see [`BatchPool`]).
     batch_pool: Mutex<BatchPool<T>>,
 }
 
 impl<T: Send + 'static> WorkerSet<T> {
     fn new(config: ExecutorConfig, capacity: usize, initial: usize) -> Self {
-        let queues: Vec<Arc<dyn TaskQueue<T>>> = (0..capacity)
-            .map(|_| Arc::from(config.queue.build::<T>()))
+        let queues = (0..capacity)
+            .map(|_| SlotQueue(TwoLockQueue::new()))
             .collect();
         let slots = (0..capacity)
             .map(|index| {
@@ -564,7 +552,6 @@ impl<T: Send + 'static> WorkerSet<T> {
             config,
             resizes: AtomicU64::new(0),
             parker: IdleParker::default(),
-            backlog_probe: Mutex::new(None),
             batch_pool: Mutex::new(BatchPool::default()),
         }
     }
@@ -619,7 +606,6 @@ impl<T: Send + 'static> PoolHandle<T> {
 impl<T: Send + 'static> PoolController for PoolHandle<T> {
     fn sample(&self) -> PoolSample {
         let set = &self.set;
-        let probe = set.backlog_probe.lock().clone();
         PoolSample {
             active: set.active(),
             capacity: set.capacity(),
@@ -630,8 +616,7 @@ impl<T: Send + 'static> PoolController for PoolHandle<T> {
             busy_wakeups: set.counters.iter().map(|c| c.busy_wakeups()).sum(),
             parks: set.counters.iter().map(|c| c.parks()).sum(),
             park_nanos: set.counters.iter().map(|c| c.park_nanos()).sum(),
-            queue_depths: set.queues.iter().map(|q| q.len()).collect(),
-            dispatcher_backlog: probe.map_or(0, |probe| probe()),
+            queue_depths: set.queues.iter().map(|q| q.count()).collect(),
         }
     }
 
@@ -802,7 +787,7 @@ impl<T: Send + 'static> Executor<T> {
         let queue = &self.set.queues[worker];
         if let Some(depth) = self.set.config.max_queue_depth {
             let mut backoff = Backoff::new();
-            while queue.len() >= depth {
+            while queue.count() >= depth {
                 if !self.set.gate.is_open() {
                     return Err(SubmitError::ShuttingDown(task));
                 }
@@ -816,11 +801,11 @@ impl<T: Send + 'static> Executor<T> {
     /// check-then-push race against draining workers — a submission that
     /// returns `Ok` is guaranteed to be executed (or counted as abandoned)
     /// rather than stranded on a dead queue.
-    fn push_guarded(&self, queue: &Arc<dyn TaskQueue<T>>, task: T) -> Result<(), SubmitError<T>> {
+    fn push_guarded(&self, queue: &TwoLockQueue<T>, task: T) -> Result<(), SubmitError<T>> {
         if !self.set.gate.enter() {
             return Err(SubmitError::ShuttingDown(task));
         }
-        queue.push(task);
+        queue.enqueue(task);
         self.set.gate.exit();
         self.set.parker.wake_all();
         Ok(())
@@ -833,7 +818,7 @@ impl<T: Send + 'static> Executor<T> {
         }
         let queue = &self.set.queues[worker];
         if let Some(depth) = self.set.config.max_queue_depth {
-            if queue.len() >= depth {
+            if queue.count() >= depth {
                 return Err(SubmitError::QueueFull(task));
             }
         }
@@ -847,7 +832,7 @@ impl<T: Send + 'static> Executor<T> {
     /// [`Scheduler::dispatch_batch`] call (the adaptive scheduler samples
     /// every key exactly once under one lock round-trip), the tasks are
     /// grouped into per-worker runs, and each run crosses its queue with a
-    /// single `push_batch` under a single [`ShutdownGate`] enter/exit —
+    /// single `enqueue_batch` under a single [`ShutdownGate`] enter/exit —
     /// the per-task lock and gate traffic of a loop over
     /// [`Executor::submit_blocking`] collapses to a handful of operations
     /// per batch.
@@ -919,7 +904,7 @@ impl<T: Send + 'static> Executor<T> {
         // path (see `reject_run`). Runs span the full capacity: a routing
         // snapshot can only produce indices below its own width, which is
         // never above the capacity. The outer table is pooled; each inner
-        // run is sized exactly from a counting pass because `push_batch`
+        // run is sized exactly from a counting pass because `enqueue_batch`
         // consumes it as queue segment storage — one unavoidable allocation
         // per non-empty run.
         let workers = self.set.capacity();
@@ -989,7 +974,7 @@ impl<T: Send + 'static> Executor<T> {
                         if blocking {
                             let mut backoff = Backoff::new();
                             loop {
-                                let space = depth.saturating_sub(queue.len());
+                                let space = depth.saturating_sub(queue.count());
                                 if space > 0 {
                                     break space;
                                 }
@@ -1000,7 +985,7 @@ impl<T: Send + 'static> Executor<T> {
                                 backoff.snooze();
                             }
                         } else {
-                            depth.saturating_sub(queue.len())
+                            depth.saturating_sub(queue.count())
                         }
                     }
                 };
@@ -1032,7 +1017,7 @@ impl<T: Send + 'static> Executor<T> {
                 }
                 accepted += chunk.len();
                 pushed += chunk.len();
-                queue.push_batch(chunk);
+                queue.enqueue_batch(chunk);
                 self.set.gate.exit();
                 self.set.parker.wake_all();
                 if run.is_empty() {
@@ -1098,18 +1083,10 @@ impl<T: Send + 'static> Executor<T> {
         self.set.counters.iter().map(|c| c.parks()).sum()
     }
 
-    /// Attach a probe for demand queued upstream of the worker pool (the
-    /// centralized model's dispatcher queue). Sampled into
-    /// [`PoolSample::dispatcher_backlog`] so a saturated dispatcher counts
-    /// as a grow signal instead of being invisible to the controller.
-    pub fn attach_backlog_probe(&self, probe: Arc<dyn Fn() -> usize + Send + Sync>) {
-        *self.set.backlog_probe.lock() = Some(probe);
-    }
-
     /// Current queue lengths (diagnostics / back-pressure tuning), over the
     /// full capacity.
     pub fn queue_lengths(&self) -> Vec<usize> {
-        self.set.queues.iter().map(|q| q.len()).collect()
+        self.set.queues.iter().map(|q| q.count()).collect()
     }
 
     /// True while the executor accepts and executes tasks.
@@ -1128,8 +1105,9 @@ impl<T: Send + 'static> Executor<T> {
         self.set.parker.wake_all();
     }
 
-    /// Stop the workers and collect the final counters.
-    pub fn shutdown(self) -> ExecutorReport {
+    /// Stop the workers, join them, and collect the final counters. Later
+    /// calls join nothing and report the same counters again.
+    pub fn shutdown(&self) -> ExecutorReport {
         self.set.gate.close();
         self.set.parker.wake_all();
         // Serialize against an in-flight resize: once the resize lock is
@@ -1137,7 +1115,7 @@ impl<T: Send + 'static> Executor<T> {
         // so the join below covers every thread the set will ever have.
         drop(self.pool.resize_lock.lock());
         self.pool.join_all();
-        let abandoned: u64 = self.set.queues.iter().map(|q| q.len() as u64).sum();
+        let abandoned: u64 = self.set.queues.iter().map(|q| q.count() as u64).sum();
         // Keep only slots that were active at the end or executed routed
         // work, so an elastic pool's load report — and its max-over-mean
         // imbalance — covers the workers that existed, not the growth
@@ -1192,7 +1170,7 @@ where
         if victim == index || set.queues[victim].is_empty() {
             continue;
         }
-        let took = set.queues[victim].pop_batch(batch, set.config.batch_size);
+        let took = set.queues[victim].dequeue_batch(batch, set.config.batch_size);
         if took > 0 {
             set.counters[index].record_adopted_batch(took as u64);
             set.counters[index].record_busy_wakeup();
@@ -1211,7 +1189,7 @@ where
     F: Fn(usize, T) + Send + Sync + ?Sized,
 {
     let mut backoff = Backoff::new();
-    // Reused drain buffer: one pop_batch lock round-trip moves up to
+    // Reused drain buffer: one dequeue_batch lock round-trip moves up to
     // batch_size tasks out of the queue per wakeup.
     let mut batch: Vec<T> = Vec::with_capacity(set.config.batch_size);
     let mut wakeups: u32 = 0;
@@ -1227,7 +1205,7 @@ where
         // the pops below (own queue, orphans, and steal victims alike).
         let may_exit = set.gate.may_finish();
 
-        let took = set.queues[index].pop_batch(&mut batch, set.config.batch_size);
+        let took = set.queues[index].dequeue_batch(&mut batch, set.config.batch_size);
         if took > 0 {
             // A popped batch is in flight: it executes to completion even if
             // shutdown lands mid-batch, so every popped task is counted as
@@ -1287,9 +1265,9 @@ where
             let active = set.active();
             let victim = (0..active)
                 .filter(|&i| i != index)
-                .max_by_key(|&i| set.queues[i].len());
+                .max_by_key(|&i| set.queues[i].count());
             if let Some(victim) = victim {
-                let stolen = set.queues[victim].pop_batch(&mut batch, set.config.batch_size);
+                let stolen = set.queues[victim].dequeue_batch(&mut batch, set.config.batch_size);
                 if stolen > 0 {
                     set.counters[index].record_stolen_batch(stolen as u64);
                     set.counters[index].record_busy_wakeup();
@@ -1313,7 +1291,7 @@ where
             continue;
         }
         set.counters[index].record_idle_poll();
-        if set.config.parking && backoff.is_sleeping() {
+        if backoff.is_sleeping() {
             // Escalated past spinning with still nothing to do: block until
             // an enqueue, resize, or shutdown wakes us, instead of burning
             // backoff sleeps. The closure is the final emptiness re-check
@@ -1694,12 +1672,7 @@ mod tests {
     #[test]
     fn batch_size_one_still_works() {
         let scheduler = Arc::new(RoundRobinScheduler::new(2));
-        let (exec, sum) = counting_executor(
-            scheduler,
-            drain_config()
-                .with_batch_size(1)
-                .with_queue(QueueKind::Sharded),
-        );
+        let (exec, sum) = counting_executor(scheduler, drain_config().with_batch_size(1));
         let batch: Vec<(TxnKey, u64)> = (1..=100u64).map(|i| (i, i)).collect();
         exec.submit_batch_blocking(batch).unwrap();
         let report = exec.shutdown();
@@ -1943,65 +1916,6 @@ mod tests {
         let report = exec.shutdown();
         assert_eq!(report.completed(), 101);
         assert!(report.parks > 0, "{report:?}");
-    }
-
-    #[test]
-    fn parking_can_be_disabled() {
-        let scheduler = Arc::new(RoundRobinScheduler::new(1));
-        let (exec, _) = counting_executor(scheduler, drain_config().with_parking(false));
-        std::thread::sleep(Duration::from_millis(50));
-        assert_eq!(exec.parks(), 0, "disabled parking never parks");
-        exec.shutdown();
-    }
-
-    /// A scheduler that captures the pool controller the executor hands it,
-    /// so tests can read the raw [`PoolSample`] feed.
-    struct CaptivePool {
-        inner: RoundRobinScheduler,
-        pool: Mutex<Option<Arc<dyn PoolController>>>,
-    }
-
-    impl Scheduler for CaptivePool {
-        fn dispatch(&self, key: crate::key::TxnKey) -> usize {
-            self.inner.dispatch(key)
-        }
-
-        fn workers(&self) -> usize {
-            self.inner.workers()
-        }
-
-        fn attach_pool(&self, pool: Arc<dyn PoolController>) {
-            *self.pool.lock() = Some(pool);
-        }
-
-        fn name(&self) -> &'static str {
-            "captive"
-        }
-    }
-
-    #[test]
-    fn backlog_probe_feeds_dispatcher_depth_into_the_pool_sample() {
-        let scheduler = Arc::new(CaptivePool {
-            inner: RoundRobinScheduler::new(2),
-            pool: Mutex::new(None),
-        });
-        let (exec, _) =
-            counting_executor(Arc::clone(&scheduler) as Arc<dyn Scheduler>, drain_config());
-        let pool = scheduler
-            .pool
-            .lock()
-            .clone()
-            .expect("pool attached at start");
-        assert_eq!(pool.sample().dispatcher_backlog, 0, "no probe yet");
-        exec.attach_backlog_probe(Arc::new(|| 42));
-        let sample = pool.sample();
-        assert_eq!(sample.dispatcher_backlog, 42);
-        assert_eq!(
-            sample.backlog(),
-            sample.queue_depths.iter().sum::<usize>() + 42,
-            "dispatcher demand counts into the grow signal"
-        );
-        exec.shutdown();
     }
 
     #[test]

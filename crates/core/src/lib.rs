@@ -50,7 +50,6 @@ pub mod drift;
 pub mod executor;
 pub mod histogram;
 pub mod key;
-pub mod models;
 pub mod partition;
 pub mod sample_size;
 pub mod scheduler;
@@ -64,7 +63,6 @@ pub use drift::{
 pub use executor::{Executor, ExecutorConfig, ExecutorReport, ShutdownGate, SubmitError};
 pub use histogram::Histogram;
 pub use key::{BucketKeyMapper, ConstantKeyMapper, DictKeyMapper, KeyBounds, KeyMapper, TxnKey};
-pub use models::ExecutorModel;
 pub use partition::{KeyPartition, PartitionGeneration, PartitionTable};
 pub use sample_size::required_samples;
 pub use scheduler::{FixedKeyScheduler, RoundRobinScheduler, Scheduler, SchedulerKind};
@@ -75,6 +73,5 @@ pub mod prelude {
     pub use crate::adaptive::AdaptiveKeyScheduler;
     pub use crate::executor::{Executor, ExecutorConfig, ExecutorReport, SubmitError};
     pub use crate::key::{BucketKeyMapper, DictKeyMapper, KeyBounds, KeyMapper, TxnKey};
-    pub use crate::models::ExecutorModel;
     pub use crate::scheduler::{FixedKeyScheduler, RoundRobinScheduler, Scheduler, SchedulerKind};
 }

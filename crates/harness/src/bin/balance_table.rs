@@ -2,6 +2,10 @@
 //! mapping the fixed partition gives the low-end workers "50% too many"
 //! transactions; the adaptive partition evens the load via uneven key ranges.
 //!
+//! Meaningful only on a host with at least 8 cores: on fewer, producers and
+//! workers time-share the cores and the comparison is muted or reordered
+//! by the OS scheduler. Smaller hosts can still run it as a smoke test.
+//!
 //! ```text
 //! cargo run --release -p katme-harness --bin balance_table -- --seconds 0.5
 //! ```

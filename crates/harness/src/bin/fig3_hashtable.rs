@@ -2,6 +2,10 @@
 //! microbenchmark with a uniform, Gaussian, or exponential distribution of
 //! transaction keys, under the round-robin, fixed, and adaptive executors.
 //!
+//! Meaningful only on a host with at least 8 cores: on fewer, producers and
+//! workers time-share the cores and the comparison is muted or reordered
+//! by the OS scheduler. Smaller hosts can still run it as a smoke test.
+//!
 //! ```text
 //! cargo run --release -p katme-harness --bin fig3_hashtable -- --seconds 1 --max-threads 8
 //! ```

@@ -2,6 +2,10 @@
 //! executed by free-running threads versus through the executor (six
 //! producers), isolating executor overhead.
 //!
+//! Meaningful only on a host with at least 8 cores: on fewer, producers and
+//! workers time-share the cores and the comparison is muted or reordered
+//! by the OS scheduler. Smaller hosts can still run it as a smoke test.
+//!
 //! ```text
 //! cargo run --release -p katme-harness --bin fig4_overhead -- --seconds 1
 //! ```

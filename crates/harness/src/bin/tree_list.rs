@@ -2,6 +2,10 @@
 //! scheduler × distribution × worker-count sweep for the red-black tree and
 //! the sorted linked list.
 //!
+//! Meaningful only on a host with at least 8 cores: on fewer, producers and
+//! workers time-share the cores and the comparison is muted or reordered
+//! by the OS scheduler. Smaller hosts can still run it as a smoke test.
+//!
 //! ```text
 //! cargo run --release -p katme-harness --bin tree_list -- --seconds 0.5
 //! ```

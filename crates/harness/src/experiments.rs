@@ -826,8 +826,6 @@ fn alloc_dict(stm: &Stm) -> Arc<dyn katme_collections::TxDictionary> {
 fn alloc_builder(stm: Stm) -> katme::Builder {
     Katme::builder()
         .workers(ALLOC_WORKERS)
-        .producers(1)
-        .model(ExecutorModel::Parallel)
         .batch_size(ALLOC_BATCH)
         .key_bounds(katme::KeyMapper::<katme_workload::TxnSpec>::bounds(
             &katme::BucketKeyMapper::paper(),

@@ -4,11 +4,11 @@
 //!
 //! | Paper artefact | Module / binary | What it prints |
 //! |---|---|---|
-//! | Figure 3 | [`experiments::fig3_hashtable`] / `fig3_hashtable` | hash-table throughput vs. workers, for the uniform / Gaussian / exponential key distributions, under the round-robin / fixed / adaptive schedulers |
-//! | Figure 4 | [`experiments::fig4_overhead`] / `fig4_overhead` | executor overhead: free-running transaction loops vs. executor-fed workers on trivial transactions |
-//! | Tech-report companion | [`experiments::tree_list`] / `tree_list` | the same sweep as Figure 3 for the red-black tree and sorted list |
+//! | Figure 3 (≥ 8 cores) | [`experiments::fig3_hashtable`] / `fig3_hashtable` | hash-table throughput vs. workers, for the uniform / Gaussian / exponential key distributions, under the round-robin / fixed / adaptive schedulers |
+//! | Figure 4 (≥ 8 cores) | [`experiments::fig4_overhead`] / `fig4_overhead` | executor overhead: free-running transaction loops vs. executor-fed workers on trivial transactions |
+//! | Tech-report companion (≥ 8 cores) | [`experiments::tree_list`] / `tree_list` | the same sweep as Figure 3 for the red-black tree and sorted list |
 //! | Contention table | [`experiments::contention_table`] / `contention_table` | aborts per committed transaction per scheduler/structure |
-//! | Load-balance table | [`experiments::balance_table`] / `balance_table` | per-worker completion share under each scheduler |
+//! | Load-balance table (≥ 8 cores) | [`experiments::balance_table`] / `balance_table` | per-worker completion share under each scheduler |
 //! | Batched dispatch (extension) | [`experiments::batch_dispatch`] / `batch_dispatch` | per-task vs. batched submission throughput at equal workload |
 //! | Drift adaptation (extension) | [`experiments::drift_adaptation`] / `drift_adaptation` | one-shot vs. continuous adaptation under a mid-run phase shift |
 //! | Elastic scaling (extension) | [`experiments::elastic_scaling`] / `elastic_scaling` | fixed always-max pool vs. elastic partition-coupled scaling under a quiet → burst → quiet arrival ramp |
@@ -16,6 +16,12 @@
 //! | Commit-path microbench (extension) | [`experiments::commit_path`] / `commit_path` | commit-path cost in isolation: GV1-ticked vs. GV5-lazy clock x shared vs. striped stats counters on disjoint keys, with scaling efficiency and clock advances per commit |
 //! | Allocation profile (extension) | [`experiments::alloc_profile`] / `alloc_profile` | steady-state heap allocations and bytes per committed transaction on the submit→execute→commit path, per workload (read-only, read-write, durable), with CI budget gating |
 //! | Network service (extension) | [`net::net_service`] / `net_service` | loopback TCP service plane: pipeline-depth throughput sweep with connection churn, queue-full `-BUSY` pushback, slow-reader in-flight bounding, and an elastic worker pool riding a socket arrival ramp |
+//!
+//! The rows marked *≥ 8 cores* compare thread counts or per-worker shares.
+//! Their numbers mean something only on a host with at least 8 cores: on
+//! fewer, producers and workers time-share the cores, so the gaps between
+//! schedulers and thread counts are muted or reordered by the OS scheduler.
+//! They still run anywhere, as smoke tests.
 //!
 //! Every binary accepts `--seconds`, `--reps`, `--max-threads`, `--producers`
 //! and `--quick`; see [`options::HarnessOptions`]. The defaults are sized so

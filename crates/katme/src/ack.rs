@@ -17,9 +17,6 @@
 //! re-reads the watermark, while the writer stores the watermark before it
 //! takes the same lock. Either the writer's drain finds the entry, or the
 //! worker's re-read finds the watermark.
-//!
-//! The inline path (the no-executor model) waits for the ticket on the
-//! submitting thread instead ([`AckBoard::await_ticket`]).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -81,19 +78,6 @@ impl<R: Send + 'static> AckBoard<R> {
             result,
         });
         self.drain(fifo, false);
-    }
-
-    /// Block the calling thread until `ticket` is durable (the inline
-    /// paths). Fails with [`KatmeError::NotDurable`] if the log failed
-    /// first.
-    pub(crate) fn await_ticket(&self, wal: &Wal, ticket: u64) -> Result<(), KatmeError> {
-        if ticket <= self.progress.durable_seq() {
-            return Ok(());
-        }
-        let started = Instant::now();
-        let outcome = wal.wait_durable(ticket).map_err(|_| KatmeError::NotDurable);
-        self.record_delay(started.elapsed().as_nanos() as u64);
-        outcome
     }
 
     /// Release everything still held after the log has shut down: results
@@ -228,11 +212,6 @@ mod tests {
         let (early, completion) = handle_pair();
         board.settle(0, durable, completion, 9);
         assert_eq!(early.wait(), Ok(9));
-        assert_eq!(
-            board.await_ticket(&wal, doomed),
-            Err(KatmeError::NotDurable)
-        );
-        assert_eq!(board.await_ticket(&wal, durable), Ok(()));
         drop(wal);
         let _ = std::fs::remove_dir_all(&dir);
     }

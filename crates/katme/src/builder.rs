@@ -9,10 +9,8 @@ use katme_core::cdf::PiecewiseCdf;
 use katme_core::drift::{AdaptationConfig, ContentionSample};
 use katme_core::executor::ExecutorConfig;
 use katme_core::key::{KeyBounds, TxnKey};
-use katme_core::models::ExecutorModel;
 use katme_core::scheduler::{Scheduler, SchedulerKind};
 use katme_durability::WalConfig;
-use katme_queue::QueueKind;
 use katme_stm::telemetry::{KeyRangeTelemetry, DEFAULT_TELEMETRY_BUCKETS};
 use katme_stm::{ClockMode, Stm, StmConfig};
 
@@ -21,8 +19,8 @@ use crate::error::{BuilderError, KatmeError};
 use crate::runtime::Runtime;
 
 /// The facade's entry point. [`Katme::builder`] composes STM configuration,
-/// scheduling policy, queue implementation, executor model, worker/producer
-/// counts and back-pressure into one validated [`Runtime`].
+/// scheduling policy, worker count and back-pressure into one validated
+/// [`Runtime`].
 ///
 /// ```
 /// use katme::{Katme, WithKey};
@@ -46,10 +44,10 @@ impl Katme {
 
 /// Configuration of a [`Runtime`], built by [`Katme::builder`].
 ///
-/// Every setting has a paper-faithful default: 4 workers, 4 producers, the
-/// adaptive scheduler over the 16-bit dictionary key space, the two-lock
-/// queue, the parallel-executors model and a 10 000-task back-pressure
-/// bound. Conflicting transactions use the STM's one bounded-backoff policy
+/// Every setting has a paper-faithful default: 4 workers, the adaptive
+/// scheduler over the 16-bit dictionary key space and a 10 000-task
+/// back-pressure bound. Producers dispatch inline into two-lock worker
+/// queues (the paper's parallel executors, Figure 1(c)). Conflicting transactions use the STM's one bounded-backoff policy
 /// where the paper used Polka (the `katme_stm` crate docs say why).
 /// [`Builder::build`] validates the combination and rejects
 /// misconfigurations with [`KatmeError::InvalidConfig`] instead of
@@ -57,7 +55,6 @@ impl Katme {
 #[derive(Clone)]
 pub struct Builder {
     workers: usize,
-    producers: usize,
     key_min: TxnKey,
     key_max: TxnKey,
     scheduler: SchedulerKind,
@@ -70,8 +67,6 @@ pub struct Builder {
     elastic: bool,
     min_workers: Option<usize>,
     max_workers: Option<usize>,
-    queue: QueueKind,
-    model: ExecutorModel,
     stm_config: StmConfig,
     stm_instance: Option<Stm>,
     max_queue_depth: Option<usize>,
@@ -88,7 +83,6 @@ impl Default for Builder {
         let bounds = KeyBounds::dict16();
         Builder {
             workers: 4,
-            producers: 4,
             key_min: bounds.min,
             key_max: bounds.max,
             scheduler: SchedulerKind::AdaptiveKey,
@@ -101,8 +95,6 @@ impl Default for Builder {
             elastic: false,
             min_workers: None,
             max_workers: None,
-            queue: QueueKind::TwoLock,
-            model: ExecutorModel::Parallel,
             stm_config: StmConfig::default(),
             stm_instance: None,
             max_queue_depth: Some(10_000),
@@ -120,13 +112,6 @@ impl Builder {
     /// Number of worker threads (must be at least 1).
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Producer-count hint, used by the experiment driver and reports; the
-    /// runtime accepts submissions from any number of threads regardless.
-    pub fn producers(mut self, producers: usize) -> Self {
-        self.producers = producers;
         self
     }
 
@@ -240,19 +225,6 @@ impl Builder {
         self
     }
 
-    /// Task-queue implementation for the worker queues.
-    pub fn queue(mut self, queue: QueueKind) -> Self {
-        self.queue = queue;
-        self
-    }
-
-    /// Executor wiring (Figure 1 of the paper): no-executor, centralized
-    /// dispatcher, or parallel executors (default).
-    pub fn model(mut self, model: ExecutorModel) -> Self {
-        self.model = model;
-        self
-    }
-
     /// STM configuration for the runtime's [`Stm`] instance.
     pub fn stm_config(mut self, config: StmConfig) -> Self {
         self.stm_config = config;
@@ -299,8 +271,7 @@ impl Builder {
         self
     }
 
-    /// Maximum tasks a worker (and the central dispatcher, when present)
-    /// drains per wakeup — the granularity of the batched dispatch plane.
+    /// Maximum tasks a worker drains per wakeup — the granularity of the batched dispatch plane.
     /// Must be at least 1 (validated at [`Builder::build`]); defaults to
     /// [`katme_core::executor::DEFAULT_BATCH_SIZE`].
     pub fn batch_size(mut self, batch_size: usize) -> Self {
@@ -360,9 +331,6 @@ impl Builder {
         if self.scheduler_instance.is_none() && self.workers == 0 {
             return Err(BuilderError::ZeroWorkers);
         }
-        if self.producers == 0 {
-            return Err(BuilderError::ZeroProducers);
-        }
         if self.key_min > self.key_max {
             return Err(BuilderError::InvertedKeyBounds {
                 min: self.key_min,
@@ -391,9 +359,6 @@ impl Builder {
                 return Err(BuilderError::ElasticNeedsAdaptive {
                     scheduler: self.scheduler,
                 });
-            }
-            if self.model == ExecutorModel::NoExecutor {
-                return Err(BuilderError::ElasticNeedsPool);
             }
             let (min, max) = self.worker_range();
             if min == 0 {
@@ -581,18 +546,15 @@ impl Builder {
             None => None,
         };
         let executor_config = ExecutorConfig::default()
-            .with_queue(self.queue)
             .with_drain_on_shutdown(self.drain_on_shutdown)
             .with_work_stealing(self.work_stealing)
             .with_max_queue_depth(self.max_queue_depth)
             .with_batch_size(self.batch_size);
         Ok(Runtime::start(
-            self.model,
             scheduler,
             Arc::new(handler),
             executor_config,
             stm,
-            self.producers,
             durability,
         ))
     }
@@ -602,7 +564,6 @@ impl std::fmt::Debug for Builder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Builder")
             .field("workers", &self.workers)
-            .field("producers", &self.producers)
             .field("key_range", &(self.key_min, self.key_max))
             .field("scheduler", &self.scheduler)
             .field("has_scheduler_instance", &self.scheduler_instance.is_some())
@@ -613,8 +574,6 @@ impl std::fmt::Debug for Builder {
             .field("elastic", &self.elastic)
             .field("min_workers", &self.min_workers)
             .field("max_workers", &self.max_workers)
-            .field("queue", &self.queue)
-            .field("model", &self.model)
             .field("max_queue_depth", &self.max_queue_depth)
             .field("drain_on_shutdown", &self.drain_on_shutdown)
             .field("work_stealing", &self.work_stealing)
@@ -638,7 +597,6 @@ mod tests {
     fn default_builder_starts_a_runtime() {
         let runtime = Katme::builder().build(noop_handler()).unwrap();
         assert_eq!(runtime.workers(), 4);
-        assert_eq!(runtime.model(), ExecutorModel::Parallel);
         assert!(runtime.is_running());
         let report = runtime.shutdown();
         assert_eq!(report.completed, 0);
@@ -679,12 +637,11 @@ mod tests {
     }
 
     #[test]
-    fn zero_depth_and_zero_producers_are_rejected() {
+    fn zero_queue_depth_is_rejected() {
         assert!(Katme::builder()
             .max_queue_depth(Some(0))
             .build(noop_handler())
             .is_err());
-        assert!(Katme::builder().producers(0).build(noop_handler()).is_err());
     }
 
     #[test]
@@ -795,20 +752,6 @@ mod tests {
             matches!(
                 err,
                 KatmeError::InvalidConfig(BuilderError::ElasticNeedsAdaptive { .. })
-            ),
-            "{err}"
-        );
-        // ...and a worker pool: the inline no-executor model has nothing
-        // to resize.
-        let err = Katme::builder()
-            .model(ExecutorModel::NoExecutor)
-            .elastic(true)
-            .build(noop_handler())
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                KatmeError::InvalidConfig(BuilderError::ElasticNeedsPool)
             ),
             "{err}"
         );

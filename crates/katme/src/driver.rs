@@ -8,29 +8,76 @@
 //! reports the cumulative throughput."
 //!
 //! [`Driver`] reproduces that protocol for every combination the harness
-//! needs: benchmark structure × key distribution × scheduler × worker count,
-//! across all three executor models of Figure 1 — all expressed as
-//! [`Katme::builder`] configurations of one [`Runtime`].
+//! needs: benchmark structure × key distribution × scheduler × worker count.
+//! It also reproduces the three executor wirings of Figure 1
+//! ([`ExecutorModel`]). The [`Runtime`] itself is only the paper's choice,
+//! Figure 1(c); the other two wirings live here, in the driver, because
+//! only the comparison runs need them.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use katme_collections::{encode_op_into, DictOp, Dictionary, StructureKind};
 use katme_core::key::{BucketKeyMapper, KeyMapper};
-use katme_core::models::ExecutorModel;
 use katme_core::scheduler::SchedulerKind;
 use katme_core::stats::LoadBalance;
 use katme_durability::DurabilityView;
-use katme_queue::QueueKind;
-use katme_stm::{Stm, StmStatsSnapshot, TVar};
+use katme_queue::{Backoff, TwoLockQueue};
+use katme_stm::{CachePadded, Stm, StmStatsSnapshot, TVar};
 use katme_workload::{ArrivalRamp, DistributionKind, OpGenerator, OpKind, TxnSpec};
 
-use crate::builder::Katme;
+use crate::builder::{Builder, Katme};
 use crate::durability::{DictState, RecoveryReport};
-use crate::runtime::Runtime;
+use crate::runtime::{Runtime, StatsView};
 use crate::task::{Durable, KeyedTask, WithKey};
+
+/// Which executor wiring a timed run uses (Figure 1 of the paper).
+///
+/// * **No executor** — each thread is both producer and worker: it generates
+///   a transaction and executes it synchronously. No queuing overhead, but no
+///   load balancing and no producer/worker parallelism.
+/// * **Centralized executor** — producers hand transactions to a single
+///   dispatcher thread which forwards them to the worker queues. Enables
+///   policy control, but the dispatcher can become a scalability bottleneck.
+/// * **Parallel executors** — the dispatch step runs inline in each producer.
+///   This is the wiring of every [`Runtime`], the one the paper measured
+///   everything with, and the default here.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum ExecutorModel {
+    /// Figure 1(a): producers execute their own transactions synchronously.
+    NoExecutor,
+    /// Figure 1(b): a single dispatcher thread between producers and workers.
+    Centralized,
+    /// Figure 1(c): each producer dispatches directly into worker queues.
+    #[default]
+    Parallel,
+}
+
+impl ExecutorModel {
+    /// All models, in the order of Figure 1.
+    pub const ALL: [ExecutorModel; 3] = [
+        ExecutorModel::NoExecutor,
+        ExecutorModel::Centralized,
+        ExecutorModel::Parallel,
+    ];
+
+    /// Name for reports.
+    pub fn name(&self) -> &'static str {
+        match self {
+            ExecutorModel::NoExecutor => "no-executor",
+            ExecutorModel::Centralized => "centralized",
+            ExecutorModel::Parallel => "parallel",
+        }
+    }
+}
+
+impl std::fmt::Display for ExecutorModel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
 
 /// Configuration of one timed run.
 #[derive(Debug, Clone)]
@@ -42,14 +89,15 @@ pub struct DriverConfig {
     pub producers: usize,
     /// Scheduling policy.
     pub scheduler: SchedulerKind,
-    /// Executor wiring (Figure 1).
+    /// Executor wiring (Figure 1). Durable runs always use the runtime's
+    /// own wiring, [`ExecutorModel::Parallel`]. Under
+    /// [`ExecutorModel::NoExecutor`] no runtime is built, so the scheduler,
+    /// queue-depth, adaptation and elastic settings have nothing to act on.
     pub model: ExecutorModel,
     /// Length of the measurement window (the paper uses 10 seconds; the
     /// harness defaults to a few hundred milliseconds so full sweeps finish
     /// on laptop-class machines — pass `--seconds` to scale up).
     pub duration: Duration,
-    /// Task-queue implementation.
-    pub queue: QueueKind,
     /// Enable work stealing for idle workers.
     pub work_stealing: bool,
     /// Producer back-pressure bound (tasks per queue).
@@ -101,7 +149,6 @@ impl Default for DriverConfig {
             scheduler: SchedulerKind::AdaptiveKey,
             model: ExecutorModel::Parallel,
             duration: Duration::from_millis(200),
-            queue: QueueKind::TwoLock,
             work_stealing: false,
             max_queue_depth: Some(10_000),
             seed: 0x5eed,
@@ -151,12 +198,6 @@ impl DriverConfig {
     /// Set the measurement window.
     pub fn with_duration(mut self, duration: Duration) -> Self {
         self.duration = duration;
-        self
-    }
-
-    /// Set the task-queue implementation.
-    pub fn with_queue(mut self, queue: QueueKind) -> Self {
-        self.queue = queue;
         self
     }
 
@@ -256,7 +297,8 @@ pub struct RunResult {
     pub produced: u64,
     /// Completed transactions per second.
     pub throughput: f64,
-    /// Per-worker completion counts.
+    /// Per-worker completion counts (per generating thread under
+    /// [`ExecutorModel::NoExecutor`]).
     pub load: LoadBalance,
     /// STM activity during the window (commits, aborts, backoffs).
     pub stm: StmStatsSnapshot,
@@ -341,24 +383,21 @@ impl Driver {
         &self.config
     }
 
-    /// Number of producer threads for the configured model: the no-executor
-    /// model has no separate producers ("each thread is both producer and
-    /// worker"), so it runs `workers` generating threads.
-    fn producer_threads(&self) -> usize {
-        match self.config.model {
+    /// Number of producer threads for `model`: the no-executor model has no
+    /// separate producers ("each thread is both producer and worker"), so
+    /// it runs `workers` generating threads.
+    fn producer_threads(&self, model: ExecutorModel) -> usize {
+        match model {
             ExecutorModel::NoExecutor => self.config.workers,
             _ => self.config.producers,
         }
     }
 
-    fn runtime_builder(&self) -> crate::builder::Builder {
+    fn runtime_builder(&self) -> Builder {
         let cfg = &self.config;
         let mut builder = Katme::builder()
             .workers(cfg.workers)
-            .producers(self.producer_threads())
             .scheduler(cfg.scheduler)
-            .model(cfg.model)
-            .queue(cfg.queue)
             .work_stealing(cfg.work_stealing)
             .max_queue_depth(cfg.max_queue_depth)
             .batch_size(cfg.batch_size)
@@ -387,7 +426,7 @@ impl Driver {
     /// Run the dictionary microbenchmark (the paper's §4.2): producer
     /// threads generate insert/delete transactions with keys drawn from
     /// `distribution` and workers execute them against a freshly built
-    /// `structure` through the facade runtime.
+    /// `structure`, wired as [`DriverConfig::model`] says.
     pub fn run_dictionary(
         &self,
         structure: StructureKind,
@@ -419,23 +458,12 @@ impl Driver {
             _ => katme_core::key::KeyBounds::dict16(),
         };
 
-        let dict_for_workers = Arc::clone(&dict);
-        let runtime = self
-            .runtime_builder()
-            .key_bounds(bounds)
-            .stm(stm)
-            .build(move |_worker, task: WithKey<TxnSpec>| {
-                apply_spec(&*dict_for_workers, &task.task);
-            })
-            .expect("DriverConfig produces a valid runtime configuration");
-
-        let window = drive_window(
-            &runtime,
-            cfg.duration,
-            self.producer_threads(),
-            cfg.batch_size,
+        self.run_wired(
+            cfg.model,
+            self.runtime_builder().key_bounds(bounds),
+            stm,
+            move |_worker, task: WithKey<TxnSpec>| apply_spec(&*dict, &task.task),
             windows,
-            cfg.ramp.as_ref(),
             |producer| {
                 let mut gen =
                     OpGenerator::paper(distribution, cfg.seed.wrapping_add(1000 + producer as u64));
@@ -456,8 +484,7 @@ impl Driver {
                     }));
                 }
             },
-        );
-        self.collect(runtime, window)
+        )
     }
 
     /// The durable variant of [`Driver::run_dictionary`]: the same workload
@@ -468,7 +495,8 @@ impl Driver {
     /// its group's fsync. The returned [`RunResult::durability`] view holds
     /// the fsyncs-per-commit and mean-group-size evidence, and
     /// [`RunResult::recovery`] what startup recovery found in the log
-    /// directory.
+    /// directory. The run always uses the runtime's own wiring
+    /// ([`ExecutorModel::Parallel`]).
     ///
     /// # Panics
     ///
@@ -495,25 +523,17 @@ impl Driver {
             _ => katme_core::key::KeyBounds::dict16(),
         };
 
-        let dict_for_workers = Arc::clone(&dict);
-        let runtime = self
+        let builder = self
             .runtime_builder()
             .key_bounds(bounds)
-            .stm(stm)
             .durability(&dir)
-            .durable_state(Arc::new(DictState::new(Arc::clone(&dict))))
-            .build(move |_worker, task: Durable<WithKey<TxnSpec>>| {
-                apply_spec(&*dict_for_workers, &task.task.task);
-            })
-            .expect("DriverConfig produces a valid runtime configuration");
-
-        let window = drive_window(
-            &runtime,
-            cfg.duration,
-            self.producer_threads(),
-            cfg.batch_size,
+            .durable_state(Arc::new(DictState::new(Arc::clone(&dict))));
+        self.run_wired(
+            ExecutorModel::Parallel,
+            builder,
+            stm,
+            move |_worker, task: Durable<WithKey<TxnSpec>>| apply_spec(&*dict, &task.task.task),
             1,
-            cfg.ramp.as_ref(),
             |producer| {
                 let mut gen =
                     OpGenerator::paper(distribution, cfg.seed.wrapping_add(1000 + producer as u64));
@@ -531,149 +551,308 @@ impl Driver {
                     }));
                 }
             },
-        );
-        self.collect(runtime, window).0
+        )
+        .0
     }
 
     /// The Figure-4 overhead study: trivial transactions (a single-TVar
     /// increment) executed either by free-running threads
-    /// (`use_executor == false`, Figure 1(a)) or through the executor with
-    /// the configured number of producers (`use_executor == true`).
+    /// (`use_executor == false`, Figure 1(a): the paper's bare loop, one
+    /// thread per worker) or through the executor with the configured number
+    /// of producers (`use_executor == true`, in the configured model, with
+    /// [`ExecutorModel::Parallel`] standing in for the no-executor model).
     pub fn run_trivial(&self, use_executor: bool) -> RunResult {
         let cfg = &self.config;
         let stm = Stm::default();
         // One counter per lane: trivial transactions do not conflict, so the
         // measurement isolates executor overhead exactly as in the paper.
-        let counters: Arc<Vec<TVar<u64>>> =
-            Arc::new((0..cfg.workers).map(|_| TVar::new(0u64)).collect());
-
-        if !use_executor {
-            // Figure 1(a) through the facade: the no-executor model runs the
-            // transaction inline in each generating thread; the payload
-            // carries the thread's counter lane. Unlike the paper's bare
-            // loop, this baseline pays the facade's small fixed dispatch
-            // cost per task (see `StripedCounter` in the runtime), slightly
-            // understating the measured executor overhead; the qualitative
-            // Figure-4 shape is unaffected.
-            let stm_for_workers = stm.clone();
-            let counters_for_workers = Arc::clone(&counters);
-            let runtime = Driver::new(self.config.clone().with_model(ExecutorModel::NoExecutor))
-                .runtime_builder()
-                .stm(stm)
-                .build(move |_worker, lane: WithKey<usize>| {
-                    stm_for_workers
-                        .atomically(|tx| tx.modify(&counters_for_workers[lane.task], |v| v + 1));
-                })
-                .expect("DriverConfig produces a valid runtime configuration");
-            let window = drive_window(
-                &runtime,
-                cfg.duration,
-                cfg.workers,
-                cfg.batch_size,
-                1,
-                cfg.ramp.as_ref(),
-                |producer| {
-                    move |n: usize, out: &mut Vec<WithKey<usize>>| {
-                        out.extend((0..n).map(|_| WithKey::new(producer as u64, producer)));
-                    }
-                },
-            );
-            let (mut result, _) = self.collect(runtime, window);
-            result.producers = 0;
-            return result;
-        }
-
-        // Executor mode: producers enqueue unit tasks, workers run the
-        // trivial transaction against their own counter. The configured
-        // model is honoured except for NoExecutor, which would degenerate
-        // into the free-running side of the comparison — force the paper's
-        // parallel pipeline instead.
+        // The lane is the worker index, or the generating thread's index
+        // when the threads run their own transactions.
+        let counters: Vec<TVar<u64>> = (0..cfg.workers).map(|_| TVar::new(0u64)).collect();
+        let stm_for_workers = stm.clone();
+        let increment = move |lane: usize, _task: WithKey<()>| {
+            stm_for_workers.atomically(|tx| tx.modify(&counters[lane], |v| v + 1));
+        };
         let model = match cfg.model {
+            _ if !use_executor => ExecutorModel::NoExecutor,
             ExecutorModel::NoExecutor => ExecutorModel::Parallel,
             other => other,
         };
-        let stm_for_workers = stm.clone();
-        let counters_for_workers = Arc::clone(&counters);
-        let runtime = self
-            .runtime_builder()
-            .model(model)
-            .key_range(0, u64::from(u16::MAX))
-            .stm(stm)
-            .build(move |worker, _task: WithKey<TxnSpec>| {
-                stm_for_workers
-                    .atomically(|tx| tx.modify(&counters_for_workers[worker], |v| v + 1));
-            })
-            .expect("DriverConfig produces a valid runtime configuration");
-        let window = drive_window(
-            &runtime,
-            cfg.duration,
-            cfg.producers,
-            cfg.batch_size,
+        let (mut result, _) = self.run_wired(
+            model,
+            self.runtime_builder().key_range(0, u64::from(u16::MAX)),
+            stm,
+            increment,
             1,
-            cfg.ramp.as_ref(),
             |producer| {
-                let mut gen = OpGenerator::paper(
-                    DistributionKind::Uniform,
-                    cfg.seed.wrapping_add(1000 + producer as u64),
-                );
+                // Executor producers draw uniform routing keys; free-running
+                // threads generate nothing, as in the paper's bare loop.
+                let mut gen = use_executor.then(|| {
+                    OpGenerator::paper(
+                        DistributionKind::Uniform,
+                        cfg.seed.wrapping_add(1000 + producer as u64),
+                    )
+                });
                 let mut specs: Vec<TxnSpec> = Vec::new();
-                move |n: usize, out: &mut Vec<WithKey<TxnSpec>>| {
-                    gen.batch_into(&mut specs, n);
-                    out.extend(
-                        specs
-                            .drain(..)
-                            .map(|spec| WithKey::new(u64::from(spec.key), spec)),
-                    );
+                move |n: usize, out: &mut Vec<WithKey<()>>| match gen.as_mut() {
+                    None => out.extend((0..n).map(|_| WithKey::new(producer as u64, ()))),
+                    Some(gen) => {
+                        gen.batch_into(&mut specs, n);
+                        out.extend(
+                            specs
+                                .drain(..)
+                                .map(|spec| WithKey::new(u64::from(spec.key), ())),
+                        );
+                    }
                 }
             },
         );
-        let (mut result, _) = self.collect(runtime, window);
-        result.producers = cfg.producers;
+        if !use_executor {
+            result.producers = 0;
+        }
         result
     }
 
-    /// Assemble the run result from the stats snapshot [`drive_window`] took
-    /// when the window closed, then shut the runtime down. Under the
-    /// no-executor model the genuine per-thread completion counts come from
-    /// the producers themselves (inline execution: produced == completed per
-    /// thread), not from the runtime's aggregate counter.
-    fn collect<T: Send + 'static, R: Send + 'static>(
+    /// Run one timed workload wired as `model`: build the runtime from
+    /// `builder` (none under [`ExecutorModel::NoExecutor`]), drive the
+    /// producers through the window (see [`drive_window`]), then shut down
+    /// and assemble the result from the stats snapshot taken when the
+    /// window closed.
+    fn run_wired<K, R, H, F, G>(
         &self,
-        runtime: Runtime<T, R>,
-        window: Window,
-    ) -> (RunResult, Vec<WindowReport>) {
+        model: ExecutorModel,
+        builder: Builder,
+        stm: Stm,
+        handler: H,
+        windows: usize,
+        factory: F,
+    ) -> (RunResult, Vec<WindowReport>)
+    where
+        K: KeyedTask + Send + 'static,
+        R: Send + 'static,
+        H: Fn(usize, K) -> R + Send + Sync + 'static,
+        F: Fn(usize) -> G + Sync,
+        G: FnMut(usize, &mut Vec<K>) + Send,
+    {
         let cfg = &self.config;
-        let model = runtime.model();
-        let recovery = runtime.recovery();
-        // The terminal report carries the plane's *final* counters —
-        // captured after the WAL's shutdown flush, so the tail group that
-        // drains during teardown is included.
-        let report = runtime.shutdown();
-        let stats = window.stats;
-        let load = match model {
-            ExecutorModel::NoExecutor => LoadBalance::new(window.per_producer.clone()),
-            _ => LoadBalance::new(stats.per_worker_completed),
+        let producers = self.producer_threads(model);
+        let wiring = match model {
+            ExecutorModel::NoExecutor => Wiring::Inline(Inline::new(handler, stm, producers)),
+            _ => {
+                let runtime = builder
+                    .stm(stm)
+                    .build(handler)
+                    .expect("DriverConfig produces a valid runtime configuration");
+                if model == ExecutorModel::Centralized {
+                    // The central queue holds whole producer batches; bound
+                    // it at the per-queue depth, counted in tasks.
+                    let bound = cfg
+                        .max_queue_depth
+                        .map(|depth| (depth / cfg.batch_size).max(1));
+                    Wiring::Central {
+                        runtime,
+                        queue: TwoLockQueue::new(),
+                        bound,
+                    }
+                } else {
+                    Wiring::Parallel(runtime)
+                }
+            }
         };
+        let window = drive_window(
+            &wiring,
+            cfg.duration,
+            producers,
+            cfg.batch_size,
+            windows,
+            cfg.ramp.as_ref(),
+            factory,
+        );
+
+        let (recovery, report) = match wiring {
+            Wiring::Inline(_) => (None, None),
+            // The terminal report carries the plane's *final* counters —
+            // captured after the WAL's shutdown flush, so the tail group
+            // that drains during teardown is included.
+            Wiring::Central { runtime, .. } | Wiring::Parallel(runtime) => {
+                (runtime.recovery(), Some(runtime.shutdown()))
+            }
+        };
+        let stats = window.stats;
         let result = RunResult {
             scheduler: cfg.scheduler,
             model,
             workers: cfg.workers,
-            producers: self.producer_threads(),
+            producers,
             elapsed: window.elapsed,
             completed: stats.completed,
             produced: window.per_producer.iter().sum(),
             throughput: stats.completed as f64 / window.elapsed.as_secs_f64(),
-            load,
+            load: LoadBalance::new(stats.per_worker_completed),
             stm: stats.stm,
             repartitions: stats.repartitions,
             resizes: stats.resizes,
             adaptations: stats.adaptations,
-            durability: report.durability,
+            durability: report.as_ref().and_then(|report| report.durability),
             recovery,
-            commit_wait_nanos: report.commit_wait_nanos,
+            commit_wait_nanos: report.map_or(0, |report| report.commit_wait_nanos),
             key_ranges: stats.key_ranges,
         };
         (result, window.reports)
+    }
+}
+
+/// How the producers of one timed run reach the workers (Figure 1).
+enum Wiring<K: Send + 'static, R: Send + 'static> {
+    /// Figure 1(a): each producer runs its own transactions.
+    Inline(Inline<K, R>),
+    /// Figure 1(b): producers enqueue whole batches on `queue`; one
+    /// dispatcher thread (see [`dispatch_central`]) forwards them to the
+    /// runtime. `bound` caps the queue, in batches.
+    Central {
+        runtime: Runtime<K, R>,
+        queue: TwoLockQueue<Vec<K>>,
+        bound: Option<usize>,
+    },
+    /// Figure 1(c): producers dispatch straight into the runtime.
+    Parallel(Runtime<K, R>),
+}
+
+/// The no-executor wiring: no queue, no scheduler, no worker thread. Each
+/// generating thread calls the handler itself (its index is the handler's
+/// worker index) and counts its completions in a slot of its own.
+struct Inline<K, R> {
+    handler: Box<dyn Fn(usize, K) -> R + Send + Sync>,
+    stm: Stm,
+    stm_baseline: StmStatsSnapshot,
+    started: Instant,
+    completed: Vec<CachePadded<AtomicU64>>,
+}
+
+impl<K, R> Inline<K, R> {
+    fn new(
+        handler: impl Fn(usize, K) -> R + Send + Sync + 'static,
+        stm: Stm,
+        threads: usize,
+    ) -> Self {
+        Inline {
+            handler: Box::new(handler),
+            stm_baseline: stm.snapshot(),
+            stm,
+            started: Instant::now(),
+            completed: (0..threads).map(|_| CachePadded::default()).collect(),
+        }
+    }
+
+    /// The same view a runtime reports, for the counters this wiring has:
+    /// completions per thread and the STM's activity.
+    fn stats(&self) -> StatsView {
+        let per_thread: Vec<u64> = self
+            .completed
+            .iter()
+            .map(|count| count.load(Ordering::Relaxed))
+            .collect();
+        let completed = per_thread.iter().sum();
+        StatsView {
+            scheduler: "none",
+            workers: per_thread.len(),
+            active_workers: per_thread.len(),
+            uptime: self.started.elapsed(),
+            submitted: completed,
+            completed,
+            per_worker_completed: per_thread,
+            steals: 0,
+            adopted: 0,
+            parks: 0,
+            resizes: 0,
+            queue_depths: Vec::new(),
+            repartitions: 0,
+            partition_generation: 0,
+            adaptations: Vec::new(),
+            stm: self.stm.snapshot().since(&self.stm_baseline),
+            durability: None,
+            commit_wait_nanos: 0,
+            key_ranges: None,
+            net: None,
+        }
+    }
+}
+
+impl<K: KeyedTask + Send + 'static, R: Send + 'static> Wiring<K, R> {
+    fn stats(&self) -> StatsView {
+        match self {
+            Wiring::Inline(inline) => inline.stats(),
+            Wiring::Central { runtime, .. } | Wiring::Parallel(runtime) => runtime.stats(),
+        }
+    }
+
+    /// Hand producer `producer`'s generated `batch` over. Returns how many
+    /// tasks were taken and whether the producer may go on; a producer stops
+    /// once the runtime refuses work or `run` clears while it waits out
+    /// back-pressure.
+    fn deliver(&self, producer: usize, batch: &mut Vec<K>, run: &AtomicBool) -> (u64, bool) {
+        match self {
+            Wiring::Inline(inline) => {
+                let count = batch.len() as u64;
+                for task in batch.drain(..) {
+                    (inline.handler)(producer, task);
+                }
+                inline.completed[producer].fetch_add(count, Ordering::Relaxed);
+                (count, true)
+            }
+            Wiring::Central { queue, bound, .. } => {
+                if let Some(bound) = *bound {
+                    let mut backoff = Backoff::new();
+                    while queue.count() >= bound {
+                        if !run.load(Ordering::Relaxed) {
+                            return (0, false);
+                        }
+                        backoff.snooze();
+                    }
+                }
+                let count = batch.len();
+                queue.enqueue(std::mem::replace(batch, Vec::with_capacity(count)));
+                (count as u64, true)
+            }
+            // The per-task protocol keeps the single-task submission path,
+            // so it pays no batch bookkeeping.
+            Wiring::Parallel(runtime) if batch.len() == 1 => {
+                let task = batch.pop().expect("one task");
+                match runtime.submit_detached(task) {
+                    Ok(()) => (1, true),
+                    Err(_) => (0, false),
+                }
+            }
+            Wiring::Parallel(runtime) => match runtime.submit_batch_detached_reusing(batch) {
+                Ok(accepted) => (accepted as u64, true),
+                // Blocking submission only fails on shutdown; the accepted
+                // prefix still counts as produced.
+                Err(err) => (err.accepted as u64, false),
+            },
+        }
+    }
+}
+
+/// The Figure-1(b) dispatcher: forward producer batches from the central
+/// queue to the runtime, one [`Runtime::submit_batch_detached`] per batch,
+/// until `dispatching` clears. Whatever is still queued then is abandoned,
+/// like the worker queues' leftovers.
+fn dispatch_central<K: KeyedTask + Send + 'static, R: Send + 'static>(
+    runtime: &Runtime<K, R>,
+    queue: &TwoLockQueue<Vec<K>>,
+    dispatching: &AtomicBool,
+) {
+    let mut backoff = Backoff::new();
+    while dispatching.load(Ordering::Relaxed) {
+        match queue.dequeue() {
+            Some(batch) => {
+                if runtime.submit_batch_detached(batch).is_err() {
+                    return;
+                }
+                backoff.reset();
+            }
+            None => backoff.snooze(),
+        }
     }
 }
 
@@ -687,7 +866,7 @@ impl Driver {
 struct Window {
     per_producer: Vec<u64>,
     elapsed: Duration,
-    stats: crate::runtime::StatsView,
+    stats: StatsView,
     reports: Vec<WindowReport>,
 }
 
@@ -705,19 +884,19 @@ fn ramp_pause(ramp: &ArrivalRamp, started: Instant, duration: Duration) {
     }
 }
 
-/// Run `producers` generating threads against `runtime` for `duration`:
+/// Run `producers` generating threads through `wiring` for `duration`:
 /// each thread gets its own batch generator from `factory` (a closure
 /// filling a task vector, so generators can reuse internal sample buffers)
-/// and submits until the window closes (or the runtime refuses new work).
+/// and delivers until the window closes (or the runtime refuses new work).
 /// With `batch_size` above 1 each producer generates a whole batch locally
-/// and hands it over through the batched dispatch plane
-/// ([`Runtime::submit_batch_detached`]); at 1 it reproduces the paper's
-/// per-task submission. A `ramp` throttles submissions per
+/// and hands it over at once (in the parallel wiring, through
+/// [`Runtime::submit_batch_detached_reusing`]); at 1 it reproduces the
+/// paper's per-task submission. A `ramp` throttles submissions per
 /// [`ArrivalRamp::intensity_at`] over the window. The measurement period
 /// is split into `windows` equal slices, each reported as a
 /// [`WindowReport`] of within-window deltas ([`crate::StatsView::since`]).
 fn drive_window<K, R, F, G>(
-    runtime: &Runtime<K, R>,
+    wiring: &Wiring<K, R>,
     duration: Duration,
     producers: usize,
     batch_size: usize,
@@ -734,52 +913,36 @@ where
     let batch_size = batch_size.max(1);
     let windows = windows.max(1);
     let run = AtomicBool::new(true);
+    let dispatching = AtomicBool::new(true);
     let started = Instant::now();
     // Baseline before any producer starts, so the window deltas tile every
     // completion of the run.
-    let mut previous = runtime.stats();
+    let mut previous = wiring.stats();
     std::thread::scope(|scope| {
+        if let Wiring::Central { runtime, queue, .. } = wiring {
+            let dispatching = &dispatching;
+            scope.spawn(move || dispatch_central(runtime, queue, dispatching));
+        }
         let handles: Vec<_> = (0..producers)
             .map(|producer| {
                 let run = &run;
                 let mut generate = factory(producer);
                 scope.spawn(move || {
                     let mut local = 0u64;
-                    if batch_size == 1 {
-                        // Per-task protocol: the 1-capacity buffer is
-                        // refilled in place, so the loop allocates nothing.
-                        let mut single: Vec<K> = Vec::with_capacity(1);
-                        while run.load(Ordering::Relaxed) {
-                            if let Some(ramp) = ramp {
-                                ramp_pause(ramp, started, duration);
-                            }
-                            generate(1, &mut single);
-                            let task = single.pop().expect("generator fills one task");
-                            if runtime.submit_detached(task).is_err() {
-                                break;
-                            }
-                            local += 1;
+                    // One staging buffer per producer, refilled in place
+                    // every batch — the producer loop itself allocates
+                    // nothing in steady state (the central wiring hands the
+                    // buffer itself over).
+                    let mut batch: Vec<K> = Vec::with_capacity(batch_size);
+                    while run.load(Ordering::Relaxed) {
+                        if let Some(ramp) = ramp {
+                            ramp_pause(ramp, started, duration);
                         }
-                    } else {
-                        // One staging buffer per producer, drained in place
-                        // by the runtime every batch — the producer loop
-                        // itself allocates nothing in steady state.
-                        let mut batch: Vec<K> = Vec::with_capacity(batch_size);
-                        while run.load(Ordering::Relaxed) {
-                            if let Some(ramp) = ramp {
-                                ramp_pause(ramp, started, duration);
-                            }
-                            generate(batch_size, &mut batch);
-                            match runtime.submit_batch_detached_reusing(&mut batch) {
-                                Ok(accepted) => local += accepted as u64,
-                                Err(err) => {
-                                    // Blocking submission only fails on
-                                    // shutdown; the accepted prefix still
-                                    // counts as produced.
-                                    local += err.accepted as u64;
-                                    break;
-                                }
-                            }
+                        generate(batch_size, &mut batch);
+                        let (accepted, go_on) = wiring.deliver(producer, &mut batch, run);
+                        local += accepted;
+                        if !go_on {
+                            break;
                         }
                     }
                     local
@@ -792,7 +955,7 @@ where
             std::thread::sleep(slice);
             // Snapshot at each slice boundary; the deltas are the windowed
             // view (throughput and contention of *this* slice only).
-            let now = runtime.stats();
+            let now = wiring.stats();
             let delta = now.since(&previous);
             reports.push(WindowReport {
                 index,
@@ -816,6 +979,12 @@ where
             .into_iter()
             .map(|handle| handle.join().expect("producer thread panicked"))
             .collect();
+        if let Wiring::Central { runtime, .. } = wiring {
+            // Stop the dispatcher; stopping the runtime also frees it from
+            // a back-pressure wait on a full worker queue.
+            dispatching.store(false, Ordering::Relaxed);
+            runtime.stop();
+        }
         Window {
             per_producer,
             elapsed,
@@ -890,7 +1059,6 @@ mod tests {
             .with_scheduler(SchedulerKind::FixedKey)
             .with_model(ExecutorModel::Centralized)
             .with_duration(Duration::from_millis(50))
-            .with_queue(QueueKind::Mutex)
             .with_work_stealing(true)
             .with_max_queue_depth(Some(64))
             .with_preload(5)
@@ -908,7 +1076,6 @@ mod tests {
         assert_eq!(cfg.producers, 2);
         assert_eq!(cfg.scheduler, SchedulerKind::FixedKey);
         assert_eq!(cfg.model, ExecutorModel::Centralized);
-        assert_eq!(cfg.queue, QueueKind::Mutex);
         assert!(cfg.work_stealing);
         assert_eq!(cfg.max_queue_depth, Some(64));
         assert_eq!(cfg.preload, 5);

@@ -21,8 +21,7 @@
 //!   on its own FIFO and moves on to its next task; the WAL writer's
 //!   [`Wal::on_durable`] hook releases the whole group at once. Groups
 //!   therefore hold every commit made while the previous group flushed,
-//!   not at most one per worker. The inline path (the no-executor model)
-//!   waits for the ticket on the submitting thread. If the writer fails,
+//!   not at most one per worker. If the writer fails,
 //!   every result not yet released resolves as
 //!   [`KatmeError::NotDurable`](crate::KatmeError::NotDurable).
 //! * [`DurableState`] — what the application exposes to the checkpointer:

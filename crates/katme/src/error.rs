@@ -13,8 +13,6 @@ use katme_core::scheduler::SchedulerKind;
 pub enum BuilderError {
     /// `workers(0)`.
     ZeroWorkers,
-    /// `producers(0)`.
-    ZeroProducers,
     /// `key_range(min, max)` with `min > max`.
     InvertedKeyBounds {
         /// Configured lower bound.
@@ -38,8 +36,6 @@ pub enum BuilderError {
         /// The scheduler that was configured.
         scheduler: SchedulerKind,
     },
-    /// Elastic scaling with the no-executor model (nothing to resize).
-    ElasticNeedsPool,
     /// `min_workers(0)`.
     ZeroMinWorkers,
     /// `min_workers > max_workers`.
@@ -81,7 +77,6 @@ impl std::fmt::Display for BuilderError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BuilderError::ZeroWorkers => f.write_str("workers must be at least 1"),
-            BuilderError::ZeroProducers => f.write_str("producers must be at least 1"),
             BuilderError::InvertedKeyBounds { min, max } => {
                 write!(f, "inverted key bounds: min {min} > max {max}")
             }
@@ -105,10 +100,6 @@ impl std::fmt::Display for BuilderError {
             BuilderError::ElasticNeedsAdaptive { scheduler } => write!(
                 f,
                 "elastic worker scaling requires the adaptive scheduler, not '{scheduler}'"
-            ),
-            BuilderError::ElasticNeedsPool => f.write_str(
-                "elastic worker scaling requires a worker pool; the no-executor model executes \
-                 inline in the submitting thread",
             ),
             BuilderError::ZeroMinWorkers => f.write_str("min_workers must be at least 1"),
             BuilderError::InvertedWorkerRange { min, max } => {

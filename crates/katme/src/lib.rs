@@ -16,9 +16,10 @@
 //! * [`Runtime::stats`] exposes a live [`StatsView`] — queue depths,
 //!   per-worker throughput, STM abort rates, scheduler repartitions — at any
 //!   point during the run, not only in the terminal [`ShutdownReport`].
-//! * All three executor models of the paper's Figure 1 (no executor,
-//!   centralized dispatcher, parallel executors) are one
-//!   [`Builder::model`] call apart.
+//! * Producers dispatch inline into the worker queues — the paper's
+//!   parallel executors (Figure 1(c)). The other two wirings of Figure 1
+//!   (no executor, one central dispatcher) are reproduced by the timed
+//!   [`Driver`] for comparison ([`ExecutorModel`]).
 //!
 //! ```
 //! use katme::{Katme, KeyedTask, TxnKey};
@@ -76,7 +77,9 @@ mod runtime;
 mod task;
 
 pub use builder::{Builder, Katme};
-pub use driver::{apply_spec, spec_payload, Driver, DriverConfig, RunResult, WindowReport};
+pub use driver::{
+    apply_spec, spec_payload, Driver, DriverConfig, ExecutorModel, RunResult, WindowReport,
+};
 pub use durability::{
     DictState, DurabilityPlane, DurableState, RecoveryReport, WalSink, DEFAULT_CHECKPOINT_INTERVAL,
 };
@@ -102,12 +105,10 @@ pub use katme_core::drift::{
 pub use katme_core::key::{
     BucketKeyMapper, ConstantKeyMapper, DictKeyMapper, KeyBounds, KeyMapper, TxnKey,
 };
-pub use katme_core::models::ExecutorModel;
 pub use katme_core::partition::{KeyPartition, PartitionGeneration, PartitionTable};
 pub use katme_core::scheduler::{FixedKeyScheduler, RoundRobinScheduler, Scheduler, SchedulerKind};
 pub use katme_core::stats::LoadBalance;
 pub use katme_durability::{CrashPoint, DurabilityView, WalConfig};
-pub use katme_queue::QueueKind;
 pub use katme_stm::{
     ClockMode, KeyRangeSnapshot, KeyRangeTelemetry, Stm, StmConfig, StmStatsSnapshot, TVar,
     Transaction, TxError,
@@ -124,9 +125,7 @@ pub mod prelude {
     pub use crate::runtime::{BatchSubmitError, Runtime, ShutdownReport, StatsView};
     pub use crate::task::{BatchHandle, Durable, KeyedTask, TaskHandle, WithKey};
     pub use katme_core::key::{KeyBounds, TxnKey};
-    pub use katme_core::models::ExecutorModel;
     pub use katme_core::scheduler::SchedulerKind;
     pub use katme_durability::{DurabilityView, WalConfig};
-    pub use katme_queue::QueueKind;
     pub use katme_stm::{Stm, StmConfig, TVar};
 }

@@ -1,18 +1,15 @@
-//! The running system: worker pool, optional central dispatcher, live stats.
+//! The running system: worker pool, durable acknowledgments, live stats.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use katme_core::drift::AdaptationEvent;
-use katme_core::executor::{Executor, ShutdownGate, SubmitError, SubmitRejection};
+use katme_core::executor::{Executor, SubmitError, SubmitRejection};
 use katme_core::key::TxnKey;
-use katme_core::models::ExecutorModel;
 use katme_core::scheduler::Scheduler;
 use katme_core::stats::LoadBalance;
 use katme_durability::DurabilityView;
-use katme_queue::{thread_stripe, Backoff, TwoLockQueue};
 use katme_stm::{
     with_ack_scope, with_durable_payload, with_task_key, KeyRangeSnapshot, Stm, StmStatsSnapshot,
 };
@@ -138,91 +135,24 @@ fn unpack_rejection<T, R>(
     }
 }
 
-/// Stripe count for the inline-completion counters (power of two).
-const INLINE_STRIPES: usize = 16;
-
-/// Cache-line-aligned counter so striped increments do not false-share.
-#[repr(align(64))]
-#[derive(Default)]
-struct PaddedCounter(AtomicU64);
-
-/// Per-thread-striped counter. The no-executor model increments this once
-/// per inline-executed task; striping keeps the Figure-1(a) baseline free of
-/// cross-thread cache-line *contention*. (The baseline still pays the
-/// facade's fixed per-task costs — an accepting-flag load, a dyn-Fn handler
-/// call, one striped increment — a few nanoseconds against STM transactions
-/// costing hundreds; the paper's qualitative overhead shape is preserved.)
-struct StripedCounter {
-    stripes: Vec<PaddedCounter>,
-}
-
-impl StripedCounter {
-    fn new() -> Self {
-        StripedCounter {
-            stripes: (0..INLINE_STRIPES)
-                .map(|_| PaddedCounter::default())
-                .collect(),
-        }
-    }
-
-    fn increment(&self) {
-        self.increment_by(1);
-    }
-
-    fn increment_by(&self, count: u64) {
-        let stripe = thread_stripe() & (INLINE_STRIPES - 1);
-        self.stripes[stripe].0.fetch_add(count, Ordering::Relaxed);
-    }
-
-    fn total(&self) -> u64 {
-        self.stripes
-            .iter()
-            .map(|c| c.0.load(Ordering::Relaxed))
-            .sum()
-    }
-}
-
-/// Central-dispatcher state for [`ExecutorModel::Centralized`] (Figure 1(b)):
-/// producers push raw envelopes onto one shared queue; a single dispatcher
-/// thread runs the scheduler and forwards to the worker queues.
-struct Central<T: Send + 'static, R: Send + 'static> {
-    queue: Arc<TwoLockQueue<Envelope<T, R>>>,
-    /// Intake gate guarding the central queue against dispatcher exit (the
-    /// same handshake the worker pool uses — see [`ShutdownGate`]).
-    gate: Arc<ShutdownGate>,
-    depth: Option<usize>,
-    dispatcher: Option<JoinHandle<()>>,
-    /// Envelopes the dispatcher could not forward because the worker pool
-    /// had already stopped (counted into `ShutdownReport::abandoned`).
-    dropped: Arc<AtomicU64>,
-}
-
 /// A built, running KATME system: STM + scheduler + queues + workers behind
 /// one handle. Created by [`Katme::builder`](crate::Katme::builder).
+///
+/// Producers dispatch in their own thread — the paper's Figure 1(c): each
+/// submission runs the scheduler inline and lands on a worker queue.
 ///
 /// `T` is the task type (any [`KeyedTask`]), `R` the result type produced by
 /// the handler the runtime was built with.
 pub struct Runtime<T: Send + 'static, R: Send + 'static> {
-    model: ExecutorModel,
     scheduler: Arc<dyn Scheduler>,
-    handler: Arc<dyn Fn(usize, T) -> R + Send + Sync>,
-    /// Worker pool (None for [`ExecutorModel::NoExecutor`]). Shared with the
-    /// central dispatcher thread under [`ExecutorModel::Centralized`];
-    /// shutdown joins the dispatcher first, then unwraps the `Arc`.
-    executor: Option<Arc<Executor<Envelope<T, R>>>>,
-    central: Option<Central<T, R>>,
-    accepting: Arc<AtomicBool>,
+    executor: Executor<Envelope<T, R>>,
+    accepting: AtomicBool,
     stm: Stm,
     stm_baseline: StmStatsSnapshot,
     started: Instant,
-    producers: usize,
     drain_on_shutdown: bool,
-    /// Tasks accepted through the queued models (the no-executor model
-    /// counts via `inline_completed` instead, to keep its hot path free of
-    /// shared-counter contention).
+    /// Tasks accepted so far.
     submitted: AtomicU64,
-    /// Tasks executed inline by `submit` under [`ExecutorModel::NoExecutor`].
-    inline_completed: StripedCounter,
     /// The durability plane (WAL + checkpointer), when the runtime was
     /// built with [`crate::Builder::durability`]. Shut down *after* the
     /// worker pool; its final flush releases the results still held.
@@ -239,31 +169,20 @@ pub struct Runtime<T: Send + 'static, R: Send + 'static> {
 
 impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
     pub(crate) fn start(
-        model: ExecutorModel,
         scheduler: Arc<dyn Scheduler>,
         handler: Arc<dyn Fn(usize, T) -> R + Send + Sync>,
         executor_config: katme_core::executor::ExecutorConfig,
         stm: Stm,
-        producers: usize,
         durability: Option<Arc<DurabilityPlane>>,
     ) -> Self {
-        let accepting = Arc::new(AtomicBool::new(true));
-        let max_queue_depth = executor_config.max_queue_depth;
         let drain_on_shutdown = executor_config.drain_on_shutdown;
-        let batch_size = executor_config.batch_size;
-
         let acks = durability.as_ref().map(|plane| {
-            let slots = if model.uses_queues() {
-                scheduler.max_workers().max(scheduler.workers())
-            } else {
-                0
-            };
+            let slots = scheduler.max_workers().max(scheduler.workers());
             AckBoard::attach(plane.wal(), slots)
         });
-        let executor = if model.uses_queues() {
-            let handler = Arc::clone(&handler);
+        let executor = {
             let acks = acks.clone();
-            Some(Arc::new(Executor::start(
+            Executor::start(
                 executor_config,
                 Arc::clone(&scheduler),
                 move |worker, envelope: Envelope<T, R>| {
@@ -304,132 +223,35 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
                         }
                     }
                 },
-            )))
-        } else {
-            None
-        };
-
-        let central = match (model, &executor) {
-            (ExecutorModel::Centralized, Some(executor)) => {
-                let queue: Arc<TwoLockQueue<Envelope<T, R>>> = Arc::new(TwoLockQueue::new());
-                // The dispatcher's queue is demand the workers have not seen
-                // yet: expose its depth to the pool telemetry so a saturated
-                // dispatcher counts as a grow signal for the elastic
-                // controller.
-                {
-                    let probe = Arc::clone(&queue);
-                    executor.attach_backlog_probe(Arc::new(move || probe.count()));
-                }
-                let gate = Arc::new(ShutdownGate::new());
-                let dropped = Arc::new(AtomicU64::new(0));
-                let dispatcher = {
-                    let queue = Arc::clone(&queue);
-                    let gate = Arc::clone(&gate);
-                    let forward = Arc::clone(executor);
-                    let dropped = Arc::clone(&dropped);
-                    std::thread::Builder::new()
-                        .name("katme-dispatcher".into())
-                        .spawn(move || {
-                            let mut backoff = Backoff::new();
-                            // Batched forwarding: drain up to batch_size
-                            // envelopes per wakeup and hand them to the
-                            // worker pool in one batch submission, so the
-                            // scheduler and the worker queues see one call
-                            // per batch instead of one per task.
-                            let mut buffer: Vec<Envelope<T, R>> = Vec::with_capacity(batch_size);
-                            loop {
-                                // Exit handshake (see ShutdownGate): must be
-                                // read *before* the dequeue below.
-                                let may_exit = gate.may_finish();
-                                let took = queue.dequeue_batch(&mut buffer, batch_size);
-                                if took > 0 {
-                                    // A full worker queue applies back-
-                                    // pressure to the dispatcher itself.
-                                    // Once the workers have stopped (only in
-                                    // the no-drain teardown) the remaining
-                                    // envelopes are dropped: their handles
-                                    // resolve as abandoned and the drops are
-                                    // counted into the report.
-                                    let keyed: Vec<_> = buffer
-                                        .drain(..)
-                                        .map(|envelope| (envelope.key, envelope))
-                                        .collect();
-                                    if let Err(err) = forward.submit_batch_blocking(keyed) {
-                                        dropped.fetch_add(
-                                            err.rejected.len() as u64,
-                                            Ordering::Relaxed,
-                                        );
-                                    }
-                                    backoff.reset();
-                                } else {
-                                    if may_exit {
-                                        return;
-                                    }
-                                    backoff.snooze();
-                                }
-                            }
-                        })
-                        .expect("failed to spawn dispatcher thread")
-                };
-                Some(Central {
-                    queue,
-                    gate,
-                    depth: max_queue_depth,
-                    dispatcher: Some(dispatcher),
-                    dropped,
-                })
-            }
-            _ => None,
+            )
         };
 
         let stm_baseline = stm.snapshot();
         Runtime {
-            model,
             scheduler,
-            handler,
             executor,
-            central,
-            accepting,
+            accepting: AtomicBool::new(true),
             stm,
             stm_baseline,
             started: Instant::now(),
-            producers,
             drain_on_shutdown,
             submitted: AtomicU64::new(0),
-            inline_completed: StripedCounter::new(),
             durability,
             acks,
             net: OnceLock::new(),
         }
     }
 
-    /// The executor model this runtime was built with.
-    pub fn model(&self) -> ExecutorModel {
-        self.model
-    }
-
-    /// Number of worker slots (the elastic pool's growth ceiling; 1 for the
-    /// no-executor model, where the submitting thread is the worker).
+    /// Number of worker slots (the elastic pool's growth ceiling).
     pub fn workers(&self) -> usize {
-        self.executor
-            .as_ref()
-            .map_or(1, |executor| executor.workers())
+        self.executor.workers()
     }
 
     /// Worker threads currently active (equals [`Runtime::workers`] for a
     /// fixed-size pool; moves within the configured range for an elastic
     /// one).
     pub fn active_workers(&self) -> usize {
-        self.executor
-            .as_ref()
-            .map_or(1, |executor| executor.active_workers())
-    }
-
-    /// The producer-count hint this runtime was configured with (used by the
-    /// experiment driver; the runtime itself accepts submissions from any
-    /// number of threads).
-    pub fn producers(&self) -> usize {
-        self.producers
+        self.executor.active_workers()
     }
 
     /// The scheduling policy in effect.
@@ -623,213 +445,39 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
             });
         }
 
-        match self.model {
-            ExecutorModel::NoExecutor => {
-                // Figure 1(a): the batch executes inline in the submitting
-                // thread; one striped-counter update (and, when durable, one
-                // ack wait) covers the whole batch.
-                let mut results = Vec::with_capacity(if batch.is_some() { total } else { 0 });
-                let acked = self.run_acked(|| {
-                    for task in tasks.drain(..) {
-                        let result = self.run_inline(task);
-                        if batch.is_some() {
-                            results.push(result);
-                        }
-                    }
-                });
-                self.inline_completed.increment_by(total as u64);
-                if let Some(batch) = batch {
-                    for (completion, result) in batch.completions().zip(results) {
-                        resolve(completion, acked.clone().map(|()| result));
-                    }
-                }
-                Ok(total)
-            }
-            ExecutorModel::Centralized => {
-                let central = self.central.as_ref().expect("centralized model");
-                let mut envelopes = self.package(tasks, batch);
-
-                // Back-pressure against the central queue, respected
-                // chunk-wise: never enqueue more than the observed free
-                // space, so a large batch cannot blow the depth bound by a
-                // whole batch. Blocking submissions wait for space and
-                // continue with the remainder; non-blocking submissions
-                // accept the prefix that fits and report the rest as
-                // QueueFull overflow.
-                let mut accepted = 0usize;
-                loop {
-                    let space = match central.depth {
-                        None => envelopes.len(),
-                        Some(depth) => {
-                            if blocking {
-                                let mut backoff = Backoff::new();
-                                loop {
-                                    let space = depth.saturating_sub(central.queue.count());
-                                    if space > 0 {
-                                        break space;
-                                    }
-                                    if !self.accepting.load(Ordering::Acquire) {
-                                        return Err(unpack_rejection(
-                                            envelopes,
-                                            batch,
-                                            accepted,
-                                            KatmeError::ShuttingDown,
-                                        ));
-                                    }
-                                    backoff.snooze();
-                                }
-                            } else {
-                                depth.saturating_sub(central.queue.count())
-                            }
-                        }
-                    };
-                    if space == 0 {
-                        return Err(unpack_rejection(
-                            envelopes,
-                            batch,
-                            accepted,
-                            KatmeError::QueueFull,
-                        ));
-                    }
-                    let overflow = if space < envelopes.len() {
-                        envelopes.split_off(space)
-                    } else {
-                        Vec::new()
-                    };
-                    let chunk_len = envelopes.len();
-                    // Count the acceptance before the enqueue so a concurrent
-                    // stats() never observes completed > submitted.
-                    self.submitted
-                        .fetch_add(chunk_len as u64, Ordering::Relaxed);
-                    if !central.gate.enter() {
-                        self.submitted
-                            .fetch_sub(chunk_len as u64, Ordering::Relaxed);
-                        envelopes.extend(overflow);
-                        return Err(unpack_rejection(
-                            envelopes,
-                            batch,
-                            accepted,
-                            KatmeError::ShuttingDown,
-                        ));
-                    }
-                    central.queue.enqueue_batch(envelopes);
-                    central.gate.exit();
-                    accepted += chunk_len;
-
-                    if overflow.is_empty() {
-                        return Ok(accepted);
-                    }
-                    if !blocking {
-                        // Filled to the bound with tasks left over: overflow.
-                        return Err(unpack_rejection(
-                            overflow,
-                            batch,
-                            accepted,
-                            KatmeError::QueueFull,
-                        ));
-                    }
-                    envelopes = overflow;
-                }
-            }
-            ExecutorModel::Parallel => {
-                let executor = self.executor.as_ref().expect("parallel model");
-                let keyed = self.package_keyed(tasks, batch);
-                // Count the acceptance before the push so a concurrent
-                // stats() never observes completed > submitted.
-                self.submitted.fetch_add(total as u64, Ordering::Relaxed);
-                let outcome = if blocking {
-                    executor.submit_batch_blocking(keyed)
-                } else {
-                    executor.try_submit_batch(keyed)
-                };
-                match outcome {
-                    Ok(accepted) => Ok(accepted),
-                    Err(err) => {
-                        self.submitted
-                            .fetch_sub(err.rejected.len() as u64, Ordering::Relaxed);
-                        let error = match err.reason {
-                            SubmitRejection::QueueFull => KatmeError::QueueFull,
-                            SubmitRejection::ShuttingDown => KatmeError::ShuttingDown,
-                        };
-                        let accepted = err.accepted;
-                        let rejected_envelopes: Vec<Envelope<T, R>> = err
-                            .into_rejected()
-                            .into_iter()
-                            .map(|(_, envelope)| envelope)
-                            .collect();
-                        Err(unpack_rejection(rejected_envelopes, batch, accepted, error))
-                    }
-                }
-            }
-        }
-    }
-
-    /// Run `f` on the submitting thread and, on a durable runtime, return
-    /// only once everything it committed or read is durable — the inline
-    /// paths' half of the task-boundary ack rule.
-    fn run_acked(&self, f: impl FnOnce()) -> Result<(), KatmeError> {
-        let (Some(acks), Some(plane)) = (&self.acks, &self.durability) else {
-            f();
-            return Ok(());
-        };
-        let ((), ticket) = with_ack_scope(f);
-        acks.await_ticket(plane.wal(), ticket)
-    }
-
-    /// Execute one task inline on the submitting thread (the no-executor
-    /// model), staging its durable payload for the commit path when the
-    /// durability plane is on.
-    fn run_inline(&self, mut task: T) -> R
-    where
-        T: KeyedTask,
-    {
-        let key = task.key();
-        let payload = if self.durability.is_some() {
-            task.take_durable_payload()
+        let keyed = self.package_keyed(tasks, batch);
+        // Count the acceptance before the push so a concurrent stats() never
+        // observes completed > submitted.
+        self.submitted.fetch_add(total as u64, Ordering::Relaxed);
+        let outcome = if blocking {
+            self.executor.submit_batch_blocking(keyed)
         } else {
-            None
+            self.executor.try_submit_batch(keyed)
         };
-        with_task_key(key, || match payload {
-            Some(payload) => with_durable_payload(payload, || (self.handler)(0, task)),
-            None => (self.handler)(0, task),
+        outcome.map_err(|err| {
+            self.submitted
+                .fetch_sub(err.rejected.len() as u64, Ordering::Relaxed);
+            let error = match err.reason {
+                SubmitRejection::QueueFull => KatmeError::QueueFull,
+                SubmitRejection::ShuttingDown => KatmeError::ShuttingDown,
+            };
+            let accepted = err.accepted;
+            let rejected = err
+                .into_rejected()
+                .into_iter()
+                .map(|(_, envelope)| envelope)
+                .collect();
+            unpack_rejection(rejected, batch, accepted, error)
         })
     }
 
-    /// Wrap a batch of tasks into indexed envelopes, task `i` carrying the
-    /// completion of `batch`'s slot `i` when a batch is given. Drains
-    /// `tasks` in place so the caller's buffer keeps its capacity for the
-    /// next batch.
-    fn package(&self, tasks: &mut Vec<T>, batch: Option<&BatchHandle<R>>) -> Vec<Envelope<T, R>>
-    where
-        T: KeyedTask,
-    {
-        let durable = self.durability.is_some();
-        let mut completions = batch.map(BatchHandle::completions);
-        tasks
-            .drain(..)
-            .enumerate()
-            .map(|(batch_index, mut task)| {
-                let payload = if durable {
-                    task.take_durable_payload()
-                } else {
-                    None
-                };
-                Envelope {
-                    key: task.key(),
-                    task,
-                    completion: completions.as_mut().and_then(Iterator::next),
-                    batch_index,
-                    payload,
-                }
-            })
-            .collect()
-    }
-
-    /// [`Runtime::package`], but producing the `(key, envelope)` pairs the
-    /// executor's batch API consumes — one pass, staged directly into a
-    /// buffer recycled from the executor's batch pool (see
-    /// [`katme_core::executor::Executor::recycled_batch`]), so the parallel
-    /// model's steady-state packaging allocates nothing.
+    /// Wrap a batch of tasks into indexed `(key, envelope)` pairs, task `i`
+    /// carrying the completion of `batch`'s slot `i` when a batch is given.
+    /// Drains `tasks` in place so the caller's buffer keeps its capacity for
+    /// the next batch, and stages the pairs directly into a buffer recycled
+    /// from the executor's batch pool (see
+    /// [`katme_core::executor::Executor::recycled_batch`]), so steady-state
+    /// packaging allocates nothing.
     fn package_keyed(
         &self,
         tasks: &mut Vec<T>,
@@ -840,11 +488,7 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
     {
         let durable = self.durability.is_some();
         let mut completions = batch.map(BatchHandle::completions);
-        let mut keyed = self
-            .executor
-            .as_ref()
-            .map(|executor| executor.recycled_batch())
-            .unwrap_or_default();
+        let mut keyed = self.executor.recycled_batch();
         keyed.reserve(tasks.len());
         for (batch_index, mut task) in tasks.drain(..).enumerate() {
             let key = task.key();
@@ -880,111 +524,43 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
             return Err(KatmeError::ShuttingDown);
         }
         let key = task.key();
-
-        match self.model {
-            ExecutorModel::NoExecutor => {
-                // Figure 1(a): the producer executes its own transaction
-                // synchronously — no scheduling, no queuing, so the model
-                // stays a clean zero-overhead baseline.
-                let mut result = None;
-                let acked = self.run_acked(|| result = Some(self.run_inline(task)));
-                if let Some(completion) = completion {
-                    let result = result.expect("the task ran");
-                    resolve(completion, acked.map(|()| result));
-                }
-                self.inline_completed.increment();
-                Ok(())
+        let payload = if self.durability.is_some() {
+            task.take_durable_payload()
+        } else {
+            None
+        };
+        let envelope = Envelope {
+            key,
+            task,
+            completion,
+            batch_index: 0,
+            payload,
+        };
+        // Count the acceptance before the push so a concurrent stats() never
+        // observes completed > submitted.
+        self.submitted.fetch_add(1, Ordering::Relaxed);
+        let outcome = if blocking {
+            self.executor.submit_blocking(key, envelope)
+        } else {
+            self.executor.try_submit(key, envelope)
+        };
+        outcome.map_err(|err| {
+            self.submitted.fetch_sub(1, Ordering::Relaxed);
+            match err {
+                SubmitError::QueueFull(_) => KatmeError::QueueFull,
+                SubmitError::ShuttingDown(_) => KatmeError::ShuttingDown,
             }
-            ExecutorModel::Centralized => {
-                let central = self.central.as_ref().expect("centralized model");
-                let payload = if self.durability.is_some() {
-                    task.take_durable_payload()
-                } else {
-                    None
-                };
-                let envelope = Envelope {
-                    key,
-                    task,
-                    completion,
-                    batch_index: 0,
-                    payload,
-                };
-                if let Some(depth) = central.depth {
-                    if blocking {
-                        let mut backoff = Backoff::new();
-                        while central.queue.count() >= depth {
-                            if !self.accepting.load(Ordering::Acquire) {
-                                return Err(KatmeError::ShuttingDown);
-                            }
-                            backoff.snooze();
-                        }
-                    } else if central.queue.count() >= depth {
-                        return Err(KatmeError::QueueFull);
-                    }
-                }
-                // Count the acceptance before the enqueue so a concurrent
-                // stats() never observes completed > submitted.
-                self.submitted.fetch_add(1, Ordering::Relaxed);
-                if !central.gate.enter() {
-                    self.submitted.fetch_sub(1, Ordering::Relaxed);
-                    return Err(KatmeError::ShuttingDown);
-                }
-                central.queue.enqueue(envelope);
-                central.gate.exit();
-                Ok(())
-            }
-            ExecutorModel::Parallel => {
-                let executor = self.executor.as_ref().expect("parallel model");
-                let payload = if self.durability.is_some() {
-                    task.take_durable_payload()
-                } else {
-                    None
-                };
-                let envelope = Envelope {
-                    key,
-                    task,
-                    completion,
-                    batch_index: 0,
-                    payload,
-                };
-                // Count the acceptance before the push so a concurrent
-                // stats() never observes completed > submitted.
-                self.submitted.fetch_add(1, Ordering::Relaxed);
-                let outcome = if blocking {
-                    executor.submit_blocking(key, envelope)
-                } else {
-                    executor.try_submit(key, envelope)
-                };
-                match outcome {
-                    Ok(()) => Ok(()),
-                    Err(err) => {
-                        self.submitted.fetch_sub(1, Ordering::Relaxed);
-                        Err(match err {
-                            SubmitError::QueueFull(_) => KatmeError::QueueFull,
-                            SubmitError::ShuttingDown(_) => KatmeError::ShuttingDown,
-                        })
-                    }
-                }
-            }
-        }
+        })
     }
 
     /// Tasks accepted so far.
     pub fn submitted(&self) -> u64 {
-        match self.model {
-            // Inline execution: accepted == completed by construction.
-            ExecutorModel::NoExecutor => self.inline_completed.total(),
-            _ => self.submitted.load(Ordering::Relaxed),
-        }
+        self.submitted.load(Ordering::Relaxed)
     }
 
     /// Tasks executed so far, summed over workers.
     pub fn completed(&self) -> u64 {
-        self.inline_completed.total()
-            + self
-                .executor
-                .as_ref()
-                .map_or(0, |executor| executor.completed())
+        self.executor.completed()
     }
 
     /// Register the connection-plane counter block a network front end
@@ -1008,44 +584,19 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
     /// scheduler repartition count — available at any point in the run, not
     /// only from the terminal [`ShutdownReport`].
     pub fn stats(&self) -> StatsView {
-        let per_worker_completed = match &self.executor {
-            Some(executor) => executor.per_worker_completed(),
-            None => vec![self.inline_completed.total()],
-        };
         StatsView {
-            model: self.model,
             scheduler: self.scheduler.name(),
             workers: self.workers(),
             active_workers: self.active_workers(),
             uptime: self.started.elapsed(),
             submitted: self.submitted(),
             completed: self.completed(),
-            per_worker_completed,
-            steals: self
-                .executor
-                .as_ref()
-                .map_or(0, |executor| executor.stolen()),
-            adopted: self
-                .executor
-                .as_ref()
-                .map_or(0, |executor| executor.adopted()),
-            parks: self
-                .executor
-                .as_ref()
-                .map_or(0, |executor| executor.parks()),
-            resizes: self
-                .executor
-                .as_ref()
-                .map_or(0, |executor| executor.resizes()),
-            queue_depths: self
-                .executor
-                .as_ref()
-                .map(|executor| executor.queue_lengths())
-                .unwrap_or_default(),
-            central_queue_depth: self
-                .central
-                .as_ref()
-                .map_or(0, |central| central.queue.count()),
+            per_worker_completed: self.executor.per_worker_completed(),
+            steals: self.executor.stolen(),
+            adopted: self.executor.adopted(),
+            parks: self.executor.parks(),
+            resizes: self.executor.resizes(),
+            queue_depths: self.executor.queue_lengths(),
             repartitions: self.scheduler.repartitions(),
             partition_generation: self.scheduler.generation(),
             adaptations: self.scheduler.adaptation_log(),
@@ -1065,9 +616,9 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
     /// [`KatmeError::ShuttingDown`]. What happens to already-accepted work
     /// follows `drain_on_shutdown`:
     ///
-    /// * draining (the default): workers — and the central dispatcher, when
-    ///   present — keep consuming until every accepted task has executed, so
-    ///   every live [`TaskHandle`] still resolves with a result;
+    /// * draining (the default): workers keep consuming until every accepted
+    ///   task has executed, so every live [`TaskHandle`] still resolves with
+    ///   a result;
     /// * not draining: the worker pool stops promptly, producers blocked on
     ///   back-pressure return [`KatmeError::ShuttingDown`] instead of
     ///   pushing onto queues nobody will drain, and leftover tasks resolve
@@ -1078,13 +629,8 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
     /// of times.
     pub fn stop(&self) {
         self.accepting.store(false, Ordering::SeqCst);
-        if let Some(central) = &self.central {
-            central.gate.close();
-        }
         if !self.drain_on_shutdown {
-            if let Some(executor) = &self.executor {
-                executor.stop();
-            }
+            self.executor.stop();
         }
     }
 
@@ -1092,72 +638,28 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
     pub fn shutdown(mut self) -> ShutdownReport {
         self.accepting.store(false, Ordering::SeqCst);
         let elapsed = self.started.elapsed();
-
-        // Tear down the dispatcher first so in-flight central envelopes are
-        // either forwarded (drain) or dropped (their handles resolve as
-        // abandoned) before the workers stop.
-        let mut central_abandoned = 0u64;
-        if let Some(central) = self.central.take() {
-            central.gate.close();
-            if let Some(dispatcher) = central.dispatcher {
-                let _ = dispatcher.join();
-            }
-            while central.queue.dequeue().is_some() {
-                central_abandoned += 1;
-            }
-            central_abandoned += central.dropped.load(Ordering::Relaxed);
-        }
-
-        let inline = self.inline_completed.total();
-        let plane = self.durability.take();
         let net = self.net.get().map(|counters| counters.view());
-
-        let mut report = match self.executor.take() {
-            Some(executor) => {
-                let executor = Arc::into_inner(executor)
-                    .expect("dispatcher joined; runtime holds the last executor reference");
-                let report = executor.shutdown();
-                ShutdownReport {
-                    completed: report.completed() + inline,
-                    abandoned: report.abandoned + central_abandoned,
-                    stolen: report.stolen,
-                    adopted: report.adopted,
-                    idle_polls: report.idle_polls,
-                    parks: report.parks,
-                    load: report.load,
-                    elapsed,
-                    stm: self.stm.snapshot().since(&self.stm_baseline),
-                    repartitions: self.scheduler.repartitions(),
-                    resizes: report.resizes,
-                    active_workers: report.active_workers,
-                    adaptations: self.scheduler.adaptation_log(),
-                    commit_wait_nanos: 0,
-                    durability: None,
-                    recovery: None,
-                    net,
-                }
-            }
-            None => ShutdownReport {
-                completed: inline,
-                abandoned: 0,
-                stolen: 0,
-                adopted: 0,
-                idle_polls: 0,
-                parks: 0,
-                load: LoadBalance::new(vec![inline]),
-                elapsed,
-                stm: self.stm.snapshot().since(&self.stm_baseline),
-                repartitions: self.scheduler.repartitions(),
-                resizes: 0,
-                active_workers: 1,
-                adaptations: self.scheduler.adaptation_log(),
-                commit_wait_nanos: 0,
-                durability: None,
-                recovery: None,
-                net,
-            },
+        let report = self.executor.shutdown();
+        let mut report = ShutdownReport {
+            completed: report.completed(),
+            abandoned: report.abandoned,
+            stolen: report.stolen,
+            adopted: report.adopted,
+            idle_polls: report.idle_polls,
+            parks: report.parks,
+            load: report.load,
+            elapsed,
+            stm: self.stm.snapshot().since(&self.stm_baseline),
+            repartitions: self.scheduler.repartitions(),
+            resizes: report.resizes,
+            active_workers: report.active_workers,
+            adaptations: self.scheduler.adaptation_log(),
+            commit_wait_nanos: 0,
+            durability: None,
+            recovery: None,
+            net,
         };
-        if let Some(plane) = plane {
+        if let Some(plane) = self.durability.take() {
             // Workers are drained and joined; the final flush releases the
             // results still held for durability, then the final counters
             // are captured for the report.
@@ -1187,7 +689,6 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
 impl<T: Send + 'static, R: Send + 'static> std::fmt::Debug for Runtime<T, R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Runtime")
-            .field("model", &self.model)
             .field("scheduler", &self.scheduler.name())
             .field("workers", &self.workers())
             .field("running", &self.is_running())
@@ -1199,18 +700,10 @@ impl<T: Send + 'static, R: Send + 'static> std::fmt::Debug for Runtime<T, R> {
 
 impl<T: Send + 'static, R: Send + 'static> Drop for Runtime<T, R> {
     /// Dropping a runtime without calling [`Runtime::shutdown`] still stops
-    /// and joins the dispatcher and worker threads.
+    /// and joins the worker threads, then closes the durability plane.
     fn drop(&mut self) {
         self.accepting.store(false, Ordering::SeqCst);
-        if let Some(central) = self.central.take() {
-            central.gate.close();
-            if let Some(dispatcher) = central.dispatcher {
-                let _ = dispatcher.join();
-            }
-        }
-        if let Some(executor) = self.executor.take() {
-            drop(executor); // Executor::drop stops and joins the workers.
-        }
+        self.executor.shutdown();
         if let Some(plane) = self.durability.take() {
             plane.shutdown();
             self.finish_acks();
@@ -1218,20 +711,9 @@ impl<T: Send + 'static, R: Send + 'static> Drop for Runtime<T, R> {
     }
 }
 
-/// Resolve a handle with a task's result, or with the error that withheld
-/// it.
-fn resolve<R>(completion: Completion<R>, outcome: Result<R, KatmeError>) {
-    match outcome {
-        Ok(result) => completion.complete(result),
-        Err(error) => completion.fail(error),
-    }
-}
-
 /// Point-in-time view of a running [`Runtime`], from [`Runtime::stats`].
 #[derive(Debug, Clone)]
 pub struct StatsView {
-    /// Executor wiring in use.
-    pub model: ExecutorModel,
     /// Scheduling policy name.
     pub scheduler: &'static str,
     /// Worker slots (the elastic growth ceiling; equals the configured
@@ -1262,8 +744,6 @@ pub struct StatsView {
     pub resizes: u64,
     /// Current depth of each worker queue (over all slots).
     pub queue_depths: Vec<usize>,
-    /// Current depth of the central dispatch queue (centralized model only).
-    pub central_queue_depth: usize,
     /// Times the scheduler has recomputed its partition.
     pub repartitions: u64,
     /// The routing-table generation currently in effect (0 until the first
@@ -1284,8 +764,8 @@ pub struct StatsView {
     pub durability: Option<DurabilityView>,
     /// Acknowledgment delay in nanoseconds: for every task result held
     /// back until its ack ticket was durable, the time from the task's end
-    /// to its release, summed. No thread blocks for it except on the
-    /// inline paths. Always 0 for a volatile runtime.
+    /// to its release, summed. No thread blocks for it. Always 0 for a
+    /// volatile runtime.
     pub commit_wait_nanos: u64,
     /// Cumulative per-bucket key-range telemetry — commit and abort counts
     /// per key range — `None` unless the runtime attached telemetry (any
@@ -1358,9 +838,9 @@ impl StatsView {
         self.net.as_ref()
     }
 
-    /// Tasks currently waiting in queues (workers plus dispatcher).
+    /// Tasks currently waiting in the worker queues.
     pub fn backlog(&self) -> usize {
-        self.queue_depths.iter().sum::<usize>() + self.central_queue_depth
+        self.queue_depths.iter().sum()
     }
 
     /// Max-over-mean completion imbalance across workers (1.0 = even).

@@ -1,202 +1,48 @@
-//! # katme-queue — concurrent task queues for the KATME executor
+//! # katme-queue — the task queue of the KATME executor
 //!
 //! The paper connects producer and worker threads through per-worker task
 //! queues, instantiated as `java.util.concurrent.ConcurrentLinkedQueue`
 //! (the Michael & Scott concurrent queue). This crate provides the Rust
-//! equivalents used by `katme-core`:
+//! equivalent used by `katme-core`:
 //!
 //! * [`TwoLockQueue`] — Michael & Scott's *two-lock* concurrent queue
 //!   (head lock and tail lock held independently, so an enqueuer never blocks
-//!   a dequeuer). This is the default executor queue: the algorithm comes
-//!   from the same paper as the non-blocking queue the JDK uses, and it is
-//!   expressible in safe Rust.
-//! * [`MutexQueue`] — a single-lock `VecDeque`, the simplest correct queue,
-//!   used as the baseline in the queue micro-benchmarks.
-//! * [`ShardedSegQueue`] — a sharded *segment* queue optimized for batch
-//!   transfer: a batch crosses the queue as one contiguous segment under one
-//!   shard lock on each side.
-//! * [`BoundedQueue`] — a fixed-capacity ring buffer with back-pressure,
-//!   used when the harness wants to bound producer run-ahead.
+//!   a dequeuer). The algorithm comes from the same paper as the non-blocking
+//!   queue the JDK uses, and it is expressible in safe Rust. Every worker
+//!   queue is one of these.
 //! * [`Backoff`] — a small truncated-exponential backoff helper shared by
 //!   spinning consumers.
 //!
 //! ## The batch API
 //!
-//! Every queue implements [`TaskQueue`], which since the batched dispatch
-//! plane refactor is *batch-first*: [`TaskQueue::push_batch`] appends a whole
-//! `Vec` of tasks and [`TaskQueue::pop_batch`] drains up to `max` tasks into
-//! a caller-owned buffer. Each implementation specializes both to one lock
-//! round-trip per call (the trait's default falls back to per-item
-//! `push`/`try_pop` so third-party queues stay source-compatible). Two
-//! guarantees hold for every implementation:
+//! The queue is *batch-first*: [`TwoLockQueue::enqueue_batch`] appends a
+//! whole `Vec` of tasks under one tail-lock round-trip and
+//! [`TwoLockQueue::dequeue_batch`] drains up to `max` tasks into a
+//! caller-owned buffer under one head-lock round-trip. Two guarantees hold:
 //!
 //! * items of one batch are popped in push order (batches stay contiguous);
 //! * per-producer FIFO order is preserved across single and batch pushes.
-//!
-//! The bounded queue additionally reports *partial* batch acceptance:
-//! [`BoundedQueue::try_push_batch`] returns a [`PushBatchError`] that says
-//! how many items were accepted and hands the remainder back so producers can
-//! retry exactly the tasks that did not fit (see `PushBatchError::accepted`
-//! for the never-accepted vs. partially-accepted distinction).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod backoff;
-pub mod bounded;
-pub mod mutex_queue;
-pub mod sharded;
 pub mod two_lock;
 
 pub use backoff::Backoff;
-pub use bounded::{BoundedQueue, PushBatchError, PushError};
-pub use mutex_queue::MutexQueue;
-pub use sharded::{thread_stripe, ShardedSegQueue};
 pub use two_lock::TwoLockQueue;
-
-/// Common interface for the executor's per-worker task queues.
-///
-/// Queues are multi-producer / multi-consumer: any number of producer threads
-/// may [`push`](TaskQueue::push) concurrently with any number of workers
-/// calling [`try_pop`](TaskQueue::try_pop). FIFO order is preserved per
-/// producer (and globally for the unbounded non-sharded queues, which
-/// serialize enqueues on the tail). A batch pushed with
-/// [`push_batch`](TaskQueue::push_batch) is always popped in push order.
-pub trait TaskQueue<T>: Send + Sync {
-    /// Append an item to the tail of the queue.
-    fn push(&self, item: T);
-
-    /// Remove and return the item at the head of the queue, or `None` when
-    /// the queue is currently empty.
-    fn try_pop(&self) -> Option<T>;
-
-    /// Approximate number of queued items (exact when quiescent).
-    fn len(&self) -> usize;
-
-    /// True when the queue is (momentarily) empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Append a whole batch, preserving its internal order. Implementations
-    /// specialize this to one lock round-trip; the default falls back to
-    /// per-item [`push`](TaskQueue::push).
-    fn push_batch(&self, batch: Vec<T>) {
-        for item in batch {
-            self.push(item);
-        }
-    }
-
-    /// Move up to `max` items from the head into `out` (appended), returning
-    /// the number moved. Implementations specialize this to one lock
-    /// round-trip; the default falls back to per-item
-    /// [`try_pop`](TaskQueue::try_pop).
-    fn pop_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
-        let mut moved = 0;
-        while moved < max {
-            match self.try_pop() {
-                Some(item) => {
-                    out.push(item);
-                    moved += 1;
-                }
-                None => break,
-            }
-        }
-        moved
-    }
-}
-
-/// Which queue implementation the executor should use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum QueueKind {
-    /// Michael & Scott two-lock queue (default).
-    #[default]
-    TwoLock,
-    /// Single global lock around a `VecDeque`.
-    Mutex,
-    /// Sharded segment queue optimized for batch transfer.
-    Sharded,
-}
-
-impl QueueKind {
-    /// All queue implementations, for configuration sweeps.
-    pub const ALL: [QueueKind; 3] = [QueueKind::TwoLock, QueueKind::Mutex, QueueKind::Sharded];
-
-    /// Instantiate a boxed queue of this kind.
-    pub fn build<T: Send + 'static>(&self) -> Box<dyn TaskQueue<T>> {
-        match self {
-            QueueKind::TwoLock => Box::new(TwoLockQueue::new()),
-            QueueKind::Mutex => Box::new(MutexQueue::new()),
-            QueueKind::Sharded => Box::new(ShardedSegQueue::new()),
-        }
-    }
-
-    /// Human-readable name for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            QueueKind::TwoLock => "two-lock",
-            QueueKind::Mutex => "mutex",
-            QueueKind::Sharded => "sharded-seg",
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn queue_kind_builds_working_queues() {
-        for kind in QueueKind::ALL {
-            let q = kind.build::<u32>();
-            assert!(q.is_empty());
-            q.push(1);
-            q.push(2);
-            assert_eq!(q.len(), 2);
-            assert_eq!(q.try_pop(), Some(1));
-            assert_eq!(q.try_pop(), Some(2));
-            assert_eq!(q.try_pop(), None);
-            assert!(!kind.name().is_empty());
-        }
-    }
-
-    #[test]
-    fn batch_fifo_is_preserved_across_all_queue_kinds() {
-        for kind in QueueKind::ALL {
-            let q = kind.build::<u32>();
-            q.push(0);
-            q.push_batch((1..=50).collect());
-            q.push(51);
-            q.push_batch((52..=60).collect());
-
-            let mut out = Vec::new();
-            // Drain through a mix of batch and single pops.
-            assert_eq!(q.pop_batch(&mut out, 7), 7, "{}", kind.name());
-            out.push(q.try_pop().unwrap());
-            q.pop_batch(&mut out, usize::MAX);
-            assert_eq!(out, (0..=60).collect::<Vec<_>>(), "{}", kind.name());
-            assert!(q.is_empty(), "{}", kind.name());
-        }
-    }
-
-    #[test]
-    fn bounded_queue_batch_fifo_through_the_trait() {
-        let q = BoundedQueue::new(128);
-        TaskQueue::push_batch(&q, (0..100u32).collect());
-        let mut out = Vec::new();
-        assert_eq!(TaskQueue::pop_batch(&q, &mut out, 100), 100);
-        assert_eq!(out, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn pop_batch_respects_max_and_reports_empty() {
-        for kind in QueueKind::ALL {
-            let q = kind.build::<u32>();
-            let mut out = Vec::new();
-            assert_eq!(q.pop_batch(&mut out, 8), 0, "{}", kind.name());
-            q.push_batch((0..20).collect());
-            assert_eq!(q.pop_batch(&mut out, 8), 8, "{}", kind.name());
-            assert_eq!(q.len(), 12, "{}", kind.name());
-        }
+        let q = TwoLockQueue::<u32>::new();
+        let mut out = Vec::new();
+        assert_eq!(q.dequeue_batch(&mut out, 8), 0);
+        q.enqueue_batch((0..20).collect());
+        assert_eq!(q.dequeue_batch(&mut out, 8), 8);
+        assert_eq!(q.count(), 12);
     }
 }

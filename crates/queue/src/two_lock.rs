@@ -24,8 +24,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 
-use crate::TaskQueue;
-
 /// A two-lock FIFO queue: producers append to the tail segment under the
 /// tail lock; consumers drain the head segment under the head lock and, when
 /// it runs dry, swap the entire tail segment over in O(1).
@@ -133,6 +131,11 @@ impl<T> TwoLockQueue<T> {
         self.len.load(Ordering::Acquire)
     }
 
+    /// True when the queue is (momentarily) empty.
+    pub fn is_empty(&self) -> bool {
+        self.count() == 0
+    }
+
     /// Drain every currently queued item into a `Vec` (consumer-side).
     pub fn drain(&self) -> Vec<T> {
         let mut out = Vec::new();
@@ -140,28 +143,6 @@ impl<T> TwoLockQueue<T> {
             out.push(item);
         }
         out
-    }
-}
-
-impl<T: Send> TaskQueue<T> for TwoLockQueue<T> {
-    fn push(&self, item: T) {
-        self.enqueue(item);
-    }
-
-    fn try_pop(&self) -> Option<T> {
-        self.dequeue()
-    }
-
-    fn len(&self) -> usize {
-        self.count()
-    }
-
-    fn push_batch(&self, batch: Vec<T>) {
-        self.enqueue_batch(batch);
-    }
-
-    fn pop_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
-        self.dequeue_batch(out, max)
     }
 }
 

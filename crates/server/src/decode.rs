@@ -340,100 +340,180 @@ mod tests {
         }
     }
 
-    /// Seeded fuzz loop: valid commands mixed with random bytes, fed in
-    /// random chunk sizes and drained after every feed. The decoder never
-    /// panics, never buffers past one frame plus the last feed, decodes
-    /// every command that precedes the first garbage byte exactly, and
-    /// keeps its first error.
+    fn random_reply(state: &mut u64) -> Reply {
+        let text = |state: &mut u64| -> Vec<u8> {
+            (0..next(state) % 16)
+                .map(|_| b'a' + (next(state) % 26) as u8)
+                .collect()
+        };
+        match next(state) % 7 {
+            0 => Reply::Ok,
+            1 => Reply::Int(next(state)),
+            2 => Reply::Nil,
+            3 => Reply::Bulk(text(state)),
+            4 => Reply::Busy,
+            5 => Reply::Shutdown,
+            _ => Reply::Err(String::from_utf8(text(state)).expect("ascii")),
+        }
+    }
+
+    /// A stream decoder as the fuzz loop drives it, with a source of random
+    /// valid items for its side of the protocol.
+    trait Fuzzed {
+        type Item: Clone + PartialEq + std::fmt::Debug;
+        fn with_cap(max_frame: usize) -> Self;
+        fn push(&mut self, bytes: &[u8]);
+        fn held(&self) -> usize;
+        fn pull(&mut self) -> Result<Option<Self::Item>, WireError>;
+        fn random_item(state: &mut u64) -> Self::Item;
+        fn encode_item(item: &Self::Item, buf: &mut Vec<u8>);
+    }
+
+    impl Fuzzed for CommandDecoder {
+        type Item = Command;
+        fn with_cap(max_frame: usize) -> Self {
+            CommandDecoder::new(max_frame)
+        }
+        fn push(&mut self, bytes: &[u8]) {
+            self.feed(bytes);
+        }
+        fn held(&self) -> usize {
+            self.buffered()
+        }
+        fn pull(&mut self) -> Result<Option<Command>, WireError> {
+            self.try_next()
+        }
+        fn random_item(state: &mut u64) -> Command {
+            random_command(state)
+        }
+        fn encode_item(item: &Command, buf: &mut Vec<u8>) {
+            item.encode_into(buf);
+        }
+    }
+
+    impl Fuzzed for ReplyDecoder {
+        type Item = Reply;
+        fn with_cap(max_frame: usize) -> Self {
+            ReplyDecoder::new(max_frame)
+        }
+        fn push(&mut self, bytes: &[u8]) {
+            self.feed(bytes);
+        }
+        fn held(&self) -> usize {
+            self.buffered()
+        }
+        fn pull(&mut self) -> Result<Option<Reply>, WireError> {
+            self.try_next()
+        }
+        fn random_item(state: &mut u64) -> Reply {
+            random_reply(state)
+        }
+        fn encode_item(item: &Reply, buf: &mut Vec<u8>) {
+            item.encode_into(buf);
+        }
+    }
+
+    /// Seeded fuzz loop, run on both sides of the protocol: valid commands
+    /// (or replies) mixed with random bytes, fed in random chunk sizes and
+    /// drained after every feed. Neither decoder panics, buffers past one
+    /// frame plus the last feed, or alters an item that precedes the first
+    /// garbage byte, and each keeps its first error.
     #[test]
     fn seeded_fuzz_of_mixed_valid_and_random_input() {
         for case in 0..400u64 {
-            let mut state = case;
-            let max_frame = if case % 2 == 0 { MAX_REQUEST_FRAME } else { 64 };
-            // A quarter of the streams are all valid; the rest splice in
-            // garbage now and then: raw random bytes (which read as absurd
-            // lengths), or a plausible header of a small length over a
-            // random, possibly torn body (empty frames, unknown opcodes,
-            // wrong payload sizes, frames that swallow the next command).
-            let garbage_odds = if case % 4 == 0 {
-                0
-            } else {
-                2 + next(&mut state) % 30
-            };
-            let mut stream = Vec::new();
-            let mut expected = Vec::new();
-            let mut clean_prefix = None;
-            for _ in 0..(1 + next(&mut state) % 60) {
-                if garbage_odds > 0 && next(&mut state) % garbage_odds == 0 {
-                    clean_prefix.get_or_insert(expected.len());
-                    let body = if next(&mut state) % 2 == 0 {
-                        1 + next(&mut state) % 12
-                    } else {
-                        let len = next(&mut state) % (max_frame as u64 + 4);
-                        stream.extend_from_slice(&(len as u32).to_le_bytes());
-                        next(&mut state) % (len + 1)
-                    };
-                    for _ in 0..body {
-                        stream.push(next(&mut state) as u8);
-                    }
+            fuzz_case::<CommandDecoder>(case);
+            fuzz_case::<ReplyDecoder>(case);
+        }
+    }
+
+    fn fuzz_case<D: Fuzzed>(case: u64) {
+        let mut state = case;
+        let max_frame = if case % 2 == 0 { MAX_REQUEST_FRAME } else { 64 };
+        // A quarter of the streams are all valid; the rest splice in
+        // garbage now and then: raw random bytes (which read as absurd
+        // lengths), or a plausible header of a small length over a random,
+        // possibly torn body (empty frames, unknown opcodes or tags, wrong
+        // payload sizes, frames that swallow the next item).
+        let garbage_odds = if case % 4 == 0 {
+            0
+        } else {
+            2 + next(&mut state) % 30
+        };
+        let mut stream = Vec::new();
+        let mut expected = Vec::new();
+        let mut clean_prefix = None;
+        for _ in 0..(1 + next(&mut state) % 60) {
+            if garbage_odds > 0 && next(&mut state) % garbage_odds == 0 {
+                clean_prefix.get_or_insert(expected.len());
+                let body = if next(&mut state) % 2 == 0 {
+                    1 + next(&mut state) % 12
                 } else {
-                    let command = random_command(&mut state);
-                    command.encode_into(&mut stream);
-                    if clean_prefix.is_none() {
-                        expected.push(command);
-                    }
+                    let len = next(&mut state) % (max_frame as u64 + 4);
+                    stream.extend_from_slice(&(len as u32).to_le_bytes());
+                    next(&mut state) % (len + 1)
+                };
+                for _ in 0..body {
+                    stream.push(next(&mut state) as u8);
+                }
+            } else {
+                let item = D::random_item(&mut state);
+                D::encode_item(&item, &mut stream);
+                if clean_prefix.is_none() {
+                    expected.push(item);
                 }
             }
+        }
 
-            let mut decoder = CommandDecoder::new(max_frame);
-            let mut decoded = Vec::new();
-            let mut error = None;
-            let mut rest = &stream[..];
-            while !rest.is_empty() && error.is_none() {
-                let chunk = (1 + next(&mut state) as usize % 40).min(rest.len());
-                let (part, tail) = rest.split_at(chunk);
-                rest = tail;
-                decoder.feed(part);
-                loop {
-                    match decoder.try_next() {
-                        Ok(Some(command)) => decoded.push(command),
-                        Ok(None) => break,
-                        Err(e) => {
-                            error = Some(e);
-                            break;
-                        }
+        let mut decoder = D::with_cap(max_frame);
+        let mut decoded = Vec::new();
+        let mut error = None;
+        let mut rest = &stream[..];
+        while !rest.is_empty() && error.is_none() {
+            let chunk = (1 + next(&mut state) as usize % 40).min(rest.len());
+            let (part, tail) = rest.split_at(chunk);
+            rest = tail;
+            decoder.push(part);
+            loop {
+                match decoder.pull() {
+                    Ok(Some(item)) => decoded.push(item),
+                    Ok(None) => break,
+                    Err(e) => {
+                        error = Some(e);
+                        break;
                     }
                 }
-                assert!(
-                    decoder.buffered() < HEADER_LEN + max_frame + part.len(),
-                    "case {case}: {} bytes buffered after a {}-byte feed",
-                    decoder.buffered(),
-                    part.len()
-                );
             }
+            assert!(
+                decoder.held() < HEADER_LEN + max_frame + part.len(),
+                "case {case}: {} bytes buffered after a {}-byte feed",
+                decoder.held(),
+                part.len()
+            );
+        }
 
-            match clean_prefix {
-                None => {
-                    assert_eq!(error, None, "case {case}: valid stream rejected");
-                    assert_eq!(decoded, expected, "case {case}");
-                    assert_eq!(decoder.buffered(), 0, "case {case}");
-                }
-                Some(clean) => {
-                    // Garbage may happen to parse, but everything encoded
-                    // before it must come out first and unchanged.
-                    let n = clean.min(decoded.len());
-                    assert_eq!(decoded[..n], expected[..n], "case {case}");
-                    if error.is_some() {
-                        assert!(decoded.len() >= clean, "case {case}");
-                    }
+        match clean_prefix {
+            None => {
+                assert_eq!(error, None, "case {case}: valid stream rejected");
+                assert_eq!(decoded, expected, "case {case}");
+                assert_eq!(decoder.held(), 0, "case {case}");
+            }
+            Some(clean) => {
+                // Garbage may happen to parse, but everything encoded before
+                // it must come out first and unchanged.
+                let n = clean.min(decoded.len());
+                assert_eq!(decoded[..n], expected[..n], "case {case}");
+                if error.is_some() {
+                    assert!(decoded.len() >= clean, "case {case}");
                 }
             }
-            if let Some(error) = error {
-                decoder.feed(rest);
-                decoder.feed(&encoded(&[Command::Ping]));
-                assert_eq!(decoder.try_next(), Err(error.clone()), "case {case}");
-                assert_eq!(decoder.try_next(), Err(error), "case {case}");
-            }
+        }
+        if let Some(error) = error {
+            decoder.push(rest);
+            let mut valid = Vec::new();
+            D::encode_item(&D::random_item(&mut state), &mut valid);
+            decoder.push(&valid);
+            assert_eq!(decoder.pull(), Err(error.clone()), "case {case}");
+            assert_eq!(decoder.pull(), Err(error), "case {case}");
         }
     }
 

@@ -17,7 +17,7 @@ pub enum TxError {
     /// The transaction spent its backoff rounds waiting for a committing
     /// owner (this STM's one contention policy) and aborts the attempt to
     /// retry rather than keep waiting.
-    ContentionManager(AbortCause),
+    Backoff(AbortCause),
     /// The user requested an explicit retry of the whole atomic block
     /// (e.g. a condition it waits for does not hold yet).
     ExplicitRetry,
@@ -37,7 +37,7 @@ impl TxError {
     /// The abort cause carried by this error, if any.
     pub fn cause(&self) -> Option<AbortCause> {
         match self {
-            TxError::Conflict(c) | TxError::ContentionManager(c) => Some(*c),
+            TxError::Conflict(c) | TxError::Backoff(c) => Some(*c),
             _ => None,
         }
     }
@@ -47,8 +47,8 @@ impl fmt::Display for TxError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TxError::Conflict(cause) => write!(f, "transaction conflict ({cause})"),
-            TxError::ContentionManager(cause) => {
-                write!(f, "aborted by contention manager ({cause})")
+            TxError::Backoff(cause) => {
+                write!(f, "aborted after backoff ran out ({cause})")
             }
             TxError::ExplicitRetry => write!(f, "explicit retry requested"),
             TxError::AttemptsExhausted { attempts } => {
@@ -105,7 +105,7 @@ mod tests {
     #[test]
     fn retryability() {
         assert!(TxError::Conflict(AbortCause::ReadValidation).is_retryable());
-        assert!(TxError::ContentionManager(AbortCause::CommitAcquire).is_retryable());
+        assert!(TxError::Backoff(AbortCause::CommitAcquire).is_retryable());
         assert!(TxError::ExplicitRetry.is_retryable());
         assert!(!TxError::AttemptsExhausted { attempts: 3 }.is_retryable());
     }
@@ -123,7 +123,7 @@ mod tests {
     fn display_is_informative() {
         let msgs: Vec<String> = [
             TxError::Conflict(AbortCause::ReadValidation),
-            TxError::ContentionManager(AbortCause::ReadOwned),
+            TxError::Backoff(AbortCause::ReadOwned),
             TxError::ExplicitRetry,
             TxError::AttemptsExhausted { attempts: 7 },
         ]
@@ -131,7 +131,7 @@ mod tests {
         .map(|e| e.to_string())
         .collect();
         assert!(msgs[0].contains("conflict"));
-        assert!(msgs[1].contains("contention manager"));
+        assert!(msgs[1].contains("backoff"));
         assert!(msgs[2].contains("retry"));
         assert!(msgs[3].contains('7'));
     }

@@ -97,7 +97,7 @@ impl StmStats {
         shard.writes.fetch_add(writes, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_abort(&self, cause: AbortCause, by_cm: bool) {
+    pub(crate) fn record_abort(&self, cause: AbortCause, after_backoff: bool) {
         let shard = self.shards.local();
         match cause {
             AbortCause::ReadValidation => &shard.aborts_read_validation,
@@ -106,7 +106,7 @@ impl StmStats {
             AbortCause::CommitValidation => &shard.aborts_commit_validation,
         }
         .fetch_add(1, Ordering::Relaxed);
-        if by_cm {
+        if after_backoff {
             shard.cm_aborts.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -189,7 +189,7 @@ pub struct StmStatsSnapshot {
     /// Attempts aborted during commit-time read-set validation.
     pub aborts_commit_validation: u64,
     /// Aborts after the backoff rounds ran out against a committing owner
-    /// ([`crate::TxError::ContentionManager`]; a subset of the
+    /// ([`crate::TxError::Backoff`]; a subset of the
     /// cause-specific counters above).
     pub cm_aborts: u64,
     /// User-requested retries of the atomic block.

@@ -166,8 +166,8 @@ impl Stm {
 
     fn note_abort(&self, err: &TxError) {
         if let Some(cause) = err.cause() {
-            let by_cm = matches!(err, TxError::ContentionManager(_));
-            self.stats.record_abort(cause, by_cm);
+            let after_backoff = matches!(err, TxError::Backoff(_));
+            self.stats.record_abort(cause, after_backoff);
             // Lazy-clock validation demand: a validation failure means some
             // commit stamp ran ahead of this transaction's snapshot. Bump
             // the global clock so the retry (and every later transaction)

@@ -220,7 +220,7 @@ impl<'a> Transaction<'a> {
             }
             attempt += 1;
             if !back_off(self.stm, self.id, attempt) {
-                return Err(TxError::ContentionManager(AbortCause::ReadOwned));
+                return Err(TxError::Backoff(AbortCause::ReadOwned));
             }
         }
     }
@@ -367,7 +367,7 @@ impl<'a> Transaction<'a> {
                 attempt += 1;
                 if !back_off(stm, id, attempt) {
                     release_ranked(writes, acquired, id);
-                    return Err(TxError::ContentionManager(AbortCause::CommitAcquire));
+                    return Err(TxError::Backoff(AbortCause::CommitAcquire));
                 }
             }
         }
@@ -581,10 +581,7 @@ mod tests {
             seen = Some(read.clone());
             read
         });
-        assert_eq!(
-            seen,
-            Some(Err(TxError::ContentionManager(AbortCause::ReadOwned)))
-        );
+        assert_eq!(seen, Some(Err(TxError::Backoff(AbortCause::ReadOwned))));
         assert_eq!(
             result.unwrap_err(),
             TxError::AttemptsExhausted { attempts: 1 }

@@ -33,8 +33,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use katme::{
-    spec_payload, CrashPoint, DictState, Durable, ExecutorModel, Katme, KatmeError, OpKind,
-    RecoveryReport, Runtime, Stm, StmConfig, StructureKind, TxnSpec, WalConfig, WithKey,
+    spec_payload, CrashPoint, DictState, Durable, Katme, KatmeError, OpKind, RecoveryReport,
+    Runtime, Stm, StmConfig, StructureKind, TxnSpec, WalConfig, WithKey,
 };
 use katme_collections::TxDictionary;
 
@@ -390,35 +390,32 @@ fn settle<R>(handle: katme::TaskHandle<R>) -> Result<R, KatmeError> {
 
 /// A WAL writer that fails with an I/O error acknowledges nothing it did
 /// not sync: the first groups resolve `Ok`, then every write and every
-/// read — queued or inline — resolves as [`KatmeError::NotDurable`], and
-/// shutdown still completes.
+/// read resolves as [`KatmeError::NotDurable`], and shutdown still
+/// completes.
 #[test]
 fn wal_io_error_resolves_acks_as_not_durable() {
-    for model in [ExecutorModel::Parallel, ExecutorModel::NoExecutor] {
-        let dir = temp_dir(&format!("io-error-{model:?}"));
-        let config = WalConfig::new(&dir).with_crash_point(CrashPoint::IoError, 3);
-        let builder = Katme::builder()
-            .workers(2)
-            .key_range(0, 65_535)
-            .model(model)
-            .checkpoint_interval(Duration::from_secs(3600));
-        let (_dict, runtime) = build_durable(builder, config);
+    let dir = temp_dir("io-error");
+    let config = WalConfig::new(&dir).with_crash_point(CrashPoint::IoError, 3);
+    let builder = Katme::builder()
+        .workers(2)
+        .key_range(0, 65_535)
+        .checkpoint_interval(Duration::from_secs(3600));
+    let (_dict, runtime) = build_durable(builder, config);
 
-        for key in 1..=3u32 {
-            let handle = runtime.submit(insert_task(key, 1)).expect("submit");
-            assert_eq!(settle(handle), Ok(None), "{model:?}: group {key} syncs");
-        }
-        let failed = runtime.submit(insert_task(4, 1)).expect("submit");
-        assert_eq!(settle(failed), Err(KatmeError::NotDurable), "{model:?}");
-
-        // Later writes, and reads whose log tail never synced, fail too.
-        let mut tasks = vec![lookup_task(1, 1), lookup_task(4, 4)];
-        tasks.extend((5..40u32).map(|key| insert_task(key, 1)));
-        let handles = runtime.submit_batch(tasks).expect("submit batch");
-        for handle in handles {
-            assert_eq!(settle(handle), Err(KatmeError::NotDurable), "{model:?}");
-        }
-        runtime.shutdown();
-        let _ = std::fs::remove_dir_all(&dir);
+    for key in 1..=3u32 {
+        let handle = runtime.submit(insert_task(key, 1)).expect("submit");
+        assert_eq!(settle(handle), Ok(None), "group {key} syncs");
     }
+    let failed = runtime.submit(insert_task(4, 1)).expect("submit");
+    assert_eq!(settle(failed), Err(KatmeError::NotDurable));
+
+    // Later writes, and reads whose log tail never synced, fail too.
+    let mut tasks = vec![lookup_task(1, 1), lookup_task(4, 4)];
+    tasks.extend((5..40u32).map(|key| insert_task(key, 1)));
+    let handles = runtime.submit_batch(tasks).expect("submit batch");
+    for handle in handles {
+        assert_eq!(settle(handle), Err(KatmeError::NotDurable));
+    }
+    runtime.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

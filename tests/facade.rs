@@ -1,15 +1,12 @@
 //! Integration tests for the `katme` facade itself: builder validation,
-//! typed task handles across all three executor models, non-blocking
+//! typed task handles, non-blocking
 //! submission errors, batch submission (handle delivery, FIFO, partial
 //! queue-full failure), and prompt shutdown of blocked producers.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use katme::{
-    BuilderError, ExecutorModel, Katme, KatmeError, KeyedTask, QueueKind, SchedulerKind, TxnKey,
-    WithKey,
-};
+use katme::{BuilderError, Katme, KatmeError, KeyedTask, SchedulerKind, TxnKey, WithKey};
 
 /// A self-routing task: squares its payload, scheduled by its payload.
 struct Square(u64);
@@ -79,77 +76,67 @@ fn builder_rejects_invalid_configurations() {
 }
 
 #[test]
-fn task_handles_observe_results_in_every_executor_model() {
-    for model in ExecutorModel::ALL {
-        let runtime = Katme::builder()
-            .workers(2)
-            .model(model)
-            .key_range(0, 1_023)
-            .build(|_worker, task: Square| task.0 * task.0)
-            .expect("valid configuration");
+fn task_handles_observe_results() {
+    let runtime = Katme::builder()
+        .workers(2)
+        .key_range(0, 1_023)
+        .build(|_worker, task: Square| task.0 * task.0)
+        .expect("valid configuration");
 
-        // Await one handle...
-        let awaited = runtime.submit(Square(9)).unwrap();
-        assert_eq!(awaited.wait().unwrap(), 81, "{model}");
+    // Await one handle...
+    let awaited = runtime.submit(Square(9)).unwrap();
+    assert_eq!(awaited.wait().unwrap(), 81);
 
-        // ...poll another to completion...
-        let polled = runtime.submit(Square(12)).unwrap();
-        let mut result = None;
-        for _ in 0..10_000 {
-            if let Some(r) = polled.poll() {
-                result = Some(r);
-                break;
-            }
-            std::thread::yield_now();
+    // ...poll another to completion...
+    let polled = runtime.submit(Square(12)).unwrap();
+    let mut result = None;
+    for _ in 0..10_000 {
+        if let Some(r) = polled.poll() {
+            result = Some(r);
+            break;
         }
-        assert_eq!(result, Some(Ok(144)), "{model}");
-
-        // ...and push a batch whose handles all resolve by shutdown time.
-        let handles: Vec<_> = (0..100u64)
-            .map(|i| runtime.submit(Square(i)).unwrap())
-            .collect();
-        for (i, handle) in handles.into_iter().enumerate() {
-            assert_eq!(
-                handle.wait_timeout(Duration::from_secs(10)).unwrap(),
-                (i * i) as u64,
-                "{model}"
-            );
-        }
-
-        let report = runtime.shutdown();
-        assert_eq!(report.completed, 102, "{model}");
-        assert_eq!(report.abandoned, 0, "{model}");
+        std::thread::yield_now();
     }
+    assert_eq!(result, Some(Ok(144)));
+
+    // ...and push a batch whose handles all resolve by shutdown time.
+    let handles: Vec<_> = (0..100u64)
+        .map(|i| runtime.submit(Square(i)).unwrap())
+        .collect();
+    for (i, handle) in handles.into_iter().enumerate() {
+        assert_eq!(
+            handle.wait_timeout(Duration::from_secs(10)).unwrap(),
+            (i * i) as u64
+        );
+    }
+
+    let report = runtime.shutdown();
+    assert_eq!(report.completed, 102);
+    assert_eq!(report.abandoned, 0);
 }
 
 #[test]
-fn submit_batch_delivers_one_handle_per_task_in_every_executor_model() {
-    for model in ExecutorModel::ALL {
-        for queue in [QueueKind::TwoLock, QueueKind::Mutex, QueueKind::Sharded] {
-            let runtime = Katme::builder()
-                .workers(2)
-                .model(model)
-                .queue(queue)
-                .key_range(0, 1_023)
-                .build(|_worker, task: Square| task.0 * task.0)
-                .expect("valid configuration");
+fn submit_batch_delivers_one_handle_per_task() {
+    let runtime = Katme::builder()
+        .workers(2)
+        .key_range(0, 1_023)
+        .build(|_worker, task: Square| task.0 * task.0)
+        .expect("valid configuration");
 
-            let handles = runtime
-                .submit_batch((0..200u64).map(Square).collect())
-                .expect("batch accepted");
-            assert_eq!(handles.len(), 200, "{model}/{queue:?}");
-            for (i, handle) in handles.into_iter().enumerate() {
-                assert_eq!(
-                    handle.wait_timeout(Duration::from_secs(10)).unwrap(),
-                    (i * i) as u64,
-                    "{model}/{queue:?}: handles are in submission order"
-                );
-            }
-            let report = runtime.shutdown();
-            assert_eq!(report.completed, 200, "{model}/{queue:?}");
-            assert_eq!(report.abandoned, 0, "{model}/{queue:?}");
-        }
+    let handles = runtime
+        .submit_batch((0..200u64).map(Square).collect())
+        .expect("batch accepted");
+    assert_eq!(handles.len(), 200);
+    for (i, handle) in handles.into_iter().enumerate() {
+        assert_eq!(
+            handle.wait_timeout(Duration::from_secs(10)).unwrap(),
+            (i * i) as u64,
+            "handles are in submission order"
+        );
     }
+    let report = runtime.shutdown();
+    assert_eq!(report.completed, 200);
+    assert_eq!(report.abandoned, 0);
 }
 
 #[test]
@@ -327,82 +314,6 @@ fn handles_of_abandoned_tasks_resolve_as_abandoned() {
         abandoned, report.abandoned,
         "every abandoned task's handle resolves as such"
     );
-}
-
-#[test]
-fn centralized_stop_with_drain_executes_every_accepted_task() {
-    // stop() closes intake but, with draining on (the default), the central
-    // dispatcher and the workers keep going until every accepted task ran —
-    // no handle may resolve as abandoned.
-    let runtime = Katme::builder()
-        .workers(2)
-        .model(ExecutorModel::Centralized)
-        .build(|_worker, task: u64| task + 1)
-        .expect("valid configuration");
-    let handles: Vec<_> = (0..2_000u64).map(|i| runtime.submit(i).unwrap()).collect();
-    runtime.stop();
-    assert_eq!(
-        runtime.try_submit_detached(9),
-        Err(KatmeError::ShuttingDown)
-    );
-    let report = runtime.shutdown();
-    assert_eq!(report.completed, 2_000);
-    assert_eq!(report.abandoned, 0);
-    for (i, handle) in handles.into_iter().enumerate() {
-        assert_eq!(handle.wait().unwrap(), i as u64 + 1);
-    }
-}
-
-#[test]
-fn centralized_stop_without_drain_accounts_for_every_task() {
-    // Without draining, tasks the dispatcher can no longer forward (workers
-    // stopped) are dropped — but each drop must be counted as abandoned and
-    // resolve its handle, so completed + abandoned covers every submission.
-    let runtime = Katme::builder()
-        .workers(1)
-        .model(ExecutorModel::Centralized)
-        .drain_on_shutdown(false)
-        .build(|_worker, task: u64| {
-            std::thread::sleep(Duration::from_micros(500));
-            task
-        })
-        .expect("valid configuration");
-    let handles: Vec<_> = (0..500u64).map(|i| runtime.submit(i).unwrap()).collect();
-    std::thread::sleep(Duration::from_millis(20));
-    runtime.stop();
-    let report = runtime.shutdown();
-    let mut completed = 0u64;
-    let mut abandoned = 0u64;
-    for handle in handles {
-        match handle.wait() {
-            Ok(_) => completed += 1,
-            Err(KatmeError::TaskAbandoned) => abandoned += 1,
-            Err(other) => panic!("unexpected handle state: {other}"),
-        }
-    }
-    assert_eq!(completed, report.completed);
-    assert_eq!(abandoned, report.abandoned);
-    assert_eq!(completed + abandoned, 500, "{report:?}");
-}
-
-#[test]
-fn centralized_model_live_stats_expose_the_dispatch_queue() {
-    let runtime = Katme::builder()
-        .workers(2)
-        .model(ExecutorModel::Centralized)
-        .queue(QueueKind::Mutex)
-        .build(|_worker, task: u64| task + 1)
-        .expect("valid configuration");
-    let handles: Vec<_> = (0..500u64).map(|i| runtime.submit(i).unwrap()).collect();
-    let stats = runtime.stats();
-    assert_eq!(stats.model, ExecutorModel::Centralized);
-    assert_eq!(stats.workers, 2);
-    assert_eq!(stats.queue_depths.len(), 2);
-    for handle in handles {
-        handle.wait_timeout(Duration::from_secs(10)).unwrap();
-    }
-    let report = runtime.shutdown();
-    assert_eq!(report.completed, 500);
 }
 
 #[test]

@@ -153,7 +153,6 @@ fn concurrent_producers_full_pipeline() {
     let table_for_workers = Arc::clone(&table);
     let runtime = Katme::builder()
         .workers(4)
-        .producers(4)
         .key_bounds(bucket_bounds())
         .stm(stm.clone())
         .build(move |_worker, task: WithKey<TxnSpec>| {
