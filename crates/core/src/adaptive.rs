@@ -1336,6 +1336,7 @@ mod tests {
                     busy_wakeups: 0,
                     parks: 0,
                     park_nanos: 0,
+                    late_wakes: 0,
                     queue_depths: vec![0; capacity],
                 }),
                 resized: Mutex::new(Vec::new()),

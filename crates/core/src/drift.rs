@@ -340,6 +340,9 @@ pub struct PoolSample {
     /// backoff polls, and counting it as one event would make a parked —
     /// i.e. maximally idle — pool look busy.
     pub park_nanos: u64,
+    /// Cumulative parks that timed out onto work, summed over workers (see
+    /// [`crate::stats::WorkerCounters::record_late_wake`]).
+    pub late_wakes: u64,
     /// Instantaneous depth of every worker queue (length = `capacity`).
     pub queue_depths: Vec<usize>,
 }
@@ -538,6 +541,7 @@ mod tests {
             busy_wakeups: 9,
             parks: 2,
             park_nanos: 50_000_000,
+            late_wakes: 0,
             queue_depths: vec![1, 2, 0, 4],
         };
         assert_eq!(sample.executed(), 38);

@@ -41,9 +41,20 @@
 //! a stale-snapshot dispatch lands on a retired queue afterwards is
 //! *adopted* by the remaining active workers (see the retirement protocol
 //! on [`WorkerSet`]), so a resize can never lose or duplicate a task.
+//!
+//! # Idle workers
+//!
+//! A worker that finds nothing to do spins, then yields, then parks on its
+//! slot's own condvar (`SlotParker`). As each worker owns one queue, an
+//! enqueue has exactly one worker to wake: a producer notifies only the
+//! parker of the slot it pushed to, once per run or chunk. Every parker is
+//! woken when the destination slot is orphaned (any active worker may adopt
+//! it), when work stealing is on (any idle peer may steal), on a resize,
+//! and at shutdown. A park that times out and then finds work counts as a
+//! *late wake* ([`Executor::late_wakes`]).
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -360,61 +371,92 @@ const SLOT_RETIRING: u8 = 2;
 /// of wakeups even when every active worker's own queue never runs dry.
 const ORPHAN_SWEEP_PERIOD: u32 = 64;
 
-/// Safety-net timeout for a parked worker. The wake protocol (sequence
-/// number mutated under the parker lock, producers notify whenever a parked
-/// worker exists) cannot lose wakeups, so this only bounds the damage of a
-/// bug: a parked worker re-checks the world at least this often.
+/// Safety-net timeout for a parked worker. The wake protocol (see
+/// [`SlotParker`]) cannot lose wakeups, so this only bounds the damage of a
+/// bug: a parked worker re-checks the world at least this often. Parks that
+/// end here *and* find work are counted as late wakes
+/// ([`WorkerCounters::late_wakes`]).
 const PARK_TIMEOUT: Duration = Duration::from_millis(25);
 
-/// Condvar parking shared by a pool's idle workers: once a worker's backoff
-/// has escalated past spinning it blocks here instead of sleep-polling, and
-/// is woken by the next enqueue, a resize (retiring slots must notice), or
-/// shutdown.
+/// One worker's condvar parker, on cache lines of its own like
+/// [`SlotQueue`]: once the worker's backoff has escalated past its yield
+/// rounds it blocks here instead of sleep-polling. An enqueue onto the
+/// worker's queue wakes this parker alone (see [`WorkerSet::wake_for`]);
+/// orphan adoption, work stealing, resizes and shutdown wake every slot's.
 ///
-/// Missed-wakeup safety: `epoch` only changes under `lock`, and a worker
-/// (a) raises `parked` with SeqCst *before* its final emptiness re-check
-/// and (b) holds `lock` from reading `epoch` until `wait` atomically
-/// releases it. A producer that enqueues after the re-check therefore
-/// observes `parked > 0` and bumps `epoch` under the lock — either before
-/// the worker waits (the worker sees the changed epoch and skips the wait)
-/// or while it waits (the notify lands). [`PARK_TIMEOUT`] backstops the
-/// reasoning.
+/// Missed-wakeup safety, per slot. The worker holds `lock` from before it
+/// raises `parked` until `wait_timeout` atomically releases it, and runs
+/// its final emptiness re-check in between, after a `SeqCst` fence. A
+/// producer enqueues, fences, and only then reads `parked` (and, in
+/// [`WorkerSet::wake_for`], the active width). The two fences are ordered
+/// one way or the other: either the worker's re-check sees the item and it
+/// never blocks, or the producer sees `parked` and takes `lock` — which it
+/// can do only once the worker waits (the notify lands) or has already
+/// left the park. A producer whose read of `active` races a shrink may
+/// wake only the retiring slot, whose worker can exit before adopting the
+/// item; but that read returned the pre-shrink width, so the producer's
+/// fence precedes the shrink's store of `active`, and the shrink's own
+/// wake-all comes after both. Every active worker then either sees the
+/// item in its orphan sweep or is woken by that wake-all.
+#[repr(align(128))]
 #[derive(Debug, Default)]
-struct IdleParker {
-    lock: Mutex<u64>,
+struct SlotParker {
+    lock: Mutex<()>,
     condvar: Condvar,
-    parked: AtomicUsize,
+    /// Raised by the worker for the length of a park. Accessed `Relaxed`:
+    /// the `SeqCst` fences on both sides order it against the queues.
+    parked: AtomicBool,
+    /// Notifies sent, for the targeted-wake tests.
+    #[cfg(test)]
+    notifies: AtomicUsize,
 }
 
-impl IdleParker {
-    /// Wake every parked worker. Costs one relaxed-ish atomic load when
-    /// nobody is parked — cheap enough for the enqueue hot path.
-    fn wake_all(&self) {
-        if self.parked.load(Ordering::SeqCst) == 0 {
+/// How a [`SlotParker::park`] call ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ParkOutcome {
+    /// The re-check found work: the worker never blocked.
+    Skipped,
+    /// The worker blocked until a notify, or timed out onto nothing.
+    Parked,
+    /// The worker blocked, timed out, and the re-check under the lock found
+    /// work that no notify announced.
+    LateWake,
+}
+
+impl SlotParker {
+    /// Wake the worker if it is parked. The caller has issued the `SeqCst`
+    /// fence after its enqueue (see [`WorkerSet::wake_for`]), so this costs
+    /// one relaxed load when the worker is busy.
+    fn wake(&self) {
+        if !self.parked.load(Ordering::Relaxed) {
             return;
         }
-        let mut epoch = self.lock.lock();
-        *epoch = epoch.wrapping_add(1);
-        self.condvar.notify_all();
+        drop(self.lock.lock());
+        #[cfg(test)]
+        self.notifies.fetch_add(1, Ordering::Relaxed);
+        self.condvar.notify_one();
     }
 
     /// Park until woken or [`PARK_TIMEOUT`]. `has_work` is the caller's
-    /// final emptiness re-check, run after the parked count is raised;
-    /// returns `false` (without blocking) when it reports work.
-    fn park(&self, has_work: impl Fn() -> bool) -> bool {
+    /// final emptiness re-check, run under the lock after `parked` is
+    /// raised, and again if the wait times out.
+    fn park(&self, has_work: impl Fn() -> bool) -> ParkOutcome {
         let guard = self.lock.lock();
-        self.parked.fetch_add(1, Ordering::SeqCst);
+        self.parked.store(true, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
         if has_work() {
-            self.parked.fetch_sub(1, Ordering::SeqCst);
-            return false;
+            self.parked.store(false, Ordering::Relaxed);
+            return ParkOutcome::Skipped;
         }
-        // Any producer that enqueued after `has_work` ran must bump the
-        // epoch under this lock, which it can only take once `wait_timeout`
-        // releases it — so the notify cannot be missed.
-        let (guard, _timed_out) = self.condvar.wait_timeout(guard, PARK_TIMEOUT);
+        let (guard, timed_out) = self.condvar.wait_timeout(guard, PARK_TIMEOUT);
+        let outcome = if timed_out && has_work() {
+            ParkOutcome::LateWake
+        } else {
+            ParkOutcome::Parked
+        };
+        self.parked.store(false, Ordering::Relaxed);
         drop(guard);
-        self.parked.fetch_sub(1, Ordering::SeqCst);
-        true
+        outcome
     }
 }
 
@@ -523,8 +565,9 @@ pub struct WorkerSet<T: Send + 'static> {
     config: ExecutorConfig,
     /// Resizes performed over the set's lifetime.
     resizes: AtomicU64,
-    /// Idle workers block here between bursts (see [`IdleParker`]).
-    parker: IdleParker,
+    /// One parker per slot: idle workers block there between bursts (see
+    /// [`SlotParker`]).
+    parkers: Vec<SlotParker>,
     /// Recycled submission-path buffers (see [`BatchPool`]).
     batch_pool: Mutex<BatchPool<T>>,
 }
@@ -551,7 +594,7 @@ impl<T: Send + 'static> WorkerSet<T> {
             gate: ShutdownGate::new(),
             config,
             resizes: AtomicU64::new(0),
-            parker: IdleParker::default(),
+            parkers: (0..capacity).map(|_| SlotParker::default()).collect(),
             batch_pool: Mutex::new(BatchPool::default()),
         }
     }
@@ -564,6 +607,28 @@ impl<T: Send + 'static> WorkerSet<T> {
     /// Slots currently routed to.
     fn active(&self) -> usize {
         self.active.load(Ordering::SeqCst)
+    }
+
+    /// Wake the worker that must see the items just enqueued on slot
+    /// `worker`: that slot's own worker while the slot is active and nobody
+    /// steals. An orphaned slot is drained by whichever active worker
+    /// adopts it first, and with stealing on any idle peer may take the
+    /// items, so both wake every slot. The fence orders the enqueue before
+    /// the reads of `active` and `parked` (see [`SlotParker`]).
+    fn wake_for(&self, worker: usize) {
+        fence(Ordering::SeqCst);
+        if self.config.work_stealing || worker >= self.active.load(Ordering::Relaxed) {
+            self.parkers.iter().for_each(SlotParker::wake);
+        } else {
+            self.parkers[worker].wake();
+        }
+    }
+
+    /// Wake every parked worker: a resize (retiring slots must notice) or
+    /// shutdown.
+    fn wake_all(&self) {
+        fence(Ordering::SeqCst);
+        self.parkers.iter().for_each(SlotParker::wake);
     }
 }
 
@@ -616,6 +681,7 @@ impl<T: Send + 'static> PoolController for PoolHandle<T> {
             busy_wakeups: set.counters.iter().map(|c| c.busy_wakeups()).sum(),
             parks: set.counters.iter().map(|c| c.parks()).sum(),
             park_nanos: set.counters.iter().map(|c| c.park_nanos()).sum(),
+            late_wakes: set.counters.iter().map(|c| c.late_wakes()).sum(),
             queue_depths: set.queues.iter().map(|q| q.count()).collect(),
         }
     }
@@ -643,7 +709,7 @@ impl<T: Send + 'static> PoolController for PoolHandle<T> {
                 );
             }
             // Parked trailing workers must wake to observe their retirement.
-            set.parker.wake_all();
+            set.wake_all();
         } else {
             // Grow. The *routing* range was already widened when the
             // scheduler published the new-width partition (publish comes
@@ -794,21 +860,30 @@ impl<T: Send + 'static> Executor<T> {
                 backoff.snooze();
             }
         }
-        self.push_guarded(queue, task)
+        self.push_guarded(worker, task)
     }
 
     /// Publish a task through the [`ShutdownGate`], which closes the
     /// check-then-push race against draining workers — a submission that
     /// returns `Ok` is guaranteed to be executed (or counted as abandoned)
     /// rather than stranded on a dead queue.
-    fn push_guarded(&self, queue: &TwoLockQueue<T>, task: T) -> Result<(), SubmitError<T>> {
+    fn push_guarded(&self, worker: usize, task: T) -> Result<(), SubmitError<T>> {
         if !self.set.gate.enter() {
             return Err(SubmitError::ShuttingDown(task));
         }
-        queue.enqueue(task);
+        self.set.queues[worker].enqueue(task);
         self.set.gate.exit();
-        self.set.parker.wake_all();
+        self.set.wake_for(worker);
         Ok(())
+    }
+
+    /// [`Executor::push_guarded`] without the wake: the lost wakeup the
+    /// late-wake counter exists to expose.
+    #[cfg(test)]
+    fn push_unwoken(&self, worker: usize, task: T) {
+        assert!(self.set.gate.enter());
+        self.set.queues[worker].enqueue(task);
+        self.set.gate.exit();
     }
 
     /// Non-blocking variant of [`Executor::submit_to_blocking`].
@@ -822,7 +897,7 @@ impl<T: Send + 'static> Executor<T> {
                 return Err(SubmitError::QueueFull(task));
             }
         }
-        self.push_guarded(queue, task)
+        self.push_guarded(worker, task)
     }
 
     /// Submit a whole batch of keyed tasks, blocking while destination
@@ -1019,7 +1094,7 @@ impl<T: Send + 'static> Executor<T> {
                 pushed += chunk.len();
                 queue.enqueue_batch(chunk);
                 self.set.gate.exit();
-                self.set.parker.wake_all();
+                self.set.wake_for(worker);
                 if run.is_empty() {
                     break;
                 }
@@ -1083,6 +1158,12 @@ impl<T: Send + 'static> Executor<T> {
         self.set.counters.iter().map(|c| c.parks()).sum()
     }
 
+    /// Parks that timed out onto work so far (see
+    /// [`WorkerCounters::record_late_wake`]).
+    pub fn late_wakes(&self) -> u64 {
+        self.set.counters.iter().map(|c| c.late_wakes()).sum()
+    }
+
     /// Current queue lengths (diagnostics / back-pressure tuning), over the
     /// full capacity.
     pub fn queue_lengths(&self) -> Vec<usize> {
@@ -1102,14 +1183,14 @@ impl<T: Send + 'static> Executor<T> {
     /// from any thread, any number of times.
     pub fn stop(&self) {
         self.set.gate.close();
-        self.set.parker.wake_all();
+        self.set.wake_all();
     }
 
     /// Stop the workers, join them, and collect the final counters. Later
     /// calls join nothing and report the same counters again.
     pub fn shutdown(&self) -> ExecutorReport {
         self.set.gate.close();
-        self.set.parker.wake_all();
+        self.set.wake_all();
         // Serialize against an in-flight resize: once the resize lock is
         // ours, no further resize can pass its open-gate check and spawn,
         // so the join below covers every thread the set will ever have.
@@ -1150,7 +1231,7 @@ impl<T: Send + 'static> Drop for Executor<T> {
     /// stops and joins the worker threads so no run leaks threads.
     fn drop(&mut self) {
         self.set.gate.close();
-        self.set.parker.wake_all();
+        self.set.wake_all();
         drop(self.pool.resize_lock.lock());
         self.pool.join_all();
     }
@@ -1292,15 +1373,15 @@ where
         }
         set.counters[index].record_idle_poll();
         if backoff.is_sleeping() {
-            // Escalated past spinning with still nothing to do: block until
-            // an enqueue, resize, or shutdown wakes us, instead of burning
-            // backoff sleeps. The closure is the final emptiness re-check
-            // the parker runs after raising the parked count (see
-            // IdleParker); it covers every wake condition the loop above
-            // polls for — own queue, orphan slots, steal targets, slot
-            // retirement, shutdown.
+            // Escalated past spinning with still nothing to do: block on
+            // this slot's parker until an enqueue, resize, or shutdown wakes
+            // us, instead of burning backoff sleeps. The closure is the
+            // final emptiness re-check the parker runs after raising its
+            // parked flag (see SlotParker); it covers every wake condition
+            // the loop above polls for — own queue, orphan slots, steal
+            // targets, slot retirement, shutdown.
             let park_started = Instant::now();
-            let parked = set.parker.park(|| {
+            let outcome = set.parkers[index].park(|| {
                 if !set.gate.is_open()
                     || set.slots[index].load(Ordering::SeqCst) == SLOT_RETIRING
                     || !set.queues[index].is_empty()
@@ -1314,10 +1395,13 @@ where
                 set.config.work_stealing
                     && (0..active).any(|slot| slot != index && !set.queues[slot].is_empty())
             });
-            if parked {
+            if outcome != ParkOutcome::Skipped {
                 set.counters[index].record_park(
                     u64::try_from(park_started.elapsed().as_nanos()).unwrap_or(u64::MAX),
                 );
+            }
+            if outcome == ParkOutcome::LateWake {
+                set.counters[index].record_late_wake();
             }
             continue;
         }
@@ -1331,7 +1415,6 @@ mod tests {
     use crate::key::KeyBounds;
     use crate::scheduler::{FixedKeyScheduler, RoundRobinScheduler, SchedulerKind};
     use std::sync::atomic::AtomicU64;
-    use std::time::Duration;
 
     fn counting_executor(
         scheduler: Arc<dyn Scheduler>,
@@ -1916,6 +1999,72 @@ mod tests {
         let report = exec.shutdown();
         assert_eq!(report.completed(), 101);
         assert!(report.parks > 0, "{report:?}");
+    }
+
+    /// Poll `ready` for up to two seconds.
+    fn wait_until(ready: impl Fn() -> bool) -> bool {
+        let started = Instant::now();
+        while !ready() {
+            if started.elapsed() > Duration::from_secs(2) {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        true
+    }
+
+    fn notifies(exec: &Executor<u64>, slot: usize) -> usize {
+        exec.set.parkers[slot].notifies.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn an_enqueue_wakes_only_the_destination_worker() {
+        for stealing in [false, true] {
+            // Keys 0..=49 belong to worker 0 of 2.
+            let scheduler = Arc::new(FixedKeyScheduler::new(2, KeyBounds::new(0, 99)));
+            let config = drain_config().with_work_stealing(stealing);
+            let (exec, sum) = counting_executor(scheduler, config);
+            let parked = |slot: usize| exec.set.parkers[slot].parked.load(Ordering::Relaxed);
+            assert!(wait_until(|| parked(0) && parked(1)), "both workers park");
+            for i in 0..200u64 {
+                exec.submit_blocking(i % 50, 1).unwrap();
+            }
+            let batch: Vec<(TxnKey, u64)> = (0..256u64).map(|i| (i % 50, 1)).collect();
+            exec.submit_batch_blocking(batch).unwrap();
+            assert!(wait_until(|| sum.load(Ordering::Relaxed) == 456));
+            assert!(notifies(&exec, 0) >= 1, "the owner is woken");
+            if stealing {
+                assert!(notifies(&exec, 1) >= 1, "a would-be stealer is woken");
+            } else {
+                assert_eq!(notifies(&exec, 1), 0, "the other worker sleeps on");
+            }
+            let report = exec.shutdown();
+            assert_eq!(report.completed(), 456);
+        }
+    }
+
+    #[test]
+    fn a_skipped_wake_is_counted_as_one_late_wake() {
+        let scheduler = Arc::new(RoundRobinScheduler::new(1));
+        let (exec, sum) = counting_executor(scheduler, drain_config());
+        let parker = &exec.set.parkers[0];
+        // With the parker lock held and the flag raised, the worker is
+        // inside its wait: it raises the flag and waits under the lock. The
+        // push skips the wake, so only the timeout can find the task.
+        assert!(wait_until(|| {
+            let _guard = parker.lock.lock();
+            let parked = parker.parked.load(Ordering::Relaxed);
+            if parked {
+                exec.push_unwoken(0, 7);
+            }
+            parked
+        }));
+        assert!(wait_until(|| sum.load(Ordering::Relaxed) == 7));
+        assert_eq!(notifies(&exec, 0), 0);
+        // Joining the worker orders its counter update before the read.
+        let report = exec.shutdown();
+        assert_eq!(report.completed(), 1);
+        assert_eq!(exec.late_wakes(), 1);
     }
 
     #[test]

@@ -25,6 +25,7 @@ pub struct WorkerCounters {
     busy_wakeups: AtomicU64,
     parks: AtomicU64,
     park_nanos: AtomicU64,
+    late_wakes: AtomicU64,
     stolen: AtomicU64,
     adopted: AtomicU64,
 }
@@ -68,6 +69,16 @@ impl WorkerCounters {
     pub fn record_park(&self, nanos: u64) {
         self.parks.fetch_add(1, Ordering::Relaxed);
         self.park_nanos.fetch_add(nanos, Ordering::Relaxed);
+    }
+
+    /// Record a late wake: a park that ran out its safety-net timeout and
+    /// whose re-check, still under the parker lock, found work. Each one is
+    /// an enqueue whose wake the worker did not get in time — either a lost
+    /// wakeup (a bug in the wake protocol) or, legitimately and rarely, a
+    /// timeout that fired while a producer was between its enqueue and its
+    /// notify. Timed tests therefore must not assert an exact 0.
+    pub fn record_late_wake(&self) {
+        self.late_wakes.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record a task stolen from another worker's queue.
@@ -117,6 +128,12 @@ impl WorkerCounters {
     /// Total nanoseconds spent parked.
     pub fn park_nanos(&self) -> u64 {
         self.park_nanos.load(Ordering::Relaxed)
+    }
+
+    /// Parks that timed out onto work (see
+    /// [`WorkerCounters::record_late_wake`]).
+    pub fn late_wakes(&self) -> u64 {
+        self.late_wakes.load(Ordering::Relaxed)
     }
 
     /// Tasks executed after stealing them from an active peer's queue.

@@ -55,9 +55,12 @@ fn main() {
     }
     println!(
         "\n(allocs/commit counts every alloc/alloc_zeroed/realloc across all threads in the\n\
-         measured window, divided by committed transactions; deterministic counts and seeds,\n\
-         so comparable across hosts. Budgets are ceilings with headroom over the measured\n\
-         steady state recorded in README.md.)"
+         measured window, divided by committed transactions. Seeds and window sizes are\n\
+         fixed: read-write allocs/commit repeats exactly and read-only to within 0.001, so\n\
+         those two rows compare across runs and hosts. The durable row depends on\n\
+         group-commit timing (how many commits share a WAL flush) and moves run to run\n\
+         (1.48-1.70 on a 2-vCPU host); bytes/commit moves in every row. Budgets are\n\
+         ceilings with headroom over the measured steady state recorded in README.md.)"
     );
     if failures > 0 {
         std::process::exit(1);

@@ -764,6 +764,7 @@ impl<K, R> Inline<K, R> {
             steals: 0,
             adopted: 0,
             parks: 0,
+            late_wakes: 0,
             resizes: 0,
             queue_depths: Vec::new(),
             repartitions: 0,

@@ -595,6 +595,7 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
             steals: self.executor.stolen(),
             adopted: self.executor.adopted(),
             parks: self.executor.parks(),
+            late_wakes: self.executor.late_wakes(),
             resizes: self.executor.resizes(),
             queue_depths: self.executor.queue_lengths(),
             repartitions: self.scheduler.repartitions(),
@@ -740,6 +741,10 @@ pub struct StatsView {
     /// Condvar parks: idle periods workers spent blocked at zero CPU
     /// (woken by the next enqueue) instead of backoff polling.
     pub parks: u64,
+    /// Parks that ran out their safety-net timeout and then found work: an
+    /// enqueue whose wake came late or never (see
+    /// [`katme_core::stats::WorkerCounters::record_late_wake`]).
+    pub late_wakes: u64,
     /// Worker-pool resizes performed so far.
     pub resizes: u64,
     /// Current depth of each worker queue (over all slots).
