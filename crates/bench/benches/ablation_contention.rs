@@ -31,7 +31,7 @@ fn run_high_contention(scheduler_kind: SchedulerKind, workers: usize) -> (u64, u
         let spec = gen.next_spec();
         let bucket = u64::from(spec.key) % SMALL_BUCKETS as u64;
         executor
-            .submit_blocking(bucket, spec)
+            .submit_batch_blocking(vec![(bucket, spec)])
             .expect("executor accepts while running");
     }
     let completed = executor.shutdown().completed();

@@ -44,22 +44,14 @@ fn run_with_executor(workers: usize, submit_batch: usize) -> u64 {
             stm_for_workers.atomically(|tx| tx.modify(&counters_for_workers[worker], |v| v + 1));
         },
     );
-    if submit_batch == 1 {
-        for i in 0..TXNS {
-            executor
-                .submit_blocking(i, i)
-                .expect("executor accepts while running");
-        }
-    } else {
-        let mut next = 0;
-        while next < TXNS {
-            let end = (next + submit_batch as u64).min(TXNS);
-            let batch: Vec<(u64, u64)> = (next..end).map(|i| (i, i)).collect();
-            executor
-                .submit_batch_blocking(batch)
-                .expect("executor accepts while running");
-            next = end;
-        }
+    let mut next = 0;
+    while next < TXNS {
+        let end = (next + submit_batch as u64).min(TXNS);
+        let batch: Vec<(u64, u64)> = (next..end).map(|i| (i, i)).collect();
+        executor
+            .submit_batch_blocking(batch)
+            .expect("executor accepts while running");
+        next = end;
     }
     executor.shutdown();
     counters.iter().map(|c| *c.load()).sum()

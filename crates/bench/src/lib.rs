@@ -90,30 +90,21 @@ pub fn run_pipeline_batch_submission(
         _ => dict_mapper.key(spec),
     };
     let gen = OpGenerator::paper(distribution, 0xbe7c);
-    if submit_batch == 1 {
-        for spec in gen.take(batch) {
-            let key = key_for(&spec);
-            executor
-                .submit_blocking(key, spec)
-                .expect("executor accepts while running");
+    let mut remaining = batch;
+    for chunk in gen.batches(submit_batch) {
+        if remaining == 0 {
+            break;
         }
-    } else {
-        let mut remaining = batch;
-        for chunk in gen.batches(submit_batch) {
-            if remaining == 0 {
-                break;
-            }
-            let take = remaining.min(chunk.len());
-            remaining -= take;
-            let keyed: Vec<_> = chunk
-                .into_iter()
-                .take(take)
-                .map(|spec| (key_for(&spec), spec))
-                .collect();
-            executor
-                .submit_batch_blocking(keyed)
-                .expect("executor accepts while running");
-        }
+        let take = remaining.min(chunk.len());
+        remaining -= take;
+        let keyed: Vec<_> = chunk
+            .into_iter()
+            .take(take)
+            .map(|spec| (key_for(&spec), spec))
+            .collect();
+        executor
+            .submit_batch_blocking(keyed)
+            .expect("executor accepts while running");
     }
     executor.shutdown().completed()
 }

@@ -1,21 +1,19 @@
 //! The executor: worker pool, per-worker task queues and batched dispatch.
 //!
 //! This is the "parallel executors" model of Figure 1(c): each producer
-//! thread calls [`Executor::submit_blocking`] (or, on the hot path,
-//! [`Executor::submit_batch_blocking`]) directly — dispatch runs in the
+//! thread calls [`Executor::submit_batch_blocking`] (or the non-blocking
+//! [`Executor::try_submit_batch`]) directly — dispatch runs in the
 //! producer, with no central dispatcher thread — the chosen scheduler maps
 //! transaction keys to workers, and the task parameters are pushed onto the
 //! workers' queues. Worker threads drain their own queue up to
 //! [`ExecutorConfig::batch_size`] tasks per wakeup and execute each task
 //! (typically a transaction against a shared data structure).
 //!
-//! The dispatch plane is *batch-first*: a batch submission runs the
-//! scheduler once over the whole key slice
-//! ([`Scheduler::dispatch_batch`]), groups the tasks into per-worker runs,
-//! and crosses each worker queue with a single lock round-trip
-//! ([`TwoLockQueue::enqueue_batch`]) under a single
-//! [`ShutdownGate`] enter/exit. The single-task API is the batch-of-one
-//! special case, kept as a direct path so it pays no `Vec` round-trip.
+//! The dispatch plane is *batch-only*: a submission runs the scheduler once
+//! over the whole key slice ([`Scheduler::dispatch_batch`]), groups the
+//! tasks into per-worker runs, and crosses each worker queue with a single
+//! lock round-trip ([`TwoLockQueue::enqueue_batch`]) under a single
+//! [`ShutdownGate`] enter/exit. A single task is a batch of one.
 //!
 //! The executor is also the routing floor of the continuous adaptation
 //! plane: an adaptive scheduler may republish its partition at any moment
@@ -76,9 +74,9 @@ pub struct ExecutorConfig {
     /// (the paper discusses work stealing as the alternative load-balancing
     /// mechanism; off by default to match its experiments).
     pub work_stealing: bool,
-    /// Back-pressure: producers calling [`Executor::submit_blocking`] yield
-    /// while the target queue holds at least this many tasks. `None` disables
-    /// the bound. The paper's producers run unthrottled for a fixed
+    /// Back-pressure: producers calling [`Executor::submit_batch_blocking`]
+    /// yield while the target queue holds at least this many tasks. `None`
+    /// disables the bound. The paper's producers run unthrottled for a fixed
     /// wall-clock window; the bound keeps memory use sane on small hosts
     /// without changing steady-state behaviour.
     pub max_queue_depth: Option<usize>,
@@ -134,56 +132,6 @@ impl ExecutorConfig {
         self
     }
 }
-
-/// Why a submission was rejected. The task is handed back so the producer
-/// can retry, reroute, or drop it deliberately.
-pub enum SubmitError<T> {
-    /// The destination queue is at `max_queue_depth`; non-blocking submits
-    /// return instead of waiting.
-    QueueFull(T),
-    /// The executor has been stopped; no worker will ever drain the queue
-    /// again, so enqueueing would leak the task.
-    ShuttingDown(T),
-}
-
-impl<T> SubmitError<T> {
-    /// Recover the rejected task.
-    pub fn into_task(self) -> T {
-        match self {
-            SubmitError::QueueFull(task) | SubmitError::ShuttingDown(task) => task,
-        }
-    }
-
-    /// True when the rejection was due to back-pressure.
-    pub fn is_queue_full(&self) -> bool {
-        matches!(self, SubmitError::QueueFull(_))
-    }
-
-    /// True when the rejection was due to shutdown.
-    pub fn is_shutting_down(&self) -> bool {
-        matches!(self, SubmitError::ShuttingDown(_))
-    }
-}
-
-impl<T> std::fmt::Debug for SubmitError<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SubmitError::QueueFull(_) => f.write_str("SubmitError::QueueFull(..)"),
-            SubmitError::ShuttingDown(_) => f.write_str("SubmitError::ShuttingDown(..)"),
-        }
-    }
-}
-
-impl<T> std::fmt::Display for SubmitError<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SubmitError::QueueFull(_) => f.write_str("task queue is at its depth bound"),
-            SubmitError::ShuttingDown(_) => f.write_str("executor is shutting down"),
-        }
-    }
-}
-
-impl<T> std::error::Error for SubmitError<T> {}
 
 /// Why a batch submission stopped being accepted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -463,15 +411,13 @@ impl SlotParker {
 /// Parked submission-path buffers, recycled across `submit_batch_*` calls
 /// so steady-state batch dispatch allocates neither its keyed staging
 /// buffer nor the per-worker run table (see
-/// [`Executor::submit_batch_blocking`]). The inner run vectors are *not*
-/// pooled: `enqueue_batch` consumes them as queue segment storage, which is
-/// the one allocation the batch path inherently pays.
+/// [`Executor::submit_batch_blocking`]).
 struct BatchPool<T> {
     /// Emptied `(key, task)` staging buffers, handed back to producers via
     /// [`Executor::recycled_batch`].
     keyed: Vec<Vec<(TxnKey, T)>>,
-    /// The outer per-worker run table (its inner vectors are empty).
-    runs: Option<Vec<Vec<T>>>,
+    /// The per-worker run table; its runs are empty, capacity kept.
+    runs: Option<Vec<Vec<(TxnKey, T)>>>,
 }
 
 /// Cap on parked keyed staging buffers — bounds idle memory to a handful
@@ -488,9 +434,8 @@ impl<T> Default for BatchPool<T> {
 }
 
 /// Batch-submission staging: the key slice handed to
-/// [`Scheduler::dispatch_batch`], the route table it fills, and the
-/// per-worker run-length counts.
-type DispatchScratch = (Vec<TxnKey>, Vec<usize>, Vec<usize>);
+/// [`Scheduler::dispatch_batch`] and the route table it fills.
+type DispatchScratch = (Vec<TxnKey>, Vec<usize>);
 
 thread_local! {
     /// Per-producer scratch for the batch submission path. Thread-local
@@ -828,76 +773,13 @@ impl<T: Send + 'static> Executor<T> {
         self.scheduler.generation()
     }
 
-    /// Submit a task with the given transaction key, blocking while the
-    /// destination queue is at its depth bound. Called from producer threads;
-    /// runs the scheduler inline (Figure 1(c): the executor is part of the
-    /// producer). Returns [`SubmitError::ShuttingDown`] — promptly, even from
-    /// inside the back-pressure wait — once [`Executor::stop`] or shutdown
-    /// has been initiated, instead of enqueueing onto a queue no worker will
-    /// drain again.
-    pub fn submit_blocking(&self, key: TxnKey, task: T) -> Result<(), SubmitError<T>> {
-        let worker = self.scheduler.dispatch(key);
-        self.submit_to_blocking(worker, task)
-    }
-
-    /// Non-blocking variant of [`Executor::submit_blocking`]: rejects with
-    /// [`SubmitError::QueueFull`] instead of waiting out back-pressure.
-    pub fn try_submit(&self, key: TxnKey, task: T) -> Result<(), SubmitError<T>> {
-        let worker = self.scheduler.dispatch(key);
-        self.try_submit_to(worker, task)
-    }
-
-    /// Submit directly to a specific worker, bypassing the scheduler, with
-    /// blocking back-pressure (see [`Executor::submit_blocking`]).
-    pub fn submit_to_blocking(&self, worker: usize, task: T) -> Result<(), SubmitError<T>> {
-        let queue = &self.set.queues[worker];
-        if let Some(depth) = self.set.config.max_queue_depth {
-            let mut backoff = Backoff::new();
-            while queue.count() >= depth {
-                if !self.set.gate.is_open() {
-                    return Err(SubmitError::ShuttingDown(task));
-                }
-                backoff.snooze();
-            }
-        }
-        self.push_guarded(worker, task)
-    }
-
-    /// Publish a task through the [`ShutdownGate`], which closes the
-    /// check-then-push race against draining workers — a submission that
-    /// returns `Ok` is guaranteed to be executed (or counted as abandoned)
-    /// rather than stranded on a dead queue.
-    fn push_guarded(&self, worker: usize, task: T) -> Result<(), SubmitError<T>> {
-        if !self.set.gate.enter() {
-            return Err(SubmitError::ShuttingDown(task));
-        }
-        self.set.queues[worker].enqueue(task);
-        self.set.gate.exit();
-        self.set.wake_for(worker);
-        Ok(())
-    }
-
-    /// [`Executor::push_guarded`] without the wake: the lost wakeup the
-    /// late-wake counter exists to expose.
+    /// Enqueue one task on `worker`'s queue without waking it: the lost
+    /// wakeup the late-wake counter exists to expose.
     #[cfg(test)]
     fn push_unwoken(&self, worker: usize, task: T) {
         assert!(self.set.gate.enter());
         self.set.queues[worker].enqueue(task);
         self.set.gate.exit();
-    }
-
-    /// Non-blocking variant of [`Executor::submit_to_blocking`].
-    pub fn try_submit_to(&self, worker: usize, task: T) -> Result<(), SubmitError<T>> {
-        if !self.set.gate.is_open() {
-            return Err(SubmitError::ShuttingDown(task));
-        }
-        let queue = &self.set.queues[worker];
-        if let Some(depth) = self.set.config.max_queue_depth {
-            if queue.count() >= depth {
-                return Err(SubmitError::QueueFull(task));
-            }
-        }
-        self.push_guarded(worker, task)
     }
 
     /// Submit a whole batch of keyed tasks, blocking while destination
@@ -908,14 +790,14 @@ impl<T: Send + 'static> Executor<T> {
     /// every key exactly once under one lock round-trip), the tasks are
     /// grouped into per-worker runs, and each run crosses its queue with a
     /// single `enqueue_batch` under a single [`ShutdownGate`] enter/exit —
-    /// the per-task lock and gate traffic of a loop over
-    /// [`Executor::submit_blocking`] collapses to a handful of operations
-    /// per batch.
+    /// the per-task lock and gate traffic collapses to a handful of
+    /// operations per batch.
     ///
     /// Returns the number of tasks accepted (the whole batch on `Ok`). Once
-    /// shutdown is observed, the remaining tasks are handed back in the
-    /// error; every task accepted before that is either executed or counted
-    /// as abandoned.
+    /// shutdown is observed — promptly, even from inside the back-pressure
+    /// wait — the remaining tasks are handed back in the error instead of
+    /// being enqueued onto a queue no worker will drain again; every task
+    /// accepted before that is either executed or counted as abandoned.
     pub fn submit_batch_blocking(
         &self,
         tasks: Vec<(TxnKey, T)>,
@@ -943,8 +825,10 @@ impl<T: Send + 'static> Executor<T> {
     }
 
     /// Park a drained staging buffer for reuse by [`Executor::recycled_batch`].
+    /// A buffer of at most one slot is not worth a trip through the pool's
+    /// shared lock and is dropped.
     fn park_batch_buffer(&self, mut buffer: Vec<(TxnKey, T)>) {
-        if buffer.capacity() == 0 {
+        if buffer.capacity() <= 1 {
             return;
         }
         buffer.clear();
@@ -964,7 +848,7 @@ impl<T: Send + 'static> Executor<T> {
             return Ok(0);
         }
         let total = tasks.len();
-        let (mut keys, mut routes, mut counts) = DISPATCH_SCRATCH
+        let (mut keys, mut routes) = DISPATCH_SCRATCH
             .with(|slot| slot.take())
             .unwrap_or_default();
         keys.clear();
@@ -973,148 +857,51 @@ impl<T: Send + 'static> Executor<T> {
         self.scheduler.dispatch_batch(&keys, &mut routes);
         debug_assert_eq!(routes.len(), total);
 
-        // Group into per-worker runs holding the bare tasks — the hot path
-        // hands each run to its queue without another per-item move; keys
-        // are re-associated from `keys`/`routes` only on the cold rejection
-        // path (see `reject_run`). Runs span the full capacity: a routing
-        // snapshot can only produce indices below its own width, which is
-        // never above the capacity. The outer table is pooled; each inner
-        // run is sized exactly from a counting pass because `enqueue_batch`
-        // consumes it as queue segment storage — one unavoidable allocation
-        // per non-empty run.
-        let workers = self.set.capacity();
-        let mut runs: Vec<Vec<T>> = self.set.batch_pool.lock().runs.take().unwrap_or_default();
-        debug_assert!(runs.iter().all(Vec::is_empty));
-        runs.resize_with(workers, Vec::new);
-        counts.clear();
-        counts.resize(workers, 0);
-        for &worker in &routes {
-            counts[worker] += 1;
-        }
-        for (run, &count) in runs.iter_mut().zip(&counts) {
-            if count > 0 {
-                run.reserve_exact(count);
+        let mut pushed = Pushed {
+            accepted: 0,
+            rejected: Vec::new(),
+            queue_full: false,
+            shutting_down: false,
+        };
+        let first = routes[0];
+        if routes.iter().all(|&worker| worker == first) {
+            // One destination — always so for a batch of one: the batch is
+            // its own run.
+            self.push_run(first, &mut tasks, blocking, &mut pushed);
+        } else {
+            // Group into per-worker runs. Runs span the full capacity: a
+            // routing snapshot can only produce indices below its own
+            // width, which is never above the capacity. The table and its
+            // runs are pooled; `push_run` drains each run in place, so they
+            // keep their capacity for the next batch.
+            let workers = self.set.capacity();
+            let mut runs = self.set.batch_pool.lock().runs.take().unwrap_or_default();
+            debug_assert!(runs.iter().all(Vec::is_empty));
+            runs.resize_with(workers, Vec::new);
+            for (task, &worker) in tasks.drain(..).zip(&routes) {
+                runs[worker].push(task);
             }
-        }
-        for ((_, task), &worker) in tasks.drain(..).zip(&routes) {
-            runs[worker].push(task);
-        }
-        // `tasks` is now empty with its capacity intact — park it for the
-        // next producer batch (see `recycled_batch`).
-        self.park_batch_buffer(tasks);
-
-        // Recover `(key, task)` pairs for the tail of a worker's run, for
-        // hand-back: the items of `run` routed to `worker` appear in `keys`
-        // in the same order, so zipping the filtered keys with the run's
-        // tail restores each task's key.
-        let reject_run =
-            |rejected: &mut Vec<(TxnKey, T)>, run: Vec<T>, skip: usize, worker: usize| {
-                let run_keys = keys
-                    .iter()
-                    .zip(&routes)
-                    .filter(|&(_, &route)| route == worker)
-                    .map(|(&key, _)| key)
-                    .skip(skip);
-                rejected.extend(run_keys.zip(run));
-            };
-
-        let mut accepted = 0usize;
-        let mut rejected: Vec<(TxnKey, T)> = Vec::new();
-        let mut queue_full = false;
-        let mut shutting_down = false;
-
-        for (worker, slot) in runs.iter_mut().enumerate() {
-            let mut run = std::mem::take(slot);
-            if run.is_empty() {
-                continue;
-            }
-            if shutting_down {
-                // Shutdown is global: nothing further can be accepted.
-                reject_run(&mut rejected, run, 0, worker);
-                continue;
-            }
-            let queue = &self.set.queues[worker];
-            // Back-pressure is per worker queue: a full queue rejects (or
-            // waits out) only its own run; other workers' runs still land.
-            // Both modes respect the depth bound chunk-wise: never push more
-            // than the observed free space, so a large batch cannot blow
-            // `max_queue_depth` by a whole run. Blocking mode waits for
-            // space and continues with the remainder; non-blocking mode
-            // reports the remainder as QueueFull overflow.
-            let mut pushed = 0usize;
-            loop {
-                let space = match self.set.config.max_queue_depth {
-                    None => run.len(),
-                    Some(depth) => {
-                        if blocking {
-                            let mut backoff = Backoff::new();
-                            loop {
-                                let space = depth.saturating_sub(queue.count());
-                                if space > 0 {
-                                    break space;
-                                }
-                                if !self.set.gate.is_open() {
-                                    shutting_down = true;
-                                    break 0;
-                                }
-                                backoff.snooze();
-                            }
-                        } else {
-                            depth.saturating_sub(queue.count())
-                        }
-                    }
-                };
-                if shutting_down {
-                    reject_run(&mut rejected, run, pushed, worker);
-                    break;
-                }
-                if space == 0 {
-                    queue_full = true;
-                    reject_run(&mut rejected, run, pushed, worker);
-                    break;
-                }
-                let chunk = if space < run.len() {
-                    let rest = run.split_off(space);
-                    std::mem::replace(&mut run, rest)
-                } else {
-                    std::mem::take(&mut run)
-                };
-                // One gate enter/exit covers the whole chunk (per-batch
-                // shutdown accounting; see ShutdownGate).
-                if !self.set.gate.enter() {
-                    shutting_down = true;
-                    let skip = pushed + chunk.len();
-                    reject_run(&mut rejected, chunk, pushed, worker);
-                    if !run.is_empty() {
-                        reject_run(&mut rejected, run, skip, worker);
-                    }
-                    break;
-                }
-                accepted += chunk.len();
-                pushed += chunk.len();
-                queue.enqueue_batch(chunk);
-                self.set.gate.exit();
-                self.set.wake_for(worker);
-                if run.is_empty() {
-                    break;
-                }
-                if !blocking {
-                    // Filled to the bound with items left over: overflow.
-                    queue_full = true;
-                    reject_run(&mut rejected, run, pushed, worker);
-                    break;
+            for (worker, run) in runs.iter_mut().enumerate() {
+                if !run.is_empty() {
+                    self.push_run(worker, run, blocking, &mut pushed);
                 }
             }
-        }
-
-        DISPATCH_SCRATCH.with(|slot| slot.set(Some((keys, routes, counts))));
-        {
             let mut pool = self.set.batch_pool.lock();
             if pool.runs.is_none() {
                 pool.runs = Some(runs);
             }
         }
+        // `tasks` is now empty with its capacity intact — park it for the
+        // next producer batch (see `recycled_batch`).
+        self.park_batch_buffer(tasks);
+        DISPATCH_SCRATCH.with(|slot| slot.set(Some((keys, routes))));
 
+        let Pushed {
+            accepted,
+            rejected,
+            queue_full,
+            shutting_down,
+        } = pushed;
         if !queue_full && !shutting_down {
             Ok(accepted)
         } else {
@@ -1128,6 +915,76 @@ impl<T: Send + 'static> Executor<T> {
                 },
             })
         }
+    }
+
+    /// Drain `run`, the tasks of one batch routed to `worker`, onto that
+    /// worker's queue; whatever is not accepted moves to `out.rejected`.
+    /// Back-pressure is per worker queue: a full queue rejects (or waits
+    /// out) only its own run; other workers' runs still land. Both modes
+    /// respect the depth bound chunk-wise: never push more than the
+    /// observed free space, so a large batch cannot blow `max_queue_depth`
+    /// by a whole run. Blocking mode waits for space and continues with the
+    /// remainder; non-blocking mode reports the remainder as QueueFull
+    /// overflow.
+    fn push_run(
+        &self,
+        worker: usize,
+        run: &mut Vec<(TxnKey, T)>,
+        blocking: bool,
+        out: &mut Pushed<T>,
+    ) {
+        let queue = &self.set.queues[worker];
+        while !out.shutting_down {
+            let space = match self.set.config.max_queue_depth {
+                None => run.len(),
+                Some(depth) if blocking => {
+                    let mut backoff = Backoff::new();
+                    loop {
+                        let space = depth.saturating_sub(queue.count());
+                        if space > 0 {
+                            break space;
+                        }
+                        if !self.set.gate.is_open() {
+                            out.shutting_down = true;
+                            break 0;
+                        }
+                        backoff.snooze();
+                    }
+                }
+                Some(depth) => {
+                    out.shutting_down = !self.set.gate.is_open();
+                    depth.saturating_sub(queue.count())
+                }
+            };
+            if out.shutting_down {
+                break;
+            }
+            if space == 0 {
+                out.queue_full = true;
+                break;
+            }
+            // One gate enter/exit covers the whole chunk (per-batch
+            // shutdown accounting; see ShutdownGate).
+            if !self.set.gate.enter() {
+                out.shutting_down = true;
+                break;
+            }
+            let chunk = space.min(run.len());
+            out.accepted += chunk;
+            queue.enqueue_batch(run.drain(..chunk).map(|(_, task)| task));
+            self.set.gate.exit();
+            self.set.wake_for(worker);
+            if run.is_empty() {
+                return;
+            }
+            if !blocking {
+                // Filled to the bound with items left over: overflow.
+                out.queue_full = true;
+                break;
+            }
+        }
+        // Shutdown is global: once observed, no later run is accepted.
+        out.rejected.append(run);
     }
 
     /// Completed tasks so far, summed over workers and all origins (own
@@ -1176,7 +1033,7 @@ impl<T: Send + 'static> Executor<T> {
     }
 
     /// Initiate shutdown without waiting for the workers: new submissions are
-    /// rejected with [`SubmitError::ShuttingDown`], producers blocked on
+    /// rejected with [`SubmitRejection::ShuttingDown`], producers blocked on
     /// back-pressure return promptly, and workers exit (after draining when
     /// `drain_on_shutdown` is set). Call [`Executor::shutdown`] afterwards to
     /// join the workers and collect the report; `stop` itself is safe to call
@@ -1224,6 +1081,14 @@ impl<T: Send + 'static> Executor<T> {
             active_workers: self.set.active(),
         }
     }
+}
+
+/// Running tally of one batch submission across its worker runs.
+struct Pushed<T> {
+    accepted: usize,
+    rejected: Vec<(TxnKey, T)>,
+    queue_full: bool,
+    shutting_down: bool,
 }
 
 impl<T: Send + 'static> Drop for Executor<T> {
@@ -1432,13 +1297,22 @@ mod tests {
         ExecutorConfig::default().with_drain_on_shutdown(true)
     }
 
+    /// Submit one task as a batch of one, blocking under back-pressure.
+    fn submit_one(
+        exec: &Executor<u64>,
+        key: TxnKey,
+        task: u64,
+    ) -> Result<usize, SubmitBatchError<u64>> {
+        exec.submit_batch_blocking(vec![(key, task)])
+    }
+
     #[test]
     fn executes_every_submitted_task() {
         let scheduler = Arc::new(RoundRobinScheduler::new(3));
         let (exec, sum) = counting_executor(scheduler, drain_config());
         let n = 1_000u64;
         for i in 1..=n {
-            exec.submit_blocking(i, i).unwrap();
+            submit_one(&exec, i, i).unwrap();
         }
         let report = exec.shutdown();
         assert_eq!(report.completed(), n);
@@ -1457,7 +1331,7 @@ mod tests {
             seen_clone[worker].fetch_add(1, Ordering::Relaxed);
         });
         for key in 0..100u64 {
-            exec.submit_blocking(key, key).unwrap();
+            submit_one(&exec, key, key).unwrap();
         }
         let report = exec.shutdown();
         assert_eq!(report.completed(), 100);
@@ -1471,10 +1345,10 @@ mod tests {
         let scheduler = SchedulerKind::FixedKey.build(2, KeyBounds::new(0, 9));
         let (exec, _) = counting_executor(scheduler, drain_config());
         for _ in 0..50 {
-            exec.submit_blocking(0, 1).unwrap(); // low half -> worker 0
+            submit_one(&exec, 0, 1).unwrap(); // low half -> worker 0
         }
         for _ in 0..10 {
-            exec.submit_blocking(9, 1).unwrap(); // high half -> worker 1
+            submit_one(&exec, 9, 1).unwrap(); // high half -> worker 1
         }
         let report = exec.shutdown();
         assert_eq!(report.load.per_worker, vec![50, 10]);
@@ -1491,7 +1365,7 @@ mod tests {
             |_, _task: u64| std::thread::sleep(Duration::from_millis(2)),
         );
         for i in 0..200u64 {
-            exec.submit_blocking(i, i).unwrap();
+            submit_one(&exec, i, i).unwrap();
         }
         let report = exec.shutdown();
         assert!(
@@ -1512,7 +1386,7 @@ mod tests {
             |_, _task: u64| std::thread::sleep(Duration::from_micros(200)),
         );
         for _ in 0..500 {
-            exec.submit_blocking(0, 0).unwrap(); // all keys in worker 0's range
+            submit_one(&exec, 0, 0).unwrap(); // all keys in worker 0's range
         }
         let report = exec.shutdown();
         assert_eq!(report.completed(), 500);
@@ -1533,7 +1407,7 @@ mod tests {
             |_, _task: u64| std::thread::sleep(Duration::from_micros(50)),
         );
         for i in 0..500u64 {
-            exec.submit_blocking(i, i).unwrap();
+            submit_one(&exec, i, i).unwrap();
             assert!(
                 exec.queue_lengths()[0] <= 51,
                 "queue exceeded the back-pressure bound"
@@ -1555,11 +1429,15 @@ mod tests {
         );
         let mut saw_full = false;
         for i in 0..100u64 {
-            match exec.try_submit(0, i) {
-                Ok(()) => {}
+            match exec.try_submit_batch(vec![(0, i)]) {
+                Ok(_) => {}
                 Err(err) => {
                     assert!(err.is_queue_full());
-                    assert_eq!(err.into_task(), i, "rejected task is handed back");
+                    assert_eq!(
+                        err.into_rejected(),
+                        vec![(0, i)],
+                        "rejected task is handed back"
+                    );
                     saw_full = true;
                     break;
                 }
@@ -1567,7 +1445,7 @@ mod tests {
         }
         assert!(saw_full, "a depth bound of 2 must reject quickly");
         exec.stop();
-        let err = exec.try_submit(0, 42).unwrap_err();
+        let err = exec.try_submit_batch(vec![(0, 42)]).unwrap_err();
         assert!(err.is_shutting_down());
         exec.shutdown();
     }
@@ -1575,9 +1453,9 @@ mod tests {
     #[test]
     fn blocked_producer_returns_promptly_on_stop() {
         // One slow worker and a queue bound of 1: a third task blocks in
-        // submit_blocking until stop() is called, then errors out instead of
-        // pushing onto a queue nobody will drain (the old API span forever
-        // and then enqueued anyway).
+        // the blocking submission until stop() is called, then errors out
+        // instead of pushing onto a queue nobody will drain (the old API
+        // span forever and then enqueued anyway).
         let scheduler = Arc::new(RoundRobinScheduler::new(1));
         let exec = Arc::new(Executor::start(
             ExecutorConfig::default()
@@ -1586,12 +1464,12 @@ mod tests {
             scheduler,
             |_, _task: u64| std::thread::sleep(Duration::from_millis(800)),
         ));
-        exec.submit_blocking(0, 1).unwrap();
+        submit_one(&exec, 0, 1).unwrap();
         std::thread::sleep(Duration::from_millis(50)); // worker picks up task 1
-        exec.submit_blocking(0, 2).unwrap(); // fills the queue to its bound
+        submit_one(&exec, 0, 2).unwrap(); // fills the queue to its bound
         let producer = {
             let exec = Arc::clone(&exec);
-            std::thread::spawn(move || exec.submit_blocking(0, 3))
+            std::thread::spawn(move || submit_one(&exec, 0, 3))
         };
         std::thread::sleep(Duration::from_millis(100));
         exec.stop();
@@ -1975,7 +1853,7 @@ mod tests {
         let scheduler = Arc::new(RoundRobinScheduler::new(2));
         let (exec, sum) = counting_executor(scheduler, drain_config());
         for i in 1..=100u64 {
-            exec.submit_blocking(i, i).unwrap();
+            submit_one(&exec, i, i).unwrap();
         }
         // Let the pool drain and go idle: backoff escalates past spinning
         // and the workers park instead of sleep-polling.
@@ -1985,7 +1863,7 @@ mod tests {
         }
         assert!(exec.parks() > 0, "idle workers must park");
         // A fresh enqueue must wake a parked worker promptly.
-        exec.submit_blocking(0, 1_000).unwrap();
+        submit_one(&exec, 0, 1_000).unwrap();
         let expected = 100 * 101 / 2 + 1_000;
         let woke = std::time::Instant::now();
         while sum.load(Ordering::Relaxed) != expected && woke.elapsed() < Duration::from_secs(2) {
@@ -2027,7 +1905,7 @@ mod tests {
             let parked = |slot: usize| exec.set.parkers[slot].parked.load(Ordering::Relaxed);
             assert!(wait_until(|| parked(0) && parked(1)), "both workers park");
             for i in 0..200u64 {
-                exec.submit_blocking(i % 50, 1).unwrap();
+                submit_one(&exec, i % 50, 1).unwrap();
             }
             let batch: Vec<(TxnKey, u64)> = (0..256u64).map(|i| (i % 50, 1)).collect();
             exec.submit_batch_blocking(batch).unwrap();
@@ -2080,7 +1958,7 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..per_producer {
                         let key = (p * per_producer + i) % 65_536;
-                        exec.submit_blocking(key, 1).unwrap();
+                        submit_one(&exec, key, 1).unwrap();
                     }
                 });
             }

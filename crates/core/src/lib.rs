@@ -60,7 +60,7 @@ pub use cdf::PiecewiseCdf;
 pub use drift::{
     AdaptationCause, AdaptationConfig, AdaptationEvent, ContentionSample, ContentionSource,
 };
-pub use executor::{Executor, ExecutorConfig, ExecutorReport, ShutdownGate, SubmitError};
+pub use executor::{Executor, ExecutorConfig, ExecutorReport, ShutdownGate};
 pub use histogram::Histogram;
 pub use key::{BucketKeyMapper, ConstantKeyMapper, DictKeyMapper, KeyBounds, KeyMapper, TxnKey};
 pub use partition::{KeyPartition, PartitionGeneration, PartitionTable};
@@ -71,7 +71,7 @@ pub use stats::{LoadBalance, WorkerCounters};
 /// Commonly used items.
 pub mod prelude {
     pub use crate::adaptive::AdaptiveKeyScheduler;
-    pub use crate::executor::{Executor, ExecutorConfig, ExecutorReport, SubmitError};
+    pub use crate::executor::{Executor, ExecutorConfig, ExecutorReport};
     pub use crate::key::{BucketKeyMapper, DictKeyMapper, KeyBounds, KeyMapper, TxnKey};
     pub use crate::scheduler::{FixedKeyScheduler, RoundRobinScheduler, Scheduler, SchedulerKind};
 }

@@ -4,8 +4,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use katme::{
-    ClockMode, Driver, DriverConfig, ExecutorModel, Katme, RunResult, SchedulerKind, Stm,
-    StmConfig, TVar, WindowReport, WithKey,
+    Driver, DriverConfig, ExecutorModel, Katme, RunResult, SchedulerKind, Stm, StmConfig, TVar,
+    WindowReport, WithKey,
 };
 use katme_collections::StructureKind;
 use katme_workload::{ArrivalRamp, DistributionKind};
@@ -571,10 +571,8 @@ const COMMIT_PATH_VARS_PER_THREAD: usize = 64;
 /// One data point of the commit-path microbench.
 #[derive(Debug, Clone)]
 pub struct CommitPathRow {
-    /// Configuration under test ("gv1-ticked + shared", ...).
+    /// Configuration under test ("gv5-lazy + shared", ...).
     pub series: String,
-    /// Clock discipline of this series.
-    pub clock_mode: ClockMode,
     /// Stats-counter stripes requested (1 = shared baseline, 0 = default
     /// striping).
     pub stats_stripes: usize,
@@ -587,9 +585,9 @@ pub struct CommitPathRow {
     /// Scaling efficiency vs. this series' single-thread point
     /// (`throughput / (threads * single_thread_throughput)`).
     pub efficiency: f64,
-    /// Global-clock advances per commit: ~1 for GV1 writers (one
-    /// `fetch_add` each), ~0 for GV5-lazy disjoint commits and for
-    /// read-only commits. Measured from the process-wide clock, so
+    /// Global-clock advances per commit: ~0 for lazy-clock disjoint commits
+    /// and for read-only commits (a GV1 clock would pay one `fetch_add` per
+    /// writer commit). Measured from the process-wide clock, so
     /// concurrent STM activity elsewhere in the process inflates it.
     pub clock_advances_per_commit: f64,
     /// Commits counted by the worker loops (mean per repetition).
@@ -607,17 +605,12 @@ struct CommitPathMeasurement {
 }
 
 fn measure_commit_path(
-    mode: ClockMode,
     stripes: usize,
     read_only: bool,
     threads: usize,
     window: Duration,
 ) -> CommitPathMeasurement {
-    let stm = Stm::new(
-        StmConfig::default()
-            .with_clock_mode(mode)
-            .with_stats_stripes(stripes),
-    );
+    let stm = Stm::new(StmConfig::default().with_stats_stripes(stripes));
     let vars: Vec<Vec<TVar<u64>>> = (0..threads)
         .map(|_| {
             (0..COMMIT_PATH_VARS_PER_THREAD)
@@ -688,26 +681,22 @@ fn commit_path_thread_counts(opts: &HarnessOptions) -> Vec<usize> {
 
 /// **Commit-path microbench (extension)**: isolates commit-path cost from
 /// structure and executor cost. Tiny read-write transactions over fully
-/// disjoint per-thread key sets sweep 1..=N threads for every combination
-/// of clock discipline (GV1 ticked vs. GV5 lazy) and stats-counter layout
-/// (shared single stripe vs. cache-line-padded per-thread stripes), plus a
-/// read-only series exercising the read-only fast path. Disjoint writers
-/// never conflict, so any scaling loss is pure commit-path bookkeeping:
-/// the clock `fetch_add` and the stats counters. Expected
-/// shape: the lazy clock performs ~0 clock advances per commit (vs. ~1 for
-/// GV1) and, on multi-core hosts, the lazy + striped series scales closest
-/// to linearly.
+/// disjoint per-thread key sets sweep 1..=N threads for both stats-counter
+/// layouts (shared single stripe vs. cache-line-padded per-thread stripes),
+/// plus a read-only series exercising the read-only fast path. Disjoint
+/// writers never conflict, so any scaling loss is pure commit-path
+/// bookkeeping: clock traffic and the stats counters. Expected shape: the
+/// lazy clock performs ~0 clock advances per commit and, on multi-core
+/// hosts, the striped series scale closest to linearly.
 pub fn commit_path(opts: &HarnessOptions) -> Vec<CommitPathRow> {
-    let series: [(&str, ClockMode, usize, bool); 6] = [
-        ("gv1-ticked + shared", ClockMode::Ticked, 1, false),
-        ("gv1-ticked + striped", ClockMode::Ticked, 0, false),
-        ("gv5-lazy + shared", ClockMode::Lazy, 1, false),
-        ("gv5-lazy + striped", ClockMode::Lazy, 0, false),
-        ("read-only + shared", ClockMode::Lazy, 1, true),
-        ("read-only + striped", ClockMode::Lazy, 0, true),
+    let series: [(&str, usize, bool); 4] = [
+        ("gv5-lazy + shared", 1, false),
+        ("gv5-lazy + striped", 0, false),
+        ("read-only + shared", 1, true),
+        ("read-only + striped", 0, true),
     ];
     let mut rows = Vec::new();
-    for (name, mode, stripes, read_only) in series {
+    for (name, stripes, read_only) in series {
         let mut single_thread: Option<f64> = None;
         for threads in commit_path_thread_counts(opts) {
             let reps = opts.repetitions();
@@ -716,7 +705,7 @@ pub fn commit_path(opts: &HarnessOptions) -> Vec<CommitPathRow> {
             let mut advances = 0u64;
             let mut seconds = 0.0;
             for _ in 0..reps {
-                let m = measure_commit_path(mode, stripes, read_only, threads, opts.duration());
+                let m = measure_commit_path(stripes, read_only, threads, opts.duration());
                 commits += m.commits;
                 recorded += m.recorded_commits;
                 advances += m.clock_advances;
@@ -726,7 +715,6 @@ pub fn commit_path(opts: &HarnessOptions) -> Vec<CommitPathRow> {
             let base = *single_thread.get_or_insert(commits_per_sec);
             rows.push(CommitPathRow {
                 series: name.to_string(),
-                clock_mode: mode,
                 stats_stripes: stripes,
                 read_only,
                 threads,
@@ -925,10 +913,12 @@ where
                 let n = ALLOC_BATCH.min((target - *submitted) as usize);
                 gen.batch_into(specs, n);
                 tasks.extend(specs.drain(..).map(&mut *make));
-                let accepted = runtime
-                    .submit_batch_detached_reusing(&mut tasks)
+                // The production path; the results are not wanted, so the
+                // batch handle is dropped at once.
+                runtime
+                    .submit_batch_handle(&mut tasks)
                     .expect("alloc profile batch accepted");
-                *submitted += accepted as u64;
+                *submitted += n as u64;
             }
             // The wait loop is allocation-free (`Runtime::completed` reads
             // counters), so spinning here cannot pollute the measurement.
@@ -1068,7 +1058,7 @@ mod tests {
     fn commit_path_covers_every_series_and_counts_faithfully() {
         let rows = commit_path(&quick());
         let thread_counts = commit_path_thread_counts(&quick()).len();
-        assert_eq!(rows.len(), 6 * thread_counts, "{rows:?}");
+        assert_eq!(rows.len(), 4 * thread_counts, "{rows:?}");
         for row in &rows {
             assert!(row.commits > 0, "{row:?}");
             assert!(row.commits_per_sec > 0.0, "{row:?}");
@@ -1077,25 +1067,12 @@ mod tests {
             // exactly the commits the worker loops performed.
             assert_eq!(row.recorded_commits, row.commits, "{row:?}");
         }
-        // GV1 writers pay (at least) one clock fetch_add per commit.
-        for row in rows
-            .iter()
-            .filter(|r| r.clock_mode == ClockMode::Ticked && !r.read_only)
-        {
-            assert!(
-                row.clock_advances_per_commit >= 1.0,
-                "GV1 must tick once per writer commit: {row:?}"
-            );
-        }
         // The lazy clock stays off the shared cache line for disjoint
-        // writers, and the read-only fast path never writes it in either
-        // mode. The clock is process-global, so concurrent tests add a
-        // little noise; anything close to one advance per commit would
-        // mean the fast path regressed to ticking.
-        for row in rows
-            .iter()
-            .filter(|r| r.clock_mode == ClockMode::Lazy || r.read_only)
-        {
+        // writers, and the read-only fast path never writes it. The clock
+        // is process-global, so concurrent tests add a little noise;
+        // anything close to one advance per commit would mean the fast path
+        // regressed to ticking.
+        for row in &rows {
             assert!(
                 row.clock_advances_per_commit < 0.5,
                 "lazy/read-only commits must stay off the global clock: {row:?}"

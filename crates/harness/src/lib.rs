@@ -13,7 +13,7 @@
 //! | Drift adaptation (extension) | [`experiments::drift_adaptation`] / `drift_adaptation` | one-shot vs. continuous adaptation under a mid-run phase shift |
 //! | Elastic scaling (extension) | [`experiments::elastic_scaling`] / `elastic_scaling` | fixed always-max pool vs. elastic partition-coupled scaling under a quiet → burst → quiet arrival ramp |
 //! | Durability (extension) | [`experiments::durability`] / `durability` | durable (group-commit WAL + checkpoints) vs. volatile throughput, with fsyncs-per-commit and mean group size |
-//! | Commit-path microbench (extension) | [`experiments::commit_path`] / `commit_path` | commit-path cost in isolation: GV1-ticked vs. GV5-lazy clock x shared vs. striped stats counters on disjoint keys, with scaling efficiency and clock advances per commit |
+//! | Commit-path microbench (extension) | [`experiments::commit_path`] / `commit_path` | commit-path cost in isolation: shared vs. striped stats counters on disjoint keys under the lazy clock, with scaling efficiency and clock advances per commit |
 //! | Allocation profile (extension) | [`experiments::alloc_profile`] / `alloc_profile` | steady-state heap allocations and bytes per committed transaction on the submit→execute→commit path, per workload (read-only, read-write, durable), with CI budget gating |
 //! | Network service (extension) | [`net::net_service`] / `net_service` | loopback TCP service plane: pipeline-depth throughput sweep with connection churn, queue-full `-BUSY` pushback, slow-reader in-flight bounding, and an elastic worker pool riding a socket arrival ramp |
 //!

@@ -12,7 +12,7 @@ use katme_core::key::{KeyBounds, TxnKey};
 use katme_core::scheduler::{Scheduler, SchedulerKind};
 use katme_durability::WalConfig;
 use katme_stm::telemetry::{KeyRangeTelemetry, DEFAULT_TELEMETRY_BUCKETS};
-use katme_stm::{ClockMode, Stm, StmConfig};
+use katme_stm::{Stm, StmConfig};
 
 use crate::durability::{DurabilityPlane, DurableState, WalSink, DEFAULT_CHECKPOINT_INTERVAL};
 use crate::error::{BuilderError, KatmeError};
@@ -236,17 +236,6 @@ impl Builder {
     /// that instance.
     pub fn stm(mut self, stm: Stm) -> Self {
         self.stm_instance = Some(stm);
-        self
-    }
-
-    /// Version-clock discipline for writer commits (shorthand for the
-    /// matching [`Builder::stm_config`] tweak).
-    ///
-    /// Runtimes with different clock modes may coexist in one process — even
-    /// sharing [`katme_stm::TVar`]s — because every commit stamps past the versions it
-    /// overwrites regardless of mode; see [`ClockMode`] for the contract.
-    pub fn clock_mode(mut self, mode: ClockMode) -> Self {
-        self.stm_config = self.stm_config.with_clock_mode(mode);
         self
     }
 
@@ -600,16 +589,6 @@ mod tests {
         assert!(runtime.is_running());
         let report = runtime.shutdown();
         assert_eq!(report.completed, 0);
-    }
-
-    #[test]
-    fn clock_mode_knob_reaches_the_stm() {
-        let runtime = Katme::builder()
-            .clock_mode(ClockMode::Ticked)
-            .build(noop_handler())
-            .unwrap();
-        assert_eq!(runtime.stm().config().clock_mode, ClockMode::Ticked);
-        runtime.shutdown();
     }
 
     #[test]

@@ -815,27 +815,23 @@ impl<K: KeyedTask + Send + 'static, R: Send + 'static> Wiring<K, R> {
                 queue.enqueue(std::mem::replace(batch, Vec::with_capacity(count)));
                 (count as u64, true)
             }
-            // The per-task protocol keeps the single-task submission path,
-            // so it pays no batch bookkeeping.
-            Wiring::Parallel(runtime) if batch.len() == 1 => {
-                let task = batch.pop().expect("one task");
-                match runtime.submit_detached(task) {
-                    Ok(()) => (1, true),
-                    Err(_) => (0, false),
+            // The batch's results are not wanted: dropping the handle leaves
+            // the tasks running with nobody waiting.
+            Wiring::Parallel(runtime) => {
+                let count = batch.len() as u64;
+                match runtime.submit_batch_handle(batch) {
+                    Ok(_) => (count, true),
+                    // Blocking submission only fails on shutdown; the
+                    // accepted prefix still counts as produced.
+                    Err(err) => (err.accepted as u64, false),
                 }
             }
-            Wiring::Parallel(runtime) => match runtime.submit_batch_detached_reusing(batch) {
-                Ok(accepted) => (accepted as u64, true),
-                // Blocking submission only fails on shutdown; the accepted
-                // prefix still counts as produced.
-                Err(err) => (err.accepted as u64, false),
-            },
         }
     }
 }
 
 /// The Figure-1(b) dispatcher: forward producer batches from the central
-/// queue to the runtime, one [`Runtime::submit_batch_detached`] per batch,
+/// queue to the runtime, one [`Runtime::submit_batch_handle`] per batch,
 /// until `dispatching` clears. Whatever is still queued then is abandoned,
 /// like the worker queues' leftovers.
 fn dispatch_central<K: KeyedTask + Send + 'static, R: Send + 'static>(
@@ -846,8 +842,8 @@ fn dispatch_central<K: KeyedTask + Send + 'static, R: Send + 'static>(
     let mut backoff = Backoff::new();
     while dispatching.load(Ordering::Relaxed) {
         match queue.dequeue() {
-            Some(batch) => {
-                if runtime.submit_batch_detached(batch).is_err() {
+            Some(mut batch) => {
+                if runtime.submit_batch_handle(&mut batch).is_err() {
                     return;
                 }
                 backoff.reset();
@@ -891,7 +887,7 @@ fn ramp_pause(ramp: &ArrivalRamp, started: Instant, duration: Duration) {
 /// and delivers until the window closes (or the runtime refuses new work).
 /// With `batch_size` above 1 each producer generates a whole batch locally
 /// and hands it over at once (in the parallel wiring, through
-/// [`Runtime::submit_batch_detached_reusing`]); at 1 it reproduces the
+/// [`Runtime::submit_batch_handle`]); at 1 it reproduces the
 /// paper's per-task submission. A `ramp` throttles submissions per
 /// [`ArrivalRamp::intensity_at`] over the window. The measurement period
 /// is split into `windows` equal slices, each reported as a

@@ -10,9 +10,10 @@
 //!   submitted, and [`WithKey`] attaches an external key mapping (hash
 //!   buckets, constant hot-spot keys) to any payload.
 //! * [`Runtime::submit`] returns a typed [`TaskHandle`] whose result can be
-//!   awaited or polled; [`Runtime::try_submit`] reports back-pressure as
-//!   [`KatmeError::QueueFull`] and shutdown as [`KatmeError::ShuttingDown`]
-//!   instead of blocking or silently dropping.
+//!   awaited or polled; [`Runtime::try_submit_batch_handle`] answers a task
+//!   it cannot take with [`KatmeError::QueueFull`] (back-pressure) or
+//!   [`KatmeError::ShuttingDown`] in that task's own slot instead of
+//!   blocking or silently dropping.
 //! * [`Runtime::stats`] exposes a live [`StatsView`] — queue depths,
 //!   per-worker throughput, STM abort rates, scheduler repartitions — at any
 //!   point during the run, not only in the terminal [`ShutdownReport`].
@@ -52,13 +53,15 @@
 //!   so stationary load never churns). Each republished partition appears
 //!   in the [`StatsView`] adaptation log with its generation and trigger
 //!   cause.
-//! * The whole submit→schedule→enqueue→drain path is **batch-first**:
+//! * The whole submit→schedule→enqueue→drain path is **batch-only**:
 //!   [`Runtime::submit_batch`] hands over a `Vec` of tasks, the scheduler
 //!   routes all keys in one pass, each worker queue is crossed with a single
 //!   lock round-trip, and workers drain up to [`Builder::batch_size`] tasks
 //!   per wakeup. Partial failures come back as a typed
 //!   [`BatchSubmitError`] with the accepted handles and the rejected
-//!   remainder. The single-task API is the batch-of-one special case.
+//!   remainder. [`Runtime::submit`] is a batch of one, and a caller that
+//!   wants no results drops the [`BatchHandle`] of
+//!   [`Runtime::submit_batch_handle`].
 //!
 //! The building blocks remain available underneath — re-exported as
 //! [`core`], [`stm`], [`queue`], [`collections`] and [`workload`] — for
@@ -110,8 +113,8 @@ pub use katme_core::scheduler::{FixedKeyScheduler, RoundRobinScheduler, Schedule
 pub use katme_core::stats::LoadBalance;
 pub use katme_durability::{CrashPoint, DurabilityView, WalConfig};
 pub use katme_stm::{
-    ClockMode, KeyRangeSnapshot, KeyRangeTelemetry, Stm, StmConfig, StmStatsSnapshot, TVar,
-    Transaction, TxError,
+    KeyRangeSnapshot, KeyRangeTelemetry, Stm, StmConfig, StmStatsSnapshot, TVar, Transaction,
+    TxError,
 };
 pub use katme_workload::{ArrivalRamp, DistributionKind, OpGenerator, OpKind, RampPhase, TxnSpec};
 

@@ -5,7 +5,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use katme_core::drift::AdaptationEvent;
-use katme_core::executor::{Executor, SubmitError, SubmitRejection};
+use katme_core::executor::{Executor, SubmitRejection};
 use katme_core::key::TxnKey;
 use katme_core::scheduler::Scheduler;
 use katme_core::stats::LoadBalance;
@@ -18,17 +18,17 @@ use crate::ack::AckBoard;
 use crate::durability::{DurabilityPlane, RecoveryReport};
 use crate::error::KatmeError;
 use crate::net::{NetCounters, NetView};
-use crate::task::{handle_pair, BatchHandle, Completion, KeyedTask, TaskHandle};
+use crate::task::{BatchHandle, Completion, KeyedTask, TaskHandle};
 
 /// One queued unit of work: the pre-computed transaction key, the payload,
-/// and (for handle-returning submissions) the completion side of the handle.
+/// and the completion side of its batch slot.
 pub(crate) struct Envelope<T, R> {
     key: TxnKey,
     task: T,
-    completion: Option<Completion<R>>,
-    /// Position in the originating batch (0 for single submissions); lets a
-    /// partial batch failure map rejected envelopes back to their slots and
-    /// restore the caller's submission order.
+    completion: Completion<R>,
+    /// Position in the originating batch; lets a partial batch failure map
+    /// rejected envelopes back to their slots and restore the caller's
+    /// submission order.
     batch_index: usize,
     /// Serialized redo record for the durability plane, extracted at
     /// submission time (where the `KeyedTask` bound lives) and staged
@@ -37,20 +37,18 @@ pub(crate) struct Envelope<T, R> {
     payload: Option<Vec<u8>>,
 }
 
-/// Typed partial-failure report from the batch submission API
-/// ([`Runtime::submit_batch`], [`Runtime::try_submit_batch`] and the
-/// detached variants).
+/// Typed partial-failure report from the blocking batch submissions
+/// ([`Runtime::submit_batch`], [`Runtime::submit_batch_handle`]).
 ///
 /// Distinguishes "never accepted" (`accepted == 0`) from "partially
-/// accepted" (`accepted > 0`): every accepted task is in flight and — for
-/// the handle-returning calls — observable through
-/// [`handles`](BatchSubmitError::handles); the rejected tasks are handed
-/// back in their original submission order, ready to resubmit.
+/// accepted" (`accepted > 0`): every accepted task is in flight and
+/// observable through [`handles`](BatchSubmitError::handles); the rejected
+/// tasks are handed back in their original submission order, ready to
+/// resubmit.
 pub struct BatchSubmitError<T, R> {
     /// Number of tasks accepted before the failure.
     pub accepted: usize,
-    /// Handles for the accepted tasks, in submission order (empty for the
-    /// detached variants, which allocate no handles).
+    /// Handles for the accepted tasks, in submission order.
     pub handles: Vec<TaskHandle<R>>,
     /// The tasks that were not accepted, in submission order.
     pub rejected: Vec<T>,
@@ -100,30 +98,23 @@ impl<T, R> std::error::Error for BatchSubmitError<T, R> {}
 /// `error`, and hands out handles for the accepted slots only.
 fn unpack_rejection<T, R>(
     mut rejected: Vec<Envelope<T, R>>,
-    batch: Option<&BatchHandle<R>>,
+    batch: &BatchHandle<R>,
     accepted: usize,
     error: KatmeError,
 ) -> BatchSubmitError<T, R> {
     rejected.sort_unstable_by_key(|envelope| envelope.batch_index);
-    let handles = match batch {
-        None => Vec::new(),
-        Some(batch) => {
-            let mut skip = rejected
-                .iter()
-                .map(|envelope| envelope.batch_index)
-                .peekable();
-            (0..batch.len())
-                .filter(|&index| skip.next_if_eq(&index).is_none())
-                .map(|index| batch.handle(index))
-                .collect()
-        }
-    };
+    let mut skip = rejected
+        .iter()
+        .map(|envelope| envelope.batch_index)
+        .peekable();
+    let handles = (0..batch.len())
+        .filter(|&index| skip.next_if_eq(&index).is_none())
+        .map(|index| batch.handle(index))
+        .collect();
     let rejected = rejected
         .into_iter()
         .map(|envelope| {
-            if let Some(completion) = envelope.completion {
-                completion.fail(error.clone());
-            }
+            envelope.completion.fail(error.clone());
             envelope.task
         })
         .collect();
@@ -206,20 +197,13 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
                         })
                     };
                     match &acks {
-                        None => {
-                            let result = run();
-                            if let Some(completion) = completion {
-                                completion.complete(result);
-                            }
-                        }
+                        None => completion.complete(run()),
                         // Durable: commits record their tickets instead of
                         // waiting, and the result is released once the
                         // task's ticket is on disk.
                         Some(acks) => {
                             let (result, ticket) = with_ack_scope(run);
-                            if let Some(completion) = completion {
-                                acks.settle(worker, ticket, completion, result);
-                            }
+                            acks.settle(worker, ticket, completion, result);
                         }
                     }
                 },
@@ -283,43 +267,16 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
     }
 
     /// Submit a task, blocking under back-pressure, and receive a typed
-    /// handle to its result. The task routes itself via [`KeyedTask::key`].
+    /// handle to its result. The task routes itself via [`KeyedTask::key`];
+    /// it travels the batch path as a batch of one.
     pub fn submit(&self, task: T) -> Result<TaskHandle<R>, KatmeError>
     where
         T: KeyedTask,
     {
-        let (handle, completion) = handle_pair();
-        self.dispatch(task, Some(completion), true)?;
-        Ok(handle)
-    }
-
-    /// Non-blocking [`Runtime::submit`]: rejects with
-    /// [`KatmeError::QueueFull`] instead of waiting out back-pressure, and
-    /// with [`KatmeError::ShuttingDown`] once the runtime is stopping.
-    pub fn try_submit(&self, task: T) -> Result<TaskHandle<R>, KatmeError>
-    where
-        T: KeyedTask,
-    {
-        let (handle, completion) = handle_pair();
-        self.dispatch(task, Some(completion), false)?;
-        Ok(handle)
-    }
-
-    /// Fire-and-forget submission (no handle allocation) — the hot path for
-    /// throughput experiments. Blocks under back-pressure.
-    pub fn submit_detached(&self, task: T) -> Result<(), KatmeError>
-    where
-        T: KeyedTask,
-    {
-        self.dispatch(task, None, true)
-    }
-
-    /// Non-blocking [`Runtime::submit_detached`].
-    pub fn try_submit_detached(&self, task: T) -> Result<(), KatmeError>
-    where
-        T: KeyedTask,
-    {
-        self.dispatch(task, None, false)
+        let batch = BatchHandle::new(1);
+        self.dispatch_batch(std::iter::once(task), &batch, true)
+            .map_err(|err| err.error)?;
+        Ok(batch.handle(0))
     }
 
     /// Submit a whole batch of tasks, blocking under back-pressure, and
@@ -340,23 +297,25 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
     where
         T: KeyedTask,
     {
-        self.submit_batch_handles(&mut tasks, true)
+        Ok(self.submit_batch_handle(&mut tasks)?.into_handles())
     }
 
-    /// Non-blocking [`Runtime::submit_batch`]: instead of waiting out
-    /// back-pressure, fills the destination queues up to their depth bound
-    /// and reports the overflow as a partial failure
-    /// ([`KatmeError::QueueFull`]) with the accepted handles and the
-    /// rejected remainder, so the producer retries exactly what was not
-    /// taken.
-    pub fn try_submit_batch(
+    /// [`Runtime::submit_batch`] returning one [`BatchHandle`] for the whole
+    /// batch instead of a handle per task. Drains `tasks` in place and
+    /// leaves the emptied buffer, capacity intact, with the caller, so a
+    /// producer loop refills and resubmits the same `Vec`. A caller that
+    /// does not want the results drops the handle: the tasks still run and
+    /// their slots resolve with nobody waiting.
+    pub fn submit_batch_handle(
         &self,
-        mut tasks: Vec<T>,
-    ) -> Result<Vec<TaskHandle<R>>, BatchSubmitError<T, R>>
+        tasks: &mut Vec<T>,
+    ) -> Result<BatchHandle<R>, BatchSubmitError<T, R>>
     where
         T: KeyedTask,
     {
-        self.submit_batch_handles(&mut tasks, false)
+        let batch = BatchHandle::new(tasks.len());
+        self.dispatch_batch(tasks.drain(..), &batch, true)?;
+        Ok(batch)
     }
 
     /// Non-blocking batch submission for a caller that answers every task in
@@ -371,76 +330,34 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
     {
         let batch = BatchHandle::new(tasks.len());
         // The rejected tasks' slots carry the error; the report adds nothing.
-        let _ = self.dispatch_batch(tasks, Some(&batch), false);
+        let _ = self.dispatch_batch(tasks.drain(..), &batch, false);
         batch
     }
 
-    /// Fire-and-forget batch submission (no handle allocations) — the hot
-    /// path for throughput experiments. Blocks under back-pressure; returns
-    /// the number of tasks accepted (the whole batch on `Ok`).
-    pub fn submit_batch_detached(&self, mut tasks: Vec<T>) -> Result<usize, BatchSubmitError<T, R>>
-    where
-        T: KeyedTask,
-    {
-        self.dispatch_batch(&mut tasks, None, true)
-    }
-
-    /// [`Runtime::submit_batch_detached`] that drains `tasks` in place and
-    /// leaves the emptied buffer (capacity intact) with the caller — the
-    /// zero-allocation producer loop refills and resubmits the same `Vec`
-    /// every batch instead of building a new one. On error, `tasks` may
-    /// hold the rejected remainder's buffer no longer (the rejects travel
-    /// in the returned [`BatchSubmitError`], like the consuming variant).
-    pub fn submit_batch_detached_reusing(
-        &self,
-        tasks: &mut Vec<T>,
-    ) -> Result<usize, BatchSubmitError<T, R>>
-    where
-        T: KeyedTask,
-    {
-        self.dispatch_batch(tasks, None, true)
-    }
-
-    /// The handle-returning batch calls: one completion object for the
-    /// batch, one handle per slot.
-    fn submit_batch_handles(
-        &self,
-        tasks: &mut Vec<T>,
-        blocking: bool,
-    ) -> Result<Vec<TaskHandle<R>>, BatchSubmitError<T, R>>
-    where
-        T: KeyedTask,
-    {
-        let batch = BatchHandle::new(tasks.len());
-        self.dispatch_batch(tasks, Some(&batch), blocking)?;
-        Ok((0..batch.len()).map(|index| batch.handle(index)).collect())
-    }
-
-    /// Batch spine shared by every `*_batch` entry point. Returns the
-    /// accepted count; with a `batch`, task `i` resolves slot `i`.
+    /// The one submission path: task `i` of `tasks` resolves slot `i` of
+    /// `batch`. `blocking` waits out back-pressure; otherwise a full queue
+    /// rejects the overflow.
     fn dispatch_batch(
         &self,
-        tasks: &mut Vec<T>,
-        batch: Option<&BatchHandle<R>>,
+        tasks: impl ExactSizeIterator<Item = T>,
+        batch: &BatchHandle<R>,
         blocking: bool,
-    ) -> Result<usize, BatchSubmitError<T, R>>
+    ) -> Result<(), BatchSubmitError<T, R>>
     where
         T: KeyedTask,
     {
         let total = tasks.len();
         if total == 0 {
-            return Ok(0);
+            return Ok(());
         }
         if !self.accepting.load(Ordering::Acquire) {
-            if let Some(batch) = batch {
-                for completion in batch.completions() {
-                    completion.fail(KatmeError::ShuttingDown);
-                }
+            for completion in batch.completions() {
+                completion.fail(KatmeError::ShuttingDown);
             }
             return Err(BatchSubmitError {
                 accepted: 0,
                 handles: Vec::new(),
-                rejected: std::mem::take(tasks),
+                rejected: tasks.collect(),
                 error: KatmeError::ShuttingDown,
             });
         }
@@ -454,7 +371,7 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
         } else {
             self.executor.try_submit_batch(keyed)
         };
-        outcome.map_err(|err| {
+        outcome.map(drop).map_err(|err| {
             self.submitted
                 .fetch_sub(err.rejected.len() as u64, Ordering::Relaxed);
             let error = match err.reason {
@@ -472,25 +389,29 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
     }
 
     /// Wrap a batch of tasks into indexed `(key, envelope)` pairs, task `i`
-    /// carrying the completion of `batch`'s slot `i` when a batch is given.
-    /// Drains `tasks` in place so the caller's buffer keeps its capacity for
-    /// the next batch, and stages the pairs directly into a buffer recycled
-    /// from the executor's batch pool (see
+    /// carrying the completion of `batch`'s slot `i`. Stages the pairs
+    /// directly into a buffer recycled from the executor's batch pool (see
     /// [`katme_core::executor::Executor::recycled_batch`]), so steady-state
-    /// packaging allocates nothing.
+    /// packaging allocates nothing. A batch of one stages in a fresh
+    /// one-slot buffer instead: under many producers, one small allocation
+    /// is cheaper than two trips through the pool's shared lock.
     fn package_keyed(
         &self,
-        tasks: &mut Vec<T>,
-        batch: Option<&BatchHandle<R>>,
+        tasks: impl Iterator<Item = T>,
+        batch: &BatchHandle<R>,
     ) -> Vec<(TxnKey, Envelope<T, R>)>
     where
         T: KeyedTask,
     {
         let durable = self.durability.is_some();
-        let mut completions = batch.map(BatchHandle::completions);
-        let mut keyed = self.executor.recycled_batch();
-        keyed.reserve(tasks.len());
-        for (batch_index, mut task) in tasks.drain(..).enumerate() {
+        let mut keyed = if batch.len() == 1 {
+            Vec::with_capacity(1)
+        } else {
+            let mut keyed = self.executor.recycled_batch();
+            keyed.reserve(batch.len());
+            keyed
+        };
+        for ((batch_index, mut task), completion) in tasks.enumerate().zip(batch.completions()) {
             let key = task.key();
             let payload = if durable {
                 task.take_durable_payload()
@@ -502,55 +423,13 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
                 Envelope {
                     key,
                     task,
-                    completion: completions.as_mut().and_then(Iterator::next),
+                    completion,
                     batch_index,
                     payload,
                 },
             ));
         }
         keyed
-    }
-
-    fn dispatch(
-        &self,
-        mut task: T,
-        completion: Option<Completion<R>>,
-        blocking: bool,
-    ) -> Result<(), KatmeError>
-    where
-        T: KeyedTask,
-    {
-        if !self.accepting.load(Ordering::Acquire) {
-            return Err(KatmeError::ShuttingDown);
-        }
-        let key = task.key();
-        let payload = if self.durability.is_some() {
-            task.take_durable_payload()
-        } else {
-            None
-        };
-        let envelope = Envelope {
-            key,
-            task,
-            completion,
-            batch_index: 0,
-            payload,
-        };
-        // Count the acceptance before the push so a concurrent stats() never
-        // observes completed > submitted.
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        let outcome = if blocking {
-            self.executor.submit_blocking(key, envelope)
-        } else {
-            self.executor.try_submit(key, envelope)
-        };
-        outcome.map_err(|err| {
-            self.submitted.fetch_sub(1, Ordering::Relaxed);
-            match err {
-                SubmitError::QueueFull(_) => KatmeError::QueueFull,
-                SubmitError::ShuttingDown(_) => KatmeError::ShuttingDown,
-            }
-        })
     }
 
     /// Tasks accepted so far.

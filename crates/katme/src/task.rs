@@ -325,13 +325,15 @@ impl<R> std::fmt::Debug for TaskHandle<R> {
 }
 
 /// One completion object for a whole submitted batch, returned by
+/// [`Runtime::submit_batch_handle`](crate::Runtime::submit_batch_handle) and
 /// [`Runtime::try_submit_batch_handle`](crate::Runtime::try_submit_batch_handle).
 ///
 /// It holds one result slot per task, in submission order. A rejected task
 /// answers its own slot with the rejection error
 /// ([`KatmeError::QueueFull`] or [`KatmeError::ShuttingDown`]), so every
 /// task of the batch has a result to read. [`BatchHandle::wait`] sleeps at
-/// most once: the last slot to resolve wakes it.
+/// most once: the last slot to resolve wakes it. Dropping the handle is
+/// fire-and-forget: the tasks still run, and nobody is woken.
 pub struct BatchHandle<R> {
     slab: Arc<Slab<R>>,
 }
@@ -368,6 +370,11 @@ impl<R> BatchHandle<R> {
             slab: Arc::clone(&self.slab),
             index,
         }
+    }
+
+    /// One handle per slot, in submission order.
+    pub(crate) fn into_handles(self) -> Vec<TaskHandle<R>> {
+        (0..self.len()).map(|index| self.handle(index)).collect()
     }
 
     /// Number of slots.
@@ -442,6 +449,7 @@ impl<R> Drop for Completion<R> {
 }
 
 /// Create a connected (handle, completion) pair: a batch of one.
+#[cfg(test)]
 pub(crate) fn handle_pair<R>() -> (TaskHandle<R>, Completion<R>) {
     let batch = BatchHandle::new(1);
     let completion = batch.completions().next().expect("one slot");

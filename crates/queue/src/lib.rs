@@ -16,7 +16,7 @@
 //! ## The batch API
 //!
 //! The queue is *batch-first*: [`TwoLockQueue::enqueue_batch`] appends a
-//! whole `Vec` of tasks under one tail-lock round-trip and
+//! whole batch of tasks under one tail-lock round-trip and
 //! [`TwoLockQueue::dequeue_batch`] drains up to `max` tasks into a
 //! caller-owned buffer under one head-lock round-trip. Two guarantees hold:
 //!
@@ -41,7 +41,7 @@ mod tests {
         let q = TwoLockQueue::<u32>::new();
         let mut out = Vec::new();
         assert_eq!(q.dequeue_batch(&mut out, 8), 0);
-        q.enqueue_batch((0..20).collect());
+        q.enqueue_batch(0..20);
         assert_eq!(q.dequeue_batch(&mut out, 8), 8);
         assert_eq!(q.count(), 12);
     }

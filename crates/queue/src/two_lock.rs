@@ -92,16 +92,14 @@ impl<T> TwoLockQueue<T> {
     }
 
     /// Append a whole batch at the tail under one tail-lock acquisition.
-    /// The batch stays contiguous, so it is dequeued in push order.
-    pub fn enqueue_batch(&self, batch: Vec<T>) {
-        if batch.is_empty() {
-            return;
-        }
-        let n = batch.len();
+    /// The batch stays contiguous, so it is dequeued in push order. The
+    /// iterator runs under the tail lock, so it should only move items.
+    pub fn enqueue_batch(&self, batch: impl IntoIterator<Item = T>) {
         let mut tail = self.tail.lock();
+        let before = tail.len();
         tail.extend(batch);
         // Counted under the lock, as in `enqueue`.
-        self.len.fetch_add(n, Ordering::Release);
+        self.len.fetch_add(tail.len() - before, Ordering::Release);
     }
 
     /// Move up to `max` items from the head into `out` under one head-lock
@@ -319,7 +317,7 @@ mod tests {
     fn batch_enqueue_dequeue_preserve_order() {
         let q = TwoLockQueue::new();
         q.enqueue(0);
-        q.enqueue_batch((1..=20).collect());
+        q.enqueue_batch(1..=20);
         q.enqueue(21);
         let mut out = Vec::new();
         assert_eq!(q.dequeue_batch(&mut out, 5), 5);

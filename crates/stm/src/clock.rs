@@ -6,33 +6,24 @@
 //! variables they observed have not been re-stamped past the timestamp at
 //! which their snapshot began.
 //!
-//! Two stamping disciplines are supported (selected per runtime via
-//! [`crate::StmConfig::clock_mode`]):
-//!
-//! * **GV1 / [`crate::ClockMode::Ticked`]** — every writer commit advances
-//!   the clock with [`tick`] and stamps with the unique result. Simple, but
-//!   the `fetch_add` makes the clock's cache line the hottest word in the
-//!   process: even fully disjoint commits serialize on it.
-//! * **GV5-style / [`crate::ClockMode::Lazy`]** — writers stamp with
-//!   `now() + 1` (or one past the stamped variable's current version,
-//!   whichever is larger) *without* advancing the clock. The clock is bumped
-//!   only on observed validation demand ([`advance_past`]): on validation
-//!   aborts *and* on snapshot extension, when a read sees a stamp past
-//!   `now()` while earlier reads need revalidating. Disjoint-key commits
-//!   that read one variable each perform **zero** shared-clock writes.
-//!   Commit stamps are no longer globally unique —
-//!   disjoint writers may share a stamp, and stamps may run ahead of
-//!   `now()` — but every *variable's* stamp still strictly increases with
-//!   each commit, which is the property snapshot validation relies on
-//!   (version equality pins the exact committed value).
+//! Stamping follows a GV5-style lazy discipline: writers stamp with
+//! `now() + 1` (or one past the stamped variable's current version,
+//! whichever is larger) *without* advancing the clock. The clock is bumped
+//! only on observed validation demand ([`advance_past`]): on validation
+//! aborts *and* on snapshot extension, when a read sees a stamp past
+//! `now()` while earlier reads need revalidating. Disjoint-key commits that
+//! read one variable each perform **zero** shared-clock writes, where a
+//! GV1 clock (a `fetch_add` per writer commit) makes the clock's cache line
+//! the hottest word in the process. Commit stamps are not globally unique —
+//! disjoint writers may share a stamp, and stamps may run ahead of `now()`
+//! — but every *variable's* stamp still strictly increases with each
+//! commit, which is the property snapshot validation relies on (version
+//! equality pins the exact committed value).
 //!
 //! Keeping the clock process-wide (rather than per-[`crate::Stm`] instance)
 //! means transactional variables can be freely shared between independently
 //! configured `Stm` runtimes — e.g. the executor's workers and a monitoring
-//! thread — without version-space confusion. Runtimes with different clock
-//! modes may also share variables: both disciplines stamp past the
-//! variable's current version, so stamps never regress (see
-//! [`crate::ClockMode`] for the mixing caveats).
+//! thread — without version-space confusion.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -53,14 +44,8 @@ pub fn now() -> u64 {
     GLOBAL_CLOCK.load(Ordering::Acquire)
 }
 
-/// Advance the global version clock and return the new (unique) timestamp.
-#[inline]
-pub fn tick() -> u64 {
-    GLOBAL_CLOCK.fetch_add(1, Ordering::AcqRel) + 1
-}
-
 /// Raise the global version clock to at least `target` (a no-op when it is
-/// already there). Used by the lazy clock mode to publish validation demand:
+/// already there). Used by the lazy clock to publish validation demand:
 /// once a stale stamp has caused an abort, or a read has extended its
 /// snapshot over a stamp ahead of the clock, advancing the clock lets
 /// retries (and every later transaction) start their snapshots past it
@@ -89,21 +74,6 @@ mod tests {
     use std::thread;
 
     #[test]
-    fn tick_is_monotonic() {
-        let a = tick();
-        let b = tick();
-        let c = tick();
-        assert!(a < b && b < c);
-        assert!(now() >= c);
-    }
-
-    #[test]
-    fn now_never_exceeds_latest_tick() {
-        let latest = tick();
-        assert!(now() >= latest);
-    }
-
-    #[test]
     fn txn_ids_are_unique_across_threads() {
         let handles: Vec<_> = (0..4)
             .map(|_| thread::spawn(|| (0..1000).map(|_| next_txn_id()).collect::<Vec<_>>()))
@@ -129,23 +99,10 @@ mod tests {
 
     #[test]
     fn advance_past_raises_but_never_lowers_the_clock() {
-        let base = tick();
+        let base = now();
         advance_past(base + 10);
         assert!(now() >= base + 10);
         advance_past(base); // Stale demand must not move the clock backwards.
         assert!(now() >= base + 10);
-    }
-
-    #[test]
-    fn ticks_are_unique_across_threads() {
-        let handles: Vec<_> = (0..4)
-            .map(|_| thread::spawn(|| (0..1000).map(|_| tick()).collect::<Vec<_>>()))
-            .collect();
-        let mut seen = HashSet::new();
-        for h in handles {
-            for ts in h.join().unwrap() {
-                assert!(seen.insert(ts), "duplicate commit timestamp {ts}");
-            }
-        }
     }
 }

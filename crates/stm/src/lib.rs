@@ -79,7 +79,7 @@ pub mod telemetry;
 pub mod tvar;
 pub mod txn;
 
-pub use config::{ClockMode, StmConfig};
+pub use config::StmConfig;
 pub use durable::{
     recycle_payload, recycled_payload, with_ack_scope, with_durable_payload, DurabilitySink,
 };

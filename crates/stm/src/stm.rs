@@ -11,10 +11,10 @@ use crate::txn::Transaction;
 
 /// A software-transactional-memory runtime.
 ///
-/// An `Stm` owns the configuration (attempt bound, clock discipline, stats
-/// striping) and the statistics counters; the transactional variables
-/// themselves ([`TVar`]) are independent and may be shared between `Stm`
-/// instances because versions come from a process-wide clock.
+/// An `Stm` owns the configuration (attempt bound, stats striping) and the
+/// statistics counters; the transactional variables themselves ([`TVar`])
+/// are independent and may be shared between `Stm` instances because
+/// versions come from a process-wide clock.
 ///
 /// Cloning an `Stm` is cheap and shares the statistics counters, which is how
 /// the executor hands one logical runtime to many worker threads.
@@ -171,15 +171,15 @@ impl Stm {
             // Lazy-clock validation demand: a validation failure means some
             // commit stamp ran ahead of this transaction's snapshot. Bump
             // the global clock so the retry (and every later transaction)
-            // starts past it instead of re-discovering the conflict. This is
-            // the only shared-clock write the lazy discipline performs, and
-            // it happens exactly on observed conflict.
+            // starts past it instead of re-discovering the conflict. Besides
+            // snapshot extension, this is the only shared-clock write the
+            // lazy clock performs, and it happens exactly on observed
+            // conflict.
             if matches!(
                 cause,
                 crate::error::AbortCause::ReadValidation
                     | crate::error::AbortCause::CommitValidation
-            ) && self.config.clock_mode == crate::config::ClockMode::Lazy
-            {
+            ) {
                 clock::advance_past(clock::now() + 1);
             }
         }
@@ -413,9 +413,8 @@ mod tests {
 
     #[test]
     fn debug_format_includes_policy() {
-        use crate::config::ClockMode;
-        let stm = Stm::new(StmConfig::default().with_clock_mode(ClockMode::Ticked));
-        assert!(format!("{stm:?}").contains("Ticked"));
+        let stm = Stm::new(StmConfig::default().with_max_attempts(3));
+        assert!(format!("{stm:?}").contains("max_attempts: Some(3)"));
     }
 
     #[test]
@@ -426,61 +425,57 @@ mod tests {
         assert!(striped.stats().stripes() > 1);
     }
 
-    /// Commit stamps must strictly increase per variable in every clock
-    /// mode: version equality is what validation uses to pin an exact
-    /// committed value, so a stamp re-use would admit stale reads.
+    /// Commit stamps must strictly increase per variable: version equality
+    /// is what validation uses to pin an exact committed value, so a stamp
+    /// re-use would admit stale reads.
     #[test]
     fn commit_stamps_are_strictly_monotonic_per_variable() {
-        use crate::config::ClockMode;
-        for mode in [ClockMode::Ticked, ClockMode::Lazy] {
-            let stm = Stm::new(StmConfig::default().with_clock_mode(mode));
-            let v = TVar::new(0u64);
-            let threads: u64 = 4;
-            let commits: u64 = 200;
-            let initial = v.version();
+        let stm = Stm::default();
+        let v = TVar::new(0u64);
+        let threads: u64 = 4;
+        let commits: u64 = 200;
+        let initial = v.version();
 
-            thread::scope(|s| {
-                // Writers hammer the same variable; a sampler checks that the
-                // observable stamp sequence never regresses.
-                for _ in 0..threads {
-                    let stm = stm.clone();
-                    let v = v.clone();
-                    s.spawn(move || {
-                        for _ in 0..commits {
-                            stm.atomically(|tx| tx.modify(&v, |x| x + 1));
-                        }
-                    });
-                }
+        thread::scope(|s| {
+            // Writers hammer the same variable; a sampler checks that the
+            // observable stamp sequence never regresses.
+            for _ in 0..threads {
+                let stm = stm.clone();
                 let v = v.clone();
                 s.spawn(move || {
-                    let mut last = 0;
-                    for _ in 0..2000 {
-                        let seen = v.version();
-                        assert!(seen >= last, "version regressed: {seen} < {last}");
-                        last = seen;
-                        std::hint::spin_loop();
+                    for _ in 0..commits {
+                        stm.atomically(|tx| tx.modify(&v, |x| x + 1));
                     }
                 });
+            }
+            let v = v.clone();
+            s.spawn(move || {
+                let mut last = 0;
+                for _ in 0..2000 {
+                    let seen = v.version();
+                    assert!(seen >= last, "version regressed: {seen} < {last}");
+                    last = seen;
+                    std::hint::spin_loop();
+                }
             });
+        });
 
-            assert_eq!(stm.read_now(&v), threads * commits, "mode {mode}");
-            // Each of the threads*commits publishes stamped at least one past
-            // the previous stamp, so the final version bounds them below.
-            assert!(
-                v.version() >= initial + threads * commits,
-                "mode {mode}: final version {} admits stamp re-use",
-                v.version()
-            );
-        }
+        assert_eq!(stm.read_now(&v), threads * commits);
+        // Each of the threads*commits publishes stamped at least one past
+        // the previous stamp, so the final version bounds them below.
+        assert!(
+            v.version() >= initial + threads * commits,
+            "final version {} admits stamp re-use",
+            v.version()
+        );
     }
 
-    /// Racing writers keep two variables equal; lazy-mode readers (including
+    /// Racing writers keep two variables equal; lazy-clock readers (including
     /// the read-only fast path, which never revalidates at commit) must never
     /// observe a mixed snapshot — the "no stale-read admission" property.
     #[test]
     fn lazy_clock_readers_never_observe_torn_snapshots() {
-        use crate::config::ClockMode;
-        let stm = Stm::new(StmConfig::default().with_clock_mode(ClockMode::Lazy));
+        let stm = Stm::default();
         let a = TVar::new(0u64);
         let b = TVar::new(0u64);
         let rounds: u64 = 500;
@@ -516,53 +511,5 @@ mod tests {
             }
         });
         assert_eq!(stm.read_now(&a), 2 * rounds);
-    }
-
-    /// Runtimes with different clock modes may share variables: both stamp
-    /// past the variable's current version, so invariants (and per-variable
-    /// stamp monotonicity) survive mixing. This is the documented contract
-    /// for process-wide clock-mode mixing.
-    #[test]
-    fn mixed_clock_modes_preserve_invariants_on_shared_variables() {
-        use crate::config::ClockMode;
-        let ticked = Stm::new(StmConfig::default().with_clock_mode(ClockMode::Ticked));
-        let lazy = Stm::new(StmConfig::default().with_clock_mode(ClockMode::Lazy));
-        let a = TVar::new(500i64);
-        let b = TVar::new(500i64);
-        let rounds = 300;
-
-        thread::scope(|s| {
-            for (t, stm) in [ticked.clone(), lazy.clone(), ticked.clone(), lazy.clone()]
-                .into_iter()
-                .enumerate()
-            {
-                let (a, b) = (a.clone(), b.clone());
-                s.spawn(move || {
-                    for i in 0..rounds {
-                        let amount = ((t + i) % 5) as i64 - 2;
-                        stm.atomically(|tx| {
-                            let av = *tx.read(&a)?;
-                            let bv = *tx.read(&b)?;
-                            tx.write(&a, av - amount)?;
-                            tx.write(&b, bv + amount)?;
-                            Ok(())
-                        });
-                    }
-                });
-            }
-            let (a, lazy_reader) = (a.clone(), lazy.clone());
-            let b = b.clone();
-            s.spawn(move || {
-                let mut last_version = 0;
-                for _ in 0..rounds {
-                    let sum = lazy_reader.atomically(|tx| Ok(*tx.read(&a)? + *tx.read(&b)?));
-                    assert_eq!(sum, 1000, "mixed-mode snapshot broke the invariant");
-                    let seen = a.version();
-                    assert!(seen >= last_version, "stamp regressed under mixing");
-                    last_version = seen;
-                }
-            });
-        });
-        assert_eq!(ticked.read_now(&a) + ticked.read_now(&b), 1000);
     }
 }

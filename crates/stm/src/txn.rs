@@ -12,7 +12,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::clock;
-use crate::config::ClockMode;
 use crate::error::{AbortCause, TxError};
 use crate::scratch::{ReadSet, TxnScratch, WriteSet};
 use crate::stm::Stm;
@@ -296,9 +295,7 @@ impl<'a> Transaction<'a> {
     /// demand-driven advance validation aborts perform). An extension over
     /// an empty read set validates nothing and costs nothing to repeat, so
     /// it leaves the clock alone: a transaction whose first read is a
-    /// variable it keeps rewriting stays off the shared clock. Under the
-    /// ticked clock stamps never exceed `now()` and the branch is never
-    /// taken.
+    /// variable it keeps rewriting stays off the shared clock.
     fn extend_snapshot(&mut self, seen: u64) -> Result<(), TxError> {
         if seen > clock::now() && !self.scratch.reads.is_empty() {
             clock::advance_past(seen);
@@ -380,24 +377,18 @@ impl<'a> Transaction<'a> {
 
         // Phase 3: publish under a fresh commit timestamp, then release.
         //
-        // Whatever the clock discipline, the stamp must strictly exceed every
-        // written variable's current version (stable while we own them):
-        // version equality is what read validation uses to pin an exact
-        // committed value, so a re-used stamp would make a replacement
-        // invisible to concurrent readers. Under the lazy (GV5-style)
-        // discipline this max is also what keeps repeated commits to the
-        // same variable off the shared clock entirely; under GV1 the ticked
-        // stamp already exceeds it unless a lazy-mode runtime sharing these
-        // variables stamped ahead of the clock.
+        // The stamp must strictly exceed every written variable's current
+        // version (stable while we own them): version equality is what read
+        // validation uses to pin an exact committed value, so a re-used
+        // stamp would make a replacement invisible to concurrent readers.
+        // The same max keeps repeated commits to one variable off the shared
+        // clock entirely (see `clock`).
         let watermark = writes
             .iter()
             .map(|(_, entry)| entry.var().dyn_version())
             .max()
             .unwrap_or(0);
-        let commit_ts = match stm.config().clock_mode {
-            ClockMode::Ticked => clock::tick().max(watermark + 1),
-            ClockMode::Lazy => (clock::now() + 1).max(watermark + 1),
-        };
+        let commit_ts = (clock::now() + 1).max(watermark + 1);
         for (_, entry) in writes.iter() {
             entry.publish(commit_ts);
         }
@@ -735,7 +726,7 @@ mod tests {
 
     #[test]
     fn lazy_snapshot_extension_raises_the_clock_to_the_stamp_it_saw() {
-        let stm = Stm::new(StmConfig::default().with_clock_mode(ClockMode::Lazy));
+        let stm = Stm::default();
         let hot = TVar::new(0u64);
         // Lazy commits stamp one past the variable's own version without
         // advancing the clock, so repeated writes run the stamp ahead.

@@ -53,7 +53,7 @@ fn main() {
     for _ in 1..50_000 {
         let spec = generator.next_spec();
         runtime
-            .submit_detached(WithKey::new(mapper.key(&spec), spec))
+            .submit(WithKey::new(mapper.key(&spec), spec))
             .expect("runtime is accepting work");
     }
     first.wait().expect("first transaction executed");

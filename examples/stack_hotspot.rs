@@ -40,7 +40,7 @@ fn run(label: &str, scheduler: SchedulerKind, use_constant_key: bool) {
             i % 65_536 // pretend the payload were a meaningful key
         };
         runtime
-            .submit_detached(WithKey::new(key, i))
+            .submit(WithKey::new(key, i))
             .expect("runtime is accepting work");
     }
     let report = runtime.shutdown();

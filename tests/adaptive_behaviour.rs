@@ -125,13 +125,13 @@ fn adaptation_happens_once_at_the_threshold() {
         .build(|_, _task: u64| {})
         .expect("valid configuration");
     for i in 0..9_999u64 {
-        runtime.submit_detached(i % 65_536).unwrap();
+        runtime.submit(i % 65_536).unwrap();
     }
     // One short of the threshold: still running the fixed partition.
     assert!(!scheduler.is_adapted());
     assert_eq!(runtime.stats().repartitions, 0);
     for i in 0..5_000u64 {
-        runtime.submit_detached(i % 65_536).unwrap();
+        runtime.submit(i % 65_536).unwrap();
     }
     assert!(scheduler.is_adapted());
     assert_eq!(scheduler.adaptations(), 1);

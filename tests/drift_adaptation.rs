@@ -36,7 +36,7 @@ fn submit_keys(
     for _ in 0..count {
         let key = u64::from(dist.sample_raw());
         let key = if mirror { KEY_MAX - key } else { key };
-        runtime.submit_detached(WithKey::new(key, ())).unwrap();
+        runtime.submit(WithKey::new(key, ())).unwrap();
     }
 }
 

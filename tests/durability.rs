@@ -419,3 +419,50 @@ fn wal_io_error_resolves_acks_as_not_durable() {
     runtime.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A batch whose handle is dropped at once still runs on a durable runtime:
+/// every task executes, its result settles through the ack board with
+/// nobody waiting, and every insert survives a restart.
+#[test]
+fn a_dropped_batch_handle_still_runs_and_settles_every_task() {
+    const TASKS: u32 = 200;
+    let dir = temp_dir("dropped-handle");
+    let (_dict, runtime) = durable_runtime(WalConfig::new(&dir), Duration::from_secs(3600));
+    let mut tasks: Vec<Task> = (1..=TASKS)
+        .map(|key| insert_task(key, u64::from(key)))
+        .collect();
+    drop(
+        runtime
+            .submit_batch_handle(&mut tasks)
+            .expect("submit batch"),
+    );
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    while runtime.stats().completed < u64::from(TASKS) {
+        assert!(std::time::Instant::now() < deadline, "batch never ran");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // A lookup's ticket is the log tail at its commit, which covers every
+    // insert above: once it resolves, they are all durable.
+    assert_eq!(
+        settle(runtime.submit(lookup_task(1, 1)).expect("submit")),
+        Ok(Some(1))
+    );
+    let stats = runtime.stats();
+    assert_eq!(stats.submitted, stats.completed);
+    assert!(
+        stats.commit_wait_nanos > 0,
+        "results waited on the log with no handle to release them to"
+    );
+    let report = runtime.shutdown();
+    assert_eq!(report.abandoned, 0);
+    let (dict, runtime) = durable_runtime(WalConfig::new(&dir), Duration::from_secs(3600));
+    for key in 1..=TASKS {
+        assert_eq!(
+            dict.lookup(key),
+            Some(u64::from(key)),
+            "insert of key {key} lost"
+        );
+    }
+    runtime.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

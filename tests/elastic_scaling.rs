@@ -135,13 +135,13 @@ fn elastic_runtime_grows_under_saturation() {
 
     let total = 6_000u64;
     for chunk in 0..(total / 500) {
-        let batch: Vec<WithKey<u64>> = (0..500u64)
+        let mut batch: Vec<WithKey<u64>> = (0..500u64)
             .map(|i| {
                 let id = chunk * 500 + i;
                 WithKey::new(id * 31 % 65_536, id)
             })
             .collect();
-        runtime.submit_batch_detached(batch).unwrap();
+        runtime.submit_batch_handle(&mut batch).unwrap();
     }
     let grown = runtime.active_workers();
     assert!(

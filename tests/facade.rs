@@ -1,7 +1,7 @@
 //! Integration tests for the `katme` facade itself: builder validation,
-//! typed task handles, non-blocking
-//! submission errors, batch submission (handle delivery, FIFO, partial
-//! queue-full failure), and prompt shutdown of blocked producers.
+//! typed task handles, non-blocking submission errors, batch submission
+//! (handle delivery, FIFO, partial queue-full failure), and prompt shutdown
+//! of blocked producers. Every submission runs the one batch path.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -142,8 +142,8 @@ fn submit_batch_delivers_one_handle_per_task() {
 #[test]
 fn try_submit_batch_reports_partial_failure_with_accepted_handles() {
     // One slow worker with a tiny depth bound: a large non-blocking batch is
-    // partially accepted. The error must carry a handle for every accepted
-    // task (each of which resolves) and hand the rejected tasks back in
+    // partially accepted. Every accepted task resolves its own slot with
+    // its result, and every rejected one resolves QueueFull, in submission
     // order, ready for resubmission.
     let runtime = Katme::builder()
         .workers(1)
@@ -156,27 +156,33 @@ fn try_submit_batch_reports_partial_failure_with_accepted_handles() {
         })
         .expect("valid configuration");
 
-    let err = runtime
-        .try_submit_batch((0..100u64).collect())
-        .expect_err("a depth bound of 4 cannot take 100 tasks at once");
-    assert_eq!(err.error, KatmeError::QueueFull);
-    assert!(err.is_partial(), "the first few tasks fit under the bound");
-    assert_eq!(err.accepted, err.handles.len());
-    assert_eq!(err.accepted + err.rejected.len(), 100);
-    // Rejected tasks come back in submission order: the accepted prefix is
-    // 0..accepted, so the remainder starts right after it.
-    assert_eq!(err.rejected[0], err.accepted as u64);
-    let accepted = err.accepted;
-    let rejected = err.rejected;
-    for (i, handle) in err.handles.into_iter().enumerate() {
-        assert_eq!(
-            handle.wait_timeout(Duration::from_secs(10)).unwrap(),
-            i as u64,
-            "every accepted task resolves its handle"
-        );
+    let results: Vec<_> = runtime
+        .try_submit_batch_handle(&mut (0..100u64).collect())
+        .wait()
+        .collect();
+    assert_eq!(results.len(), 100);
+    // One worker queue: the accepted tasks are a prefix, the rest overflow.
+    let accepted = results.iter().take_while(|result| result.is_ok()).count();
+    assert!(accepted > 0, "the first few tasks fit under the bound");
+    assert!(
+        accepted < 100,
+        "a depth bound of 4 cannot take 100 tasks at once"
+    );
+    for (i, result) in results.iter().enumerate() {
+        if i < accepted {
+            assert_eq!(
+                *result,
+                Ok(i as u64),
+                "every accepted task resolves its slot"
+            );
+        } else {
+            assert_eq!(*result, Err(KatmeError::QueueFull), "slot {i}");
+        }
     }
     // Retrying the remainder (blocking) completes the full workload.
-    let retry_handles = runtime.submit_batch(rejected).expect("retry accepted");
+    let retry_handles = runtime
+        .submit_batch((accepted as u64..100).collect())
+        .expect("retry accepted");
     assert_eq!(retry_handles.len(), 100 - accepted);
     let report = runtime.shutdown();
     assert_eq!(report.completed, 100);
@@ -193,7 +199,8 @@ fn batch_of_one_and_empty_batch_behave_like_the_single_task_api() {
     let one = runtime.submit_batch(vec![WithKey::new(3, 41)]).unwrap();
     assert_eq!(one.len(), 1);
     assert_eq!(one.into_iter().next().unwrap().wait().unwrap(), 42);
-    assert_eq!(runtime.submit_batch_detached(Vec::new()).unwrap(), 0);
+    let empty = runtime.submit_batch_handle(&mut Vec::new()).unwrap();
+    assert_eq!(empty.wait().count(), 0);
     runtime.shutdown();
 }
 
@@ -216,8 +223,8 @@ fn batch_submission_after_stop_returns_every_task() {
 
 #[test]
 fn try_submit_reports_queue_full_under_a_tiny_depth_bound() {
-    // One slow worker, depth bound 2: a burst of try_submit calls must hit
-    // QueueFull rather than blocking or silently spinning.
+    // One slow worker, depth bound 2: a burst of non-blocking submissions
+    // must hit QueueFull rather than blocking or silently spinning.
     let runtime = Katme::builder()
         .workers(1)
         .scheduler(SchedulerKind::RoundRobin)
@@ -228,13 +235,21 @@ fn try_submit_reports_queue_full_under_a_tiny_depth_bound() {
         })
         .expect("valid configuration");
 
+    let batches: Vec<_> = (0..50u64)
+        .map(|b| runtime.try_submit_batch_handle(&mut (4 * b..4 * b + 4).collect()))
+        .collect();
     let mut rejected = 0u32;
     let mut accepted = 0u32;
-    for i in 0..200u64 {
-        match runtime.try_submit_detached(i) {
-            Ok(()) => accepted += 1,
-            Err(KatmeError::QueueFull) => rejected += 1,
-            Err(other) => panic!("unexpected error: {other}"),
+    for (b, batch) in (0u64..).zip(batches) {
+        for (task, result) in (4 * b..).zip(batch.wait()) {
+            match result {
+                Ok(value) => {
+                    assert_eq!(value, task, "an accepted task runs");
+                    accepted += 1;
+                }
+                Err(KatmeError::QueueFull) => rejected += 1,
+                Err(other) => panic!("unexpected error: {other}"),
+            }
         }
     }
     assert!(rejected > 0, "depth bound of 2 must reject under a burst");
@@ -266,19 +281,19 @@ fn stopped_runtime_rejects_and_unblocks_producers() {
             .expect("valid configuration"),
     );
 
-    runtime.submit_detached(1).unwrap();
+    runtime.submit(1).unwrap();
     std::thread::sleep(Duration::from_millis(50)); // worker picks up task 1
-    runtime.submit_detached(2).unwrap(); // fills the queue to its bound
+    runtime.submit(2).unwrap(); // fills the queue to its bound
 
     let blocked = {
         let runtime = Arc::clone(&runtime);
-        std::thread::spawn(move || runtime.submit_detached(3))
+        std::thread::spawn(move || runtime.submit(3).map(drop))
     };
     std::thread::sleep(Duration::from_millis(100));
     runtime.stop();
     assert_eq!(blocked.join().unwrap(), Err(KatmeError::ShuttingDown));
     assert!(!runtime.is_running());
-    assert_eq!(runtime.submit_detached(4), Err(KatmeError::ShuttingDown));
+    assert_eq!(runtime.submit(4).map(drop), Err(KatmeError::ShuttingDown));
 
     let runtime = Arc::into_inner(runtime).expect("blocked producer exited");
     let report = runtime.shutdown();
@@ -323,7 +338,7 @@ fn stats_view_reports_progress_and_throughput() {
         .build(|_worker, task: WithKey<u64>| task.task)
         .expect("valid configuration");
     for i in 0..1_000u64 {
-        runtime.submit_detached(WithKey::new(i % 100, i)).unwrap();
+        runtime.submit(WithKey::new(i % 100, i)).unwrap();
     }
     // Wait for the drain against a wall-clock deadline: a bounded count of
     // yields measures how fast the host yields, not the runtime.
@@ -353,7 +368,7 @@ fn idle_workers_park_between_bursts_and_wake_on_submit() {
         .build(|_worker, _task: WithKey<()>| {})
         .unwrap();
     for key in 0..100u64 {
-        runtime.submit_detached(WithKey::new(key, ())).unwrap();
+        runtime.submit(WithKey::new(key, ())).unwrap();
     }
     // Let the pool drain and go idle long enough to escalate into parking.
     let started = Instant::now();

@@ -58,7 +58,7 @@ fn replay_matches_reference(scheduler: Arc<dyn Scheduler>, distribution: Distrib
         .expect("valid configuration");
     for spec in trace.ops() {
         runtime
-            .submit_detached(WithKey::new(mapper.key(spec), *spec))
+            .submit(WithKey::new(mapper.key(spec), *spec))
             .expect("runtime is accepting work");
     }
     let report = runtime.shutdown();
@@ -135,7 +135,7 @@ fn all_schedulers_agree_on_commutative_workload() {
                 value: u64::from(key) * 2,
                 op: OpKind::Insert,
             };
-            runtime.submit_detached(spec).expect("accepting");
+            runtime.submit(spec).expect("accepting");
         }
         let report = runtime.shutdown();
         assert_eq!(report.completed, 5_000, "{scheduler_kind}");
@@ -171,7 +171,7 @@ fn concurrent_producers_full_pipeline() {
                 for _ in 0..per_producer {
                     let spec = gen.next_spec();
                     runtime
-                        .submit_detached(WithKey::new(mapper.key(&spec), spec))
+                        .submit(WithKey::new(mapper.key(&spec), spec))
                         .expect("accepting");
                 }
             });

@@ -37,7 +37,7 @@ fn key_based_schedulers_preserve_semantics_on_every_structure() {
                 .expect("valid configuration");
             for spec in trace.ops() {
                 // TxnSpec routes itself by its dictionary key.
-                runtime.submit_detached(*spec).expect("accepting");
+                runtime.submit(*spec).expect("accepting");
             }
             let report = runtime.shutdown();
             assert_eq!(report.completed, trace.len() as u64);
@@ -83,7 +83,7 @@ fn work_stealing_preserves_all_insertions() {
             value: u64::from(key),
             op: OpKind::Insert,
         };
-        runtime.submit_detached(spec).expect("accepting");
+        runtime.submit(spec).expect("accepting");
     }
     let report = runtime.shutdown();
     assert_eq!(report.completed, 4_000);
