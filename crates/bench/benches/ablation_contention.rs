@@ -34,7 +34,7 @@ fn run_high_contention(scheduler_kind: SchedulerKind, workers: usize) -> (u64, u
             .submit_batch_blocking(vec![(bucket, spec)])
             .expect("executor accepts while running");
     }
-    let completed = executor.shutdown().completed();
+    let completed = executor.shutdown().executed();
     let snap = stm.snapshot();
     (completed, snap.total_aborts())
 }

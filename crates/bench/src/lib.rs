@@ -106,7 +106,7 @@ pub fn run_pipeline_batch_submission(
             .submit_batch_blocking(keyed)
             .expect("executor accepts while running");
     }
-    executor.shutdown().completed()
+    executor.shutdown().executed()
 }
 
 #[cfg(test)]

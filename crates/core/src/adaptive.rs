@@ -1337,6 +1337,7 @@ mod tests {
                     parks: 0,
                     park_nanos: 0,
                     late_wakes: 0,
+                    resizes: 0,
                     queue_depths: vec![0; capacity],
                 }),
                 resized: Mutex::new(Vec::new()),

@@ -306,9 +306,10 @@ where
     }
 }
 
-/// Point-in-time executor-pool telemetry consumed by the elastic
-/// concurrency controller: cumulative per-worker counters (diffed per epoch
-/// by the scheduler) plus the instantaneous queue depths and active width.
+/// Point-in-time executor-pool telemetry: cumulative per-worker counters
+/// plus the instantaneous queue depths and active width. The elastic
+/// concurrency controller diffs it per epoch; the facade's live and final
+/// stats are built from it, so one walk over the counters answers both.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PoolSample {
     /// Worker slots currently active (routing width of the pool).
@@ -343,6 +344,8 @@ pub struct PoolSample {
     /// Cumulative parks that timed out onto work, summed over workers (see
     /// [`crate::stats::WorkerCounters::record_late_wake`]).
     pub late_wakes: u64,
+    /// Pool resizes performed so far.
+    pub resizes: u64,
     /// Instantaneous depth of every worker queue (length = `capacity`).
     pub queue_depths: Vec<usize>,
 }
@@ -542,6 +545,7 @@ mod tests {
             parks: 2,
             park_nanos: 50_000_000,
             late_wakes: 0,
+            resizes: 1,
             queue_depths: vec![1, 2, 0, 4],
         };
         assert_eq!(sample.executed(), 38);

@@ -49,7 +49,13 @@
 //! woken when the destination slot is orphaned (any active worker may adopt
 //! it), when work stealing is on (any idle peer may steal), on a resize,
 //! and at shutdown. A park that times out and then finds work counts as a
-//! *late wake* ([`Executor::late_wakes`]).
+//! *late wake* ([`PoolSample::late_wakes`]).
+//!
+//! # Counters
+//!
+//! [`Executor::sample`] reads every worker counter and queue depth in one
+//! walk, into the same [`PoolSample`] the adaptive scheduler diffs per
+//! epoch; [`Executor::shutdown`] returns the final one.
 
 use std::cell::Cell;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -63,7 +69,7 @@ use parking_lot::{Condvar, Mutex};
 use crate::drift::{PoolController, PoolSample};
 use crate::key::TxnKey;
 use crate::scheduler::Scheduler;
-use crate::stats::{LoadBalance, WorkerCounters};
+use crate::stats::WorkerCounters;
 
 /// Configuration of an [`Executor`].
 #[derive(Debug, Clone)]
@@ -211,39 +217,6 @@ impl<T> std::fmt::Display for SubmitBatchError<T> {
 }
 
 impl<T> std::error::Error for SubmitBatchError<T> {}
-
-/// Summary returned by [`Executor::shutdown`].
-#[derive(Debug, Clone)]
-pub struct ExecutorReport {
-    /// Tasks each worker drained from its *own* queue — the load the
-    /// scheduler routed to it. Stolen and adopted executions are reported
-    /// separately so imbalance math reads routed load, not rescue work.
-    pub load: LoadBalance,
-    /// Total tasks executed after being stolen from an active peer's queue.
-    pub stolen: u64,
-    /// Total tasks executed after being adopted from a retired worker's
-    /// residual queue (the elastic hand-off path).
-    pub adopted: u64,
-    /// Total polls that found no work.
-    pub idle_polls: u64,
-    /// Total condvar parks — idle periods workers spent blocked at zero
-    /// CPU instead of backoff polling.
-    pub parks: u64,
-    /// Tasks left unexecuted in the queues (only non-zero when
-    /// `drain_on_shutdown` is false).
-    pub abandoned: u64,
-    /// Worker-pool resizes performed over the executor's lifetime.
-    pub resizes: u64,
-    /// Active workers at shutdown.
-    pub active_workers: usize,
-}
-
-impl ExecutorReport {
-    /// Total completed tasks, regardless of which worker executed them.
-    pub fn completed(&self) -> u64 {
-        self.load.total() + self.stolen + self.adopted
-    }
-}
 
 /// Intake gate for a queue that is drained by threads which must eventually
 /// exit: pairs an accepting flag with an in-flight submission count so a
@@ -575,6 +548,29 @@ impl<T: Send + 'static> WorkerSet<T> {
         fence(Ordering::SeqCst);
         self.parkers.iter().for_each(SlotParker::wake);
     }
+
+    /// Every counter and queue depth, read in one walk.
+    fn sample(&self) -> PoolSample {
+        let mut sample = PoolSample {
+            active: self.active(),
+            capacity: self.capacity(),
+            per_worker_completed: Vec::with_capacity(self.capacity()),
+            resizes: self.resizes.load(Ordering::Relaxed),
+            queue_depths: self.queues.iter().map(|q| q.count()).collect(),
+            ..PoolSample::default()
+        };
+        for c in self.counters.iter() {
+            sample.per_worker_completed.push(c.completed());
+            sample.stolen += c.stolen();
+            sample.adopted += c.adopted();
+            sample.idle_polls += c.idle_polls();
+            sample.busy_wakeups += c.busy_wakeups();
+            sample.parks += c.parks();
+            sample.park_nanos += c.park_nanos();
+            sample.late_wakes += c.late_wakes();
+        }
+        sample
+    }
 }
 
 /// The executor's half of the elastic plane: owns the worker thread handles
@@ -615,20 +611,7 @@ impl<T: Send + 'static> PoolHandle<T> {
 
 impl<T: Send + 'static> PoolController for PoolHandle<T> {
     fn sample(&self) -> PoolSample {
-        let set = &self.set;
-        PoolSample {
-            active: set.active(),
-            capacity: set.capacity(),
-            per_worker_completed: set.counters.iter().map(|c| c.completed()).collect(),
-            stolen: set.counters.iter().map(|c| c.stolen()).sum(),
-            adopted: set.counters.iter().map(|c| c.adopted()).sum(),
-            idle_polls: set.counters.iter().map(|c| c.idle_polls()).sum(),
-            busy_wakeups: set.counters.iter().map(|c| c.busy_wakeups()).sum(),
-            parks: set.counters.iter().map(|c| c.parks()).sum(),
-            park_nanos: set.counters.iter().map(|c| c.park_nanos()).sum(),
-            late_wakes: set.counters.iter().map(|c| c.late_wakes()).sum(),
-            queue_depths: set.queues.iter().map(|q| q.count()).collect(),
-        }
+        self.set.sample()
     }
 
     fn resize(&self, workers: usize) {
@@ -749,16 +732,6 @@ impl<T: Send + 'static> Executor<T> {
     /// all of them up front).
     pub fn workers(&self) -> usize {
         self.set.capacity()
-    }
-
-    /// Worker slots currently active (the routing width in effect).
-    pub fn active_workers(&self) -> usize {
-        self.set.active()
-    }
-
-    /// Pool resizes performed so far.
-    pub fn resizes(&self) -> u64 {
-        self.set.resizes.load(Ordering::Relaxed)
     }
 
     /// The scheduler in use.
@@ -993,38 +966,10 @@ impl<T: Send + 'static> Executor<T> {
         self.set.counters.iter().map(|c| c.executed()).sum()
     }
 
-    /// Tasks each worker drained from its own queue (routed load). Stolen
-    /// and adopted executions are reported separately — see
-    /// [`Executor::stolen`] and [`Executor::adopted`].
-    pub fn per_worker_completed(&self) -> Vec<u64> {
-        self.set.counters.iter().map(|c| c.completed()).collect()
-    }
-
-    /// Tasks executed after being stolen from an active peer's queue.
-    pub fn stolen(&self) -> u64 {
-        self.set.counters.iter().map(|c| c.stolen()).sum()
-    }
-
-    /// Tasks executed after being adopted from a retired worker's queue.
-    pub fn adopted(&self) -> u64 {
-        self.set.counters.iter().map(|c| c.adopted()).sum()
-    }
-
-    /// Condvar parks performed by idle workers so far.
-    pub fn parks(&self) -> u64 {
-        self.set.counters.iter().map(|c| c.parks()).sum()
-    }
-
-    /// Parks that timed out onto work so far (see
-    /// [`WorkerCounters::record_late_wake`]).
-    pub fn late_wakes(&self) -> u64 {
-        self.set.counters.iter().map(|c| c.late_wakes()).sum()
-    }
-
-    /// Current queue lengths (diagnostics / back-pressure tuning), over the
-    /// full capacity.
-    pub fn queue_lengths(&self) -> Vec<usize> {
-        self.set.queues.iter().map(|q| q.count()).collect()
+    /// Every worker counter, queue depth and the active width, read in
+    /// one walk (the same sample the adaptive scheduler reads).
+    pub fn sample(&self) -> PoolSample {
+        self.set.sample()
     }
 
     /// True while the executor accepts and executes tasks.
@@ -1036,16 +981,19 @@ impl<T: Send + 'static> Executor<T> {
     /// rejected with [`SubmitRejection::ShuttingDown`], producers blocked on
     /// back-pressure return promptly, and workers exit (after draining when
     /// `drain_on_shutdown` is set). Call [`Executor::shutdown`] afterwards to
-    /// join the workers and collect the report; `stop` itself is safe to call
-    /// from any thread, any number of times.
+    /// join the workers and collect the final counters; `stop` itself is
+    /// safe to call from any thread, any number of times.
     pub fn stop(&self) {
         self.set.gate.close();
         self.set.wake_all();
     }
 
-    /// Stop the workers, join them, and collect the final counters. Later
-    /// calls join nothing and report the same counters again.
-    pub fn shutdown(&self) -> ExecutorReport {
+    /// Stop the workers, join them, and return the final counters. Tasks
+    /// still queued after the join were abandoned (non-zero only without
+    /// `drain_on_shutdown`): they are the final sample's
+    /// [`PoolSample::backlog`]. Later calls join nothing and report the
+    /// same counters again.
+    pub fn shutdown(&self) -> PoolSample {
         self.set.gate.close();
         self.set.wake_all();
         // Serialize against an in-flight resize: once the resize lock is
@@ -1053,33 +1001,7 @@ impl<T: Send + 'static> Executor<T> {
         // so the join below covers every thread the set will ever have.
         drop(self.pool.resize_lock.lock());
         self.pool.join_all();
-        let abandoned: u64 = self.set.queues.iter().map(|q| q.count() as u64).sum();
-        // Keep only slots that were active at the end or executed routed
-        // work, so an elastic pool's load report — and its max-over-mean
-        // imbalance — covers the workers that existed, not the growth
-        // ceiling. This is the same filter the live `StatsView::imbalance`
-        // applies, so the two surfaces agree; fixed pools are unaffected
-        // (active == capacity).
-        let active = self.set.active();
-        let per_worker: Vec<u64> = self
-            .set
-            .counters
-            .iter()
-            .map(|c| c.completed())
-            .enumerate()
-            .filter(|&(index, completed)| index < active || completed > 0)
-            .map(|(_, completed)| completed)
-            .collect();
-        ExecutorReport {
-            load: LoadBalance::new(per_worker),
-            stolen: self.stolen(),
-            adopted: self.adopted(),
-            idle_polls: self.set.counters.iter().map(|c| c.idle_polls()).sum(),
-            parks: self.parks(),
-            abandoned,
-            resizes: self.resizes(),
-            active_workers: self.set.active(),
-        }
+        self.set.sample()
     }
 }
 
@@ -1161,7 +1083,7 @@ where
             // or an observer woken by the handle could read a completion
             // count that excludes the task it just waited for.
             for task in batch.drain(..) {
-                set.counters[index].record_completed(1);
+                set.counters[index].record_completed();
                 handler(index, task);
             }
             set.counters[index].record_busy_wakeup();
@@ -1315,8 +1237,8 @@ mod tests {
             submit_one(&exec, i, i).unwrap();
         }
         let report = exec.shutdown();
-        assert_eq!(report.completed(), n);
-        assert_eq!(report.abandoned, 0);
+        assert_eq!(report.executed(), n);
+        assert_eq!(report.backlog(), 0);
         assert_eq!(sum.load(Ordering::Relaxed), n * (n + 1) / 2);
     }
 
@@ -1334,7 +1256,7 @@ mod tests {
             submit_one(&exec, key, key).unwrap();
         }
         let report = exec.shutdown();
-        assert_eq!(report.completed(), 100);
+        assert_eq!(report.executed(), 100);
         for w in 0..4 {
             assert_eq!(seen[w].load(Ordering::Relaxed), 25);
         }
@@ -1351,8 +1273,7 @@ mod tests {
             submit_one(&exec, 9, 1).unwrap(); // high half -> worker 1
         }
         let report = exec.shutdown();
-        assert_eq!(report.load.per_worker, vec![50, 10]);
-        assert!(report.load.imbalance() > 1.5);
+        assert_eq!(report.per_worker_completed, vec![50, 10]);
     }
 
     #[test]
@@ -1369,10 +1290,10 @@ mod tests {
         }
         let report = exec.shutdown();
         assert!(
-            report.completed() + report.abandoned >= 200,
+            report.executed() + report.backlog() as u64 >= 200,
             "tasks must be either completed or abandoned"
         );
-        assert!(report.abandoned > 0, "some tasks should remain queued");
+        assert!(report.backlog() > 0, "some tasks should remain queued");
     }
 
     #[test]
@@ -1389,7 +1310,7 @@ mod tests {
             submit_one(&exec, 0, 0).unwrap(); // all keys in worker 0's range
         }
         let report = exec.shutdown();
-        assert_eq!(report.completed(), 500);
+        assert_eq!(report.executed(), 500);
         assert!(
             report.stolen > 0,
             "worker 1 should have stolen some tasks: {report:?}"
@@ -1409,12 +1330,12 @@ mod tests {
         for i in 0..500u64 {
             submit_one(&exec, i, i).unwrap();
             assert!(
-                exec.queue_lengths()[0] <= 51,
+                exec.sample().queue_depths[0] <= 51,
                 "queue exceeded the back-pressure bound"
             );
         }
         let report = exec.shutdown();
-        assert_eq!(report.completed(), 500);
+        assert_eq!(report.executed(), 500);
     }
 
     #[test]
@@ -1481,7 +1402,7 @@ mod tests {
         let exec = Arc::into_inner(exec).expect("producer clone dropped");
         let report = exec.shutdown();
         assert!(
-            report.abandoned >= 1,
+            report.backlog() >= 1,
             "task 2 was never drained: {report:?}"
         );
     }
@@ -1503,7 +1424,7 @@ mod tests {
         let batch: Vec<(TxnKey, u64)> = (0..1_000u64).map(|i| (i % 100, i)).collect();
         assert_eq!(exec.submit_batch_blocking(batch).unwrap(), 1_000);
         let report = exec.shutdown();
-        assert_eq!(report.completed(), 1_000);
+        assert_eq!(report.executed(), 1_000);
         let mut total = 0;
         for worker in seen.iter() {
             let tasks = worker.lock();
@@ -1548,7 +1469,7 @@ mod tests {
         assert_eq!(rejected[0].1, accepted_first, "overflow keeps its order");
         exec.submit_batch_blocking(rejected).unwrap();
         let report = exec.shutdown();
-        assert_eq!(report.completed(), 50);
+        assert_eq!(report.executed(), 50);
     }
 
     #[test]
@@ -1578,7 +1499,7 @@ mod tests {
         // only shrink the queue, so the bound holds throughout.
         for _ in 0..200 {
             assert!(
-                exec.queue_lengths()[0] <= 10,
+                exec.sample().queue_depths[0] <= 10,
                 "blocking batch overshot the depth bound"
             );
             std::thread::sleep(Duration::from_micros(100));
@@ -1586,7 +1507,7 @@ mod tests {
         assert_eq!(producer.join().unwrap(), 300);
         let exec = Arc::into_inner(exec).expect("producer clone dropped");
         let report = exec.shutdown();
-        assert_eq!(report.completed(), 300);
+        assert_eq!(report.executed(), 300);
     }
 
     #[test]
@@ -1626,7 +1547,7 @@ mod tests {
         let exec = Arc::into_inner(exec).expect("all producer clones dropped");
         let report = exec.shutdown();
         let total = producers * batches * batch_len;
-        assert_eq!(report.completed(), total);
+        assert_eq!(report.executed(), total);
         assert_eq!(sum.load(Ordering::Relaxed), total);
     }
 
@@ -1637,7 +1558,7 @@ mod tests {
         let batch: Vec<(TxnKey, u64)> = (1..=100u64).map(|i| (i, i)).collect();
         exec.submit_batch_blocking(batch).unwrap();
         let report = exec.shutdown();
-        assert_eq!(report.completed(), 100);
+        assert_eq!(report.executed(), 100);
         assert_eq!(sum.load(Ordering::Relaxed), 5_050);
     }
 
@@ -1702,7 +1623,7 @@ mod tests {
         let exec = Arc::into_inner(exec).expect("all producer clones dropped");
         let report = exec.shutdown();
         let total = producers * per_producer_batches * batch_len;
-        assert_eq!(report.completed(), total);
+        assert_eq!(report.executed(), total);
         assert_eq!(seen.lock().len() as u64, total, "no task lost");
     }
 
@@ -1731,7 +1652,7 @@ mod tests {
             },
         ));
         assert_eq!(exec.workers(), 6, "queues sized at the growth ceiling");
-        assert_eq!(exec.active_workers(), 2);
+        assert_eq!(exec.sample().active, 2);
 
         let producers = 4u64;
         let per_producer_batches = 30u64;
@@ -1774,14 +1695,17 @@ mod tests {
             // Producers done: release the resizer so the scope can close.
             done.store(true, Ordering::Relaxed);
         });
-        assert!(exec.resizes() > 0, "resizes must have happened mid-stream");
+        assert!(
+            exec.sample().resizes > 0,
+            "resizes must have happened mid-stream"
+        );
         let exec = Arc::into_inner(exec).expect("all producer clones dropped");
         let report = exec.shutdown();
         let total = producers * per_producer_batches * batch_len;
-        assert_eq!(report.completed(), total, "{report:?}");
+        assert_eq!(report.executed(), total, "{report:?}");
         assert_eq!(seen.lock().len() as u64, total, "no task lost");
         assert_eq!(
-            report.load.total() + report.stolen + report.adopted,
+            report.per_worker_completed.iter().sum::<u64>() + report.stolen + report.adopted,
             total,
             "origin accounting must tile the task set: {report:?}"
         );
@@ -1810,13 +1734,13 @@ mod tests {
         let batch: Vec<(TxnKey, u64)> = (0..2_000u64).map(|i| (i % 1_000, i)).collect();
         exec.submit_batch_blocking(batch).unwrap();
         assert!(scheduler.resize_now(1));
-        assert_eq!(exec.active_workers(), 1);
+        assert_eq!(exec.sample().active, 1);
         // New submissions route to the single survivor only.
         let batch: Vec<(TxnKey, u64)> = (0..500u64).map(|i| (i % 1_000, 10_000 + i)).collect();
         exec.submit_batch_blocking(batch).unwrap();
         let report = exec.shutdown();
-        assert_eq!(report.completed(), 2_500, "{report:?}");
-        assert_eq!(report.abandoned, 0);
+        assert_eq!(report.executed(), 2_500, "{report:?}");
+        assert_eq!(report.backlog(), 0);
         assert_eq!(executed.load(Ordering::Relaxed), 2_500);
     }
 
@@ -1835,17 +1759,17 @@ mod tests {
             });
             (exec, sum)
         };
-        assert_eq!(exec.active_workers(), 1);
+        assert_eq!(exec.sample().active, 1);
         assert!(scheduler.resize_now(4));
-        assert_eq!(exec.active_workers(), 4);
+        assert_eq!(exec.sample().active, 4);
         let n = 2_000u64;
         let batch: Vec<(TxnKey, u64)> = (1..=n).map(|i| (i % 1_000, i)).collect();
         exec.submit_batch_blocking(batch).unwrap();
         let report = exec.shutdown();
-        assert_eq!(report.completed(), n);
+        assert_eq!(report.executed(), n);
         assert_eq!(sum.load(Ordering::Relaxed), n * (n + 1) / 2);
         assert_eq!(report.resizes, 1);
-        assert_eq!(report.active_workers, 4);
+        assert_eq!(report.active, 4);
     }
 
     #[test]
@@ -1858,10 +1782,10 @@ mod tests {
         // Let the pool drain and go idle: backoff escalates past spinning
         // and the workers park instead of sleep-polling.
         let started = std::time::Instant::now();
-        while exec.parks() == 0 && started.elapsed() < Duration::from_secs(2) {
+        while exec.sample().parks == 0 && started.elapsed() < Duration::from_secs(2) {
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert!(exec.parks() > 0, "idle workers must park");
+        assert!(exec.sample().parks > 0, "idle workers must park");
         // A fresh enqueue must wake a parked worker promptly.
         submit_one(&exec, 0, 1_000).unwrap();
         let expected = 100 * 101 / 2 + 1_000;
@@ -1875,7 +1799,7 @@ mod tests {
             "enqueue must wake a parked worker"
         );
         let report = exec.shutdown();
-        assert_eq!(report.completed(), 101);
+        assert_eq!(report.executed(), 101);
         assert!(report.parks > 0, "{report:?}");
     }
 
@@ -1917,7 +1841,7 @@ mod tests {
                 assert_eq!(notifies(&exec, 1), 0, "the other worker sleeps on");
             }
             let report = exec.shutdown();
-            assert_eq!(report.completed(), 456);
+            assert_eq!(report.executed(), 456);
         }
     }
 
@@ -1941,8 +1865,8 @@ mod tests {
         assert_eq!(notifies(&exec, 0), 0);
         // Joining the worker orders its counter update before the read.
         let report = exec.shutdown();
-        assert_eq!(report.completed(), 1);
-        assert_eq!(exec.late_wakes(), 1);
+        assert_eq!(report.executed(), 1);
+        assert_eq!(report.late_wakes, 1);
     }
 
     #[test]
@@ -1965,7 +1889,7 @@ mod tests {
         });
         let exec = Arc::into_inner(exec).expect("all producer clones dropped");
         let report = exec.shutdown();
-        assert_eq!(report.completed(), producers * per_producer);
+        assert_eq!(report.executed(), producers * per_producer);
         assert_eq!(sum.load(Ordering::Relaxed), producers * per_producer);
     }
 }

@@ -26,8 +26,8 @@
 //!
 //! On top of the schedulers, [`Executor`] runs the worker pool and task
 //! queues (Figure 1(c) of the paper: parallel executors embedded in the
-//! producers). The paper's timed test driver lives in the facade as
-//! `katme::Driver`.
+//! producers). The paper's timed test driver lives in the harness as
+//! `katme_harness::driver::Driver`.
 //!
 //! ```
 //! use katme_core::prelude::*;
@@ -60,7 +60,7 @@ pub use cdf::PiecewiseCdf;
 pub use drift::{
     AdaptationCause, AdaptationConfig, AdaptationEvent, ContentionSample, ContentionSource,
 };
-pub use executor::{Executor, ExecutorConfig, ExecutorReport, ShutdownGate};
+pub use executor::{Executor, ExecutorConfig, ShutdownGate};
 pub use histogram::Histogram;
 pub use key::{BucketKeyMapper, ConstantKeyMapper, DictKeyMapper, KeyBounds, KeyMapper, TxnKey};
 pub use partition::{KeyPartition, PartitionGeneration, PartitionTable};
@@ -71,7 +71,7 @@ pub use stats::{LoadBalance, WorkerCounters};
 /// Commonly used items.
 pub mod prelude {
     pub use crate::adaptive::AdaptiveKeyScheduler;
-    pub use crate::executor::{Executor, ExecutorConfig, ExecutorReport};
+    pub use crate::executor::{Executor, ExecutorConfig};
     pub use crate::key::{BucketKeyMapper, DictKeyMapper, KeyBounds, KeyMapper, TxnKey};
     pub use crate::scheduler::{FixedKeyScheduler, RoundRobinScheduler, Scheduler, SchedulerKind};
 }

@@ -20,7 +20,6 @@ use std::sync::Arc;
 #[derive(Debug, Default)]
 pub struct WorkerCounters {
     completed: AtomicU64,
-    retries: AtomicU64,
     idle_polls: AtomicU64,
     busy_wakeups: AtomicU64,
     parks: AtomicU64,
@@ -36,13 +35,9 @@ impl WorkerCounters {
         Arc::new((0..workers).map(|_| WorkerCounters::default()).collect())
     }
 
-    /// Record a completed transaction from the worker's own queue (after
-    /// however many attempts).
-    pub fn record_completed(&self, attempts: u64) {
+    /// Record a completed transaction from the worker's own queue.
+    pub fn record_completed(&self) {
         self.completed.fetch_add(1, Ordering::Relaxed);
-        if attempts > 1 {
-            self.retries.fetch_add(attempts - 1, Ordering::Relaxed);
-        }
     }
 
     /// Record a poll that found the task queue empty.
@@ -81,11 +76,6 @@ impl WorkerCounters {
         self.late_wakes.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record a task stolen from another worker's queue.
-    pub fn record_steal(&self) {
-        self.stolen.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Record a batch of tasks stolen (and executed) from an active peer's
     /// queue. Counted separately from
     /// [`WorkerCounters::record_completed`] so stolen work is never credited
@@ -103,11 +93,6 @@ impl WorkerCounters {
     /// Completed transactions drained from the worker's own queue.
     pub fn completed(&self) -> u64 {
         self.completed.load(Ordering::Relaxed)
-    }
-
-    /// Extra attempts caused by aborts.
-    pub fn retries(&self) -> u64 {
-        self.retries.load(Ordering::Relaxed)
     }
 
     /// Polls that found no work.
@@ -191,24 +176,6 @@ impl LoadBalance {
         let max = self.per_worker.iter().copied().max().unwrap_or(0) as f64;
         max / mean
     }
-
-    /// Population coefficient of variation (std-dev / mean).
-    pub fn coefficient_of_variation(&self) -> f64 {
-        let mean = self.mean();
-        if mean == 0.0 || self.per_worker.is_empty() {
-            return 0.0;
-        }
-        let var = self
-            .per_worker
-            .iter()
-            .map(|&c| {
-                let d = c as f64 - mean;
-                d * d
-            })
-            .sum::<f64>()
-            / self.per_worker.len() as f64;
-        var.sqrt() / mean
-    }
 }
 
 #[cfg(test)]
@@ -218,15 +185,12 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let c = WorkerCounters::default();
-        c.record_completed(1);
-        c.record_completed(3);
+        c.record_completed();
+        c.record_completed();
         c.record_idle_poll();
-        c.record_steal();
         c.record_park(25_000_000);
         assert_eq!(c.completed(), 2);
-        assert_eq!(c.retries(), 2);
         assert_eq!(c.idle_polls(), 1);
-        assert_eq!(c.stolen(), 1);
         assert_eq!(c.parks(), 1);
         assert_eq!(c.park_nanos(), 25_000_000);
     }
@@ -241,14 +205,13 @@ mod tests {
         assert_eq!(c.adopted(), 2);
         assert_eq!(c.completed(), 0, "steals never credit routed load");
         assert_eq!(c.executed(), 9);
-        assert_eq!(c.retries(), 0);
     }
 
     #[test]
     fn for_workers_allocates_one_each() {
         let counters = WorkerCounters::for_workers(5);
         assert_eq!(counters.len(), 5);
-        counters[2].record_completed(1);
+        counters[2].record_completed();
         assert_eq!(counters[2].completed(), 1);
         assert_eq!(counters[0].completed(), 0);
     }
@@ -258,14 +221,12 @@ mod tests {
         let lb = LoadBalance::new(vec![100, 100, 100, 100]);
         assert_eq!(lb.total(), 400);
         assert!((lb.imbalance() - 1.0).abs() < 1e-12);
-        assert!(lb.coefficient_of_variation() < 1e-12);
     }
 
     #[test]
     fn skewed_balance_is_detected() {
         let lb = LoadBalance::new(vec![300, 100, 100, 100]);
         assert!((lb.imbalance() - 2.0).abs() < 1e-12);
-        assert!(lb.coefficient_of_variation() > 0.5);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Durability-plane counters: lock-free atomics updated by the log-writer
 //! and checkpointer threads, snapshotted into an immutable [`DurabilityView`]
-//! for the facade's stats/shutdown reports.
+//! for the facade's live and final stats.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -90,7 +90,7 @@ impl DurabilityStats {
 }
 
 /// Immutable snapshot of the durability plane, surfaced through
-/// `StatsView::durability()` and the shutdown report.
+/// `StatsView::durability()`, live and at shutdown.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DurabilityView {
     /// Records appended to the log.

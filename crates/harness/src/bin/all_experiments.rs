@@ -99,8 +99,8 @@ fn main() {
             "  {:>12}: volatile {} vs durable {} txn/s ({:.2}x), {:.4} fsyncs/commit, \
              group {:.2}",
             row.structure.name(),
-            format_throughput(row.volatile.throughput),
-            format_throughput(row.durable.throughput),
+            format_throughput(row.volatile.stats.throughput()),
+            format_throughput(row.durable.stats.throughput()),
             row.throughput_ratio(),
             row.fsyncs_per_commit(),
             row.mean_group_size()

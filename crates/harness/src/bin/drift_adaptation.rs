@@ -29,7 +29,7 @@ fn main() {
             "{:>14}{:>12}{:>14}{:>14}{:>14}{:>8}{:>10.2}x",
             row.structure.name(),
             row.mode,
-            format_throughput(row.result.throughput),
+            format_throughput(row.result.stats.throughput()),
             format_throughput(row.pre_shift_throughput()),
             format_throughput(row.post_shift_throughput()),
             row.repartitions(),

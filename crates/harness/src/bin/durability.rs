@@ -34,8 +34,8 @@ fn main() {
         println!(
             "{:>14}{:>14}{:>14}{:>8.2}{:>14.4}{:>12.2}{:>12}",
             row.structure.name(),
-            format_throughput(row.volatile.throughput),
-            format_throughput(row.durable.throughput),
+            format_throughput(row.volatile.stats.throughput()),
+            format_throughput(row.durable.stats.throughput()),
             row.throughput_ratio(),
             row.fsyncs_per_commit(),
             row.mean_group_size(),
@@ -44,7 +44,7 @@ fn main() {
     }
     println!();
     for row in &rows {
-        if let Some(view) = row.durable.durability {
+        if let Some(view) = row.durability() {
             println!(
                 "{:>14}: {} commits logged in {} groups ({} bytes), checkpoint lag {} at close",
                 row.structure.name(),

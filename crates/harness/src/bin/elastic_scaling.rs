@@ -28,7 +28,7 @@ fn main() {
             "{:>14}{:>10}{:>14}{:>14}{:>8}{:>8}{:>8}{:>8.0}%",
             row.structure.name(),
             row.mode,
-            format_throughput(row.result.throughput),
+            format_throughput(row.result.stats.throughput()),
             format_throughput(row.burst_throughput()),
             row.burst_workers(),
             row.final_workers(),

@@ -1,4 +1,4 @@
-//! The test driver: timed benchmark runs, rebuilt on the facade.
+//! The test driver: timed benchmark runs on the facade.
 //!
 //! "The entire system is orchestrated by a test driver thread, which selects
 //! the designated benchmark, starts the producer threads, records the
@@ -13,25 +13,26 @@
 //! ([`ExecutorModel`]). The [`Runtime`] itself is only the paper's choice,
 //! Figure 1(c); the other two wirings live here, in the driver, because
 //! only the comparison runs need them.
+//!
+//! A run reports through the facade's one snapshot type: its
+//! [`RunResult::stats`] is the [`StatsView`] delta over the measured
+//! window, and a windowed run adds one delta per slice.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use katme_collections::{encode_op_into, DictOp, Dictionary, StructureKind};
-use katme_core::key::{BucketKeyMapper, KeyMapper};
-use katme_core::scheduler::SchedulerKind;
-use katme_core::stats::LoadBalance;
-use katme_durability::DurabilityView;
-use katme_queue::{Backoff, TwoLockQueue};
-use katme_stm::{CachePadded, Stm, StmStatsSnapshot, TVar};
-use katme_workload::{ArrivalRamp, DistributionKind, OpGenerator, OpKind, TxnSpec};
-
-use crate::builder::{Builder, Katme};
-use crate::durability::{DictState, RecoveryReport};
-use crate::runtime::{Runtime, StatsView};
-use crate::task::{Durable, KeyedTask, WithKey};
+use katme::collections::Dictionary;
+use katme::core::key::KeyBounds;
+use katme::queue::{Backoff, TwoLockQueue};
+use katme::stm::CachePadded;
+use katme::{
+    apply_spec, spec_payload, BucketKeyMapper, Builder, DictState, Durable, Katme, KeyMapper,
+    KeyedTask, Runtime, SchedulerKind, StatsView, Stm, StmStatsSnapshot, StructureKind, TVar,
+    WithKey,
+};
+use katme_workload::{ArrivalRamp, DistributionKind, OpGenerator, TxnSpec};
 
 /// Which executor wiring a timed run uses (Figure 1 of the paper).
 ///
@@ -117,17 +118,17 @@ pub struct DriverConfig {
     pub sample_threshold: Option<usize>,
     /// Continuous-adaptation epoch length; setting this (or either knob
     /// below) enables the continuous adaptation plane for adaptive-scheduler
-    /// runs (see [`crate::Builder::adaptation_interval`]).
+    /// runs (see [`katme::Builder::adaptation_interval`]).
     pub adaptation_interval: Option<u64>,
     /// Histogram-distance drift trigger (see
-    /// [`crate::Builder::drift_threshold`]).
+    /// [`katme::Builder::drift_threshold`]).
     pub drift_threshold: Option<f64>,
     /// Cap on post-initial repartitions (outer `None` = knob unset, inner
-    /// `None` = unlimited; see [`crate::Builder::max_repartitions`]).
+    /// `None` = unlimited; see [`katme::Builder::max_repartitions`]).
     pub max_repartitions: Option<Option<usize>>,
     /// Elastic worker range as `(min, max)`; `None` keeps the paper's
     /// fixed-size pool. Setting it enables the elastic execution plane
-    /// ([`crate::Builder::min_workers`] / [`crate::Builder::max_workers`]),
+    /// ([`katme::Builder::min_workers`] / [`katme::Builder::max_workers`]),
     /// with [`DriverConfig::workers`] as the initial size.
     pub elastic_workers: Option<(usize, usize)>,
     /// Arrival-intensity profile over the measurement window; `None` runs
@@ -278,7 +279,8 @@ impl DriverConfig {
     }
 }
 
-/// Result of one timed run.
+/// Result of one timed run: what only the driver knows, beside the
+/// runtime's own snapshots.
 #[derive(Debug, Clone)]
 pub struct RunResult {
     /// Scheduler that produced this result.
@@ -289,81 +291,18 @@ pub struct RunResult {
     pub workers: usize,
     /// Producer threads used.
     pub producers: usize,
-    /// Wall-clock length of the measurement window.
-    pub elapsed: Duration,
-    /// Transactions completed inside the window.
-    pub completed: u64,
     /// Transactions generated by the producers inside the window.
     pub produced: u64,
-    /// Completed transactions per second.
-    pub throughput: f64,
-    /// Per-worker completion counts (per generating thread under
-    /// [`ExecutorModel::NoExecutor`]).
-    pub load: LoadBalance,
-    /// STM activity during the window (commits, aborts, backoffs).
-    pub stm: StmStatsSnapshot,
-    /// Times the scheduler recomputed its partition during the run.
-    pub repartitions: u64,
-    /// Worker-pool resizes performed by the elastic plane during the run
-    /// (0 for fixed-size pools).
-    pub resizes: u64,
-    /// The scheduler's adaptation log at the window's close (one entry per
-    /// published generation, with its trigger cause).
-    pub adaptations: Vec<katme_core::drift::AdaptationEvent>,
-    /// Durability-plane counters at the window's close (`None` for a
-    /// volatile run): appends, fsyncs, mean group size, checkpoint lag.
-    pub durability: Option<DurabilityView>,
-    /// What recovery restored and replayed when the durable run started
-    /// (`None` for a volatile run).
-    pub recovery: Option<RecoveryReport>,
-    /// Acknowledgment delay: task end to result release, summed over the
-    /// results held back for durability (0 for a volatile run).
-    pub commit_wait_nanos: u64,
-    /// Per-bucket key-range telemetry at the window's close (`None` when
-    /// the scheduler attached no key telemetry): commit/abort mass per
-    /// bucket, the evidence behind repartition decisions.
-    pub key_ranges: Option<katme_stm::KeyRangeSnapshot>,
-}
-
-impl RunResult {
-    /// Conflict (abort) instances per committed transaction — the
-    /// "frequency of contentions" the paper reports alongside throughput.
-    pub fn contention_ratio(&self) -> f64 {
-        self.stm.contention_ratio()
-    }
-
-    /// Physical fsyncs per logged commit — below 1.0 whenever group commit
-    /// amortized a sync across concurrent committers (0.0 for a volatile
-    /// run, or before the first logged commit).
-    pub fn fsyncs_per_commit(&self) -> f64 {
-        self.durability.map_or(0.0, |view| view.fsyncs_per_commit)
-    }
-}
-
-/// One measurement window of a windowed run
-/// ([`Driver::run_dictionary_windowed`]): all rates are *within-window*
-/// deltas built on [`crate::StatsView::since`], so they track the current
-/// phase of a shifting workload instead of the cumulative average.
-#[derive(Debug, Clone)]
-pub struct WindowReport {
-    /// Window index, 0-based.
-    pub index: usize,
-    /// Wall-clock length of this window.
-    pub duration: Duration,
-    /// Transactions completed inside this window.
-    pub completed: u64,
-    /// Completed transactions per second inside this window.
-    pub throughput: f64,
-    /// STM aborts per committed transaction inside this window (the
-    /// windowed contention ratio).
-    pub contention_ratio: f64,
-    /// Partition republishes inside this window.
-    pub repartitions: u64,
-    /// Routing-table generation in effect at the window's close.
-    pub generation: u64,
-    /// Active workers at the window's close (constant for a fixed pool;
-    /// the elastic trace of the pool otherwise).
-    pub active_workers: usize,
+    /// The measured window: the delta from the snapshot taken before the
+    /// producers start to the one taken when the window closes. Under
+    /// [`ExecutorModel::NoExecutor`] only completions (per generating
+    /// thread) and STM activity are counted.
+    pub stats: StatsView,
+    /// The runtime's final stats from [`Runtime::shutdown`] — durability
+    /// counters after the WAL's final flush, acknowledgment delay, what
+    /// recovery replayed at startup. `None` under
+    /// [`ExecutorModel::NoExecutor`], which builds no runtime.
+    pub final_stats: Option<StatsView>,
 }
 
 /// The timed-run driver.
@@ -437,15 +376,15 @@ impl Driver {
 
     /// Like [`Driver::run_dictionary`], but splitting the measurement
     /// period into `windows` equal slices and reporting each slice's
-    /// windowed throughput and contention ratio alongside the overall
-    /// result — the view that makes a mid-run phase shift (and the
-    /// adaptation plane's response to it) visible.
+    /// [`StatsView`] delta alongside the overall result — the view that
+    /// makes a mid-run phase shift (and the adaptation plane's response to
+    /// it) visible.
     pub fn run_dictionary_windowed(
         &self,
         structure: StructureKind,
         distribution: DistributionKind,
         windows: usize,
-    ) -> (RunResult, Vec<WindowReport>) {
+    ) -> (RunResult, Vec<StatsView>) {
         let cfg = &self.config;
         let stm = Stm::default();
         let dict = structure.build(stm.clone());
@@ -455,7 +394,7 @@ impl Driver {
         // paper's §4.2), the dictionary key itself for tree and list.
         let bounds = match structure {
             StructureKind::HashTable => KeyMapper::<TxnSpec>::bounds(&BucketKeyMapper::paper()),
-            _ => katme_core::key::KeyBounds::dict16(),
+            _ => KeyBounds::dict16(),
         };
 
         self.run_wired(
@@ -492,10 +431,10 @@ impl Driver {
     /// WAL at [`DriverConfig::durability`], registers the dictionary with
     /// the background checkpointer, and every insert/delete task carries
     /// its redo record — so each writing commit is acknowledged only after
-    /// its group's fsync. The returned [`RunResult::durability`] view holds
-    /// the fsyncs-per-commit and mean-group-size evidence, and
-    /// [`RunResult::recovery`] what startup recovery found in the log
-    /// directory. The run always uses the runtime's own wiring
+    /// its group's fsync. The durability view of [`RunResult::final_stats`]
+    /// holds the fsyncs-per-commit and mean-group-size evidence, and its
+    /// recovery report what startup recovery found in the log directory.
+    /// The run always uses the runtime's own wiring
     /// ([`ExecutorModel::Parallel`]).
     ///
     /// # Panics
@@ -520,7 +459,7 @@ impl Driver {
 
         let bounds = match structure {
             StructureKind::HashTable => KeyMapper::<TxnSpec>::bounds(&BucketKeyMapper::paper()),
-            _ => katme_core::key::KeyBounds::dict16(),
+            _ => KeyBounds::dict16(),
         };
 
         let builder = self
@@ -616,8 +555,7 @@ impl Driver {
     /// Run one timed workload wired as `model`: build the runtime from
     /// `builder` (none under [`ExecutorModel::NoExecutor`]), drive the
     /// producers through the window (see [`drive_window`]), then shut down
-    /// and assemble the result from the stats snapshot taken when the
-    /// window closed.
+    /// and assemble the result from the window's stats delta.
     fn run_wired<K, R, H, F, G>(
         &self,
         model: ExecutorModel,
@@ -626,7 +564,7 @@ impl Driver {
         handler: H,
         windows: usize,
         factory: F,
-    ) -> (RunResult, Vec<WindowReport>)
+    ) -> (RunResult, Vec<StatsView>)
     where
         K: KeyedTask + Send + 'static,
         R: Send + 'static,
@@ -669,36 +607,20 @@ impl Driver {
             factory,
         );
 
-        let (recovery, report) = match wiring {
-            Wiring::Inline(_) => (None, None),
-            // The terminal report carries the plane's *final* counters —
-            // captured after the WAL's shutdown flush, so the tail group
-            // that drains during teardown is included.
-            Wiring::Central { runtime, .. } | Wiring::Parallel(runtime) => {
-                (runtime.recovery(), Some(runtime.shutdown()))
-            }
+        let final_stats = match wiring {
+            Wiring::Inline(_) => None,
+            Wiring::Central { runtime, .. } | Wiring::Parallel(runtime) => Some(runtime.shutdown()),
         };
-        let stats = window.stats;
         let result = RunResult {
             scheduler: cfg.scheduler,
             model,
             workers: cfg.workers,
             producers,
-            elapsed: window.elapsed,
-            completed: stats.completed,
             produced: window.per_producer.iter().sum(),
-            throughput: stats.completed as f64 / window.elapsed.as_secs_f64(),
-            load: LoadBalance::new(stats.per_worker_completed),
-            stm: stats.stm,
-            repartitions: stats.repartitions,
-            resizes: stats.resizes,
-            adaptations: stats.adaptations,
-            durability: report.as_ref().and_then(|report| report.durability),
-            recovery,
-            commit_wait_nanos: report.map_or(0, |report| report.commit_wait_nanos),
-            key_ranges: stats.key_ranges,
+            stats: window.stats,
+            final_stats,
         };
-        (result, window.reports)
+        (result, window.slices)
     }
 }
 
@@ -761,20 +683,8 @@ impl<K, R> Inline<K, R> {
             submitted: completed,
             completed,
             per_worker_completed: per_thread,
-            steals: 0,
-            adopted: 0,
-            parks: 0,
-            late_wakes: 0,
-            resizes: 0,
-            queue_depths: Vec::new(),
-            repartitions: 0,
-            partition_generation: 0,
-            adaptations: Vec::new(),
             stm: self.stm.snapshot().since(&self.stm_baseline),
-            durability: None,
-            commit_wait_nanos: 0,
-            key_ranges: None,
-            net: None,
+            ..Default::default()
         }
     }
 }
@@ -855,16 +765,14 @@ fn dispatch_central<K: KeyedTask + Send + 'static, R: Send + 'static>(
 
 /// What [`drive_window`] measured: the per-producer submission counts (each
 /// producer tallies locally — no shared counter on the submission hot path),
-/// a [`StatsView`] snapshot plus elapsed time captured *at the moment the
-/// window closed* — before the producers are joined, so a producer that
-/// sits out a back-pressure wait in its final (batched) submission cannot
-/// stretch the measured window — and one [`WindowReport`] per measurement
-/// slice.
+/// the [`StatsView`] delta up to *the moment the window closed* — before the
+/// producers are joined, so a producer that sits out a back-pressure wait
+/// in its final (batched) submission cannot stretch the measured window —
+/// and one delta per measurement slice.
 struct Window {
     per_producer: Vec<u64>,
-    elapsed: Duration,
     stats: StatsView,
-    reports: Vec<WindowReport>,
+    slices: Vec<StatsView>,
 }
 
 /// Per-iteration producer throttle for ramped arrivals: below full
@@ -890,8 +798,8 @@ fn ramp_pause(ramp: &ArrivalRamp, started: Instant, duration: Duration) {
 /// [`Runtime::submit_batch_handle`]); at 1 it reproduces the
 /// paper's per-task submission. A `ramp` throttles submissions per
 /// [`ArrivalRamp::intensity_at`] over the window. The measurement period
-/// is split into `windows` equal slices, each reported as a
-/// [`WindowReport`] of within-window deltas ([`crate::StatsView::since`]).
+/// is split into `windows` equal slices, each reported as its own
+/// [`StatsView::since`] delta.
 fn drive_window<K, R, F, G>(
     wiring: &Wiring<K, R>,
     duration: Duration,
@@ -914,7 +822,8 @@ where
     let started = Instant::now();
     // Baseline before any producer starts, so the window deltas tile every
     // completion of the run.
-    let mut previous = wiring.stats();
+    let baseline = wiring.stats();
+    let mut previous = baseline.clone();
     std::thread::scope(|scope| {
         if let Wiring::Central { runtime, queue, .. } = wiring {
             let dispatching = &dispatching;
@@ -947,31 +856,20 @@ where
             })
             .collect();
         let slice = duration / windows as u32;
-        let mut reports = Vec::with_capacity(windows);
-        for index in 0..windows {
+        let mut slices = Vec::with_capacity(windows);
+        for _ in 0..windows {
             std::thread::sleep(slice);
             // Snapshot at each slice boundary; the deltas are the windowed
             // view (throughput and contention of *this* slice only).
             let now = wiring.stats();
-            let delta = now.since(&previous);
-            reports.push(WindowReport {
-                index,
-                duration: delta.duration,
-                completed: delta.completed,
-                throughput: delta.throughput(),
-                contention_ratio: delta.contention_ratio(),
-                repartitions: delta.repartitions,
-                generation: now.partition_generation,
-                active_workers: now.active_workers,
-            });
+            slices.push(now.since(&previous));
             previous = now;
         }
         run.store(false, Ordering::Relaxed);
-        // The final boundary snapshot doubles as the run's measurement:
+        // The final boundary snapshot closes the run's measurement:
         // completions that land while producers wind down their last batch
         // belong to the shutdown tail, not the measurement.
-        let stats = previous;
-        let elapsed = started.elapsed();
+        let stats = previous.since(&baseline);
         let per_producer: Vec<u64> = handles
             .into_iter()
             .map(|handle| handle.join().expect("producer thread panicked"))
@@ -984,55 +882,10 @@ where
         }
         Window {
             per_producer,
-            elapsed,
             stats,
-            reports,
+            slices,
         }
     })
-}
-
-/// Apply one generated transaction to a dictionary — the canonical
-/// spec-to-operation mapping shared by the driver, the benches and the
-/// integration tests.
-pub fn apply_spec(dict: &dyn Dictionary, spec: &TxnSpec) {
-    match spec.op {
-        OpKind::Insert => {
-            dict.insert(spec.key, spec.value);
-        }
-        OpKind::Delete => {
-            dict.remove(spec.key);
-        }
-        OpKind::Lookup => {
-            dict.lookup(spec.key);
-        }
-    }
-}
-
-/// The redo record for one generated transaction, in the collections wire
-/// codec: inserts and deletes log their `DictOp`; lookups are read-only and
-/// log nothing (their commits never wait on an fsync).
-///
-/// The returned buffer comes from the STM's payload pool
-/// ([`katme_stm::recycled_payload`]); handing it to [`crate::Durable`] and
-/// submitting completes the recycling cycle — the commit path returns it to
-/// the pool after logging, so steady-state durable submission reuses the
-/// same handful of buffers instead of allocating one per task.
-pub fn spec_payload(spec: &TxnSpec) -> Option<Vec<u8>> {
-    let op = match spec.op {
-        OpKind::Insert => DictOp::Insert {
-            key: spec.key,
-            value: spec.value,
-        },
-        OpKind::Delete => DictOp::Remove { key: spec.key },
-        OpKind::Lookup => return None,
-    };
-    let mut out = katme_stm::recycled_payload();
-    if encode_op_into(&op, &mut out) {
-        Some(out)
-    } else {
-        katme_stm::recycle_payload(out);
-        None
-    }
 }
 
 /// Pre-populate a dictionary so deletes find keys to remove from the start.
@@ -1047,6 +900,7 @@ fn preload(dict: &dyn Dictionary, count: usize, seed: u64, distribution: Distrib
 #[cfg(test)]
 mod tests {
     use super::*;
+    use katme::RecoveryReport;
 
     #[test]
     fn driver_config_builder() {
@@ -1092,9 +946,17 @@ mod tests {
                 .with_preload(200);
             let result = Driver::new(config)
                 .run_dictionary(StructureKind::HashTable, DistributionKind::Uniform);
-            assert!(result.completed > 0, "{model}: {result:?}");
-            assert!(result.produced >= result.completed, "{model}: {result:?}");
-            assert!(result.throughput > 0.0, "{model}");
+            assert!(result.stats.completed > 0, "{model}: {result:?}");
+            assert!(
+                result.produced >= result.stats.completed,
+                "{model}: {result:?}"
+            );
+            assert!(result.stats.throughput() > 0.0, "{model}");
+            assert_eq!(
+                result.final_stats.is_some(),
+                model != ExecutorModel::NoExecutor,
+                "{model}: only a built runtime has final stats"
+            );
         }
     }
 
@@ -1110,8 +972,11 @@ mod tests {
                 .with_batch_size(32);
             let result = Driver::new(config)
                 .run_dictionary(StructureKind::HashTable, DistributionKind::Uniform);
-            assert!(result.completed > 0, "{model}: {result:?}");
-            assert!(result.produced >= result.completed, "{model}: {result:?}");
+            assert!(result.stats.completed > 0, "{model}: {result:?}");
+            assert!(
+                result.produced >= result.stats.completed,
+                "{model}: {result:?}"
+            );
         }
     }
 
@@ -1128,16 +993,22 @@ mod tests {
             4,
         );
         assert_eq!(windows.len(), 4);
-        assert!(result.completed > 0);
+        assert!(result.stats.completed > 0);
         let window_sum: u64 = windows.iter().map(|w| w.completed).sum();
         assert_eq!(
-            window_sum, result.completed,
+            window_sum, result.stats.completed,
             "window deltas must tile the run"
         );
-        for (index, window) in windows.iter().enumerate() {
-            assert_eq!(window.index, index);
-            assert!(window.duration > Duration::ZERO);
-            assert!(window.contention_ratio >= 0.0);
+        let commit_sum: u64 = windows.iter().map(|w| w.stm.commits).sum();
+        assert_eq!(
+            commit_sum, result.stats.stm.commits,
+            "and so must STM deltas"
+        );
+        let length: Duration = windows.iter().map(|w| w.uptime).sum();
+        assert_eq!(length, result.stats.uptime, "and the window lengths");
+        for window in &windows {
+            assert!(window.uptime > Duration::ZERO);
+            assert!(window.abort_rate() >= 0.0);
         }
     }
 
@@ -1155,21 +1026,25 @@ mod tests {
 
         let result = Driver::new(config.clone())
             .run_dictionary_durable(StructureKind::HashTable, DistributionKind::Uniform);
-        assert!(result.completed > 0, "{result:?}");
-        let view = result.durability.expect("durable run reports the plane");
+        assert!(result.stats.completed > 0, "{result:?}");
+        let last = result.final_stats.expect("a durable run builds a runtime");
+        let view = last.durability.expect("durable run reports the plane");
         assert!(view.appends > 0, "writing commits must be logged");
         assert!(view.fsyncs > 0);
         assert!(
             view.fsyncs <= view.appends,
             "group commit never syncs more often than it appends"
         );
-        assert_eq!(result.recovery, Some(RecoveryReport::default()));
+        assert_eq!(last.recovery, Some(RecoveryReport::default()));
 
         // Second life over the same directory: recovery replays the first
         // run's surviving log (checkpoint + suffix) before the window.
         let again = Driver::new(config)
             .run_dictionary_durable(StructureKind::HashTable, DistributionKind::Uniform);
-        let recovery = again.recovery.expect("durable run reports recovery");
+        let recovery = again
+            .final_stats
+            .and_then(|last| last.recovery)
+            .expect("durable run reports recovery");
         assert!(
             recovery.replayed > 0 || recovery.restored_checkpoint,
             "first run's log must be recovered: {recovery:?}"
@@ -1185,8 +1060,8 @@ mod tests {
         let driver = Driver::new(config);
         let free_running = driver.run_trivial(false);
         let through_executor = driver.run_trivial(true);
-        assert!(free_running.completed > 0);
-        assert!(through_executor.completed > 0);
+        assert!(free_running.stats.completed > 0);
+        assert!(through_executor.stats.completed > 0);
         assert_eq!(free_running.model, ExecutorModel::NoExecutor);
         assert_eq!(free_running.producers, 0);
     }

@@ -3,13 +3,11 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use katme::{
-    Driver, DriverConfig, ExecutorModel, Katme, RunResult, SchedulerKind, Stm, StmConfig, TVar,
-    WindowReport, WithKey,
-};
+use katme::{Katme, SchedulerKind, StatsView, Stm, StmConfig, TVar, WithKey};
 use katme_collections::StructureKind;
 use katme_workload::{ArrivalRamp, DistributionKind};
 
+use crate::driver::{Driver, DriverConfig, ExecutorModel, RunResult};
 use crate::options::HarnessOptions;
 
 /// One data point of a throughput figure: a (series, worker-count) pair.
@@ -33,16 +31,16 @@ pub struct ExperimentRow {
 impl ExperimentRow {
     fn from_results(series: String, workers: usize, results: &[RunResult]) -> Self {
         let n = results.len().max(1) as f64;
-        let throughput = results.iter().map(|r| r.throughput).sum::<f64>() / n;
-        let contention = results.iter().map(|r| r.contention_ratio()).sum::<f64>() / n;
-        let imbalance = results.iter().map(|r| r.load.imbalance()).sum::<f64>() / n;
-        let completed = (results.iter().map(|r| r.completed).sum::<u64>() as f64 / n) as u64;
+        let mean = |metric: fn(&StatsView) -> f64| {
+            results.iter().map(|r| metric(&r.stats)).sum::<f64>() / n
+        };
+        let completed = (results.iter().map(|r| r.stats.completed).sum::<u64>() as f64 / n) as u64;
         ExperimentRow {
             series,
             workers,
-            throughput,
-            contention_ratio: contention,
-            imbalance,
+            throughput: mean(StatsView::throughput),
+            contention_ratio: mean(StatsView::abort_rate),
+            imbalance: mean(StatsView::imbalance),
             completed,
         }
     }
@@ -147,8 +145,9 @@ pub fn fig4_overhead(opts: &HarnessOptions) -> Vec<Fig4Row> {
             no_exec.push(driver.run_trivial(false));
             with_exec.push(driver.run_trivial(true));
         }
-        let mean =
-            |rs: &[RunResult]| rs.iter().map(|r| r.throughput).sum::<f64>() / rs.len() as f64;
+        let mean = |rs: &[RunResult]| {
+            rs.iter().map(|r| r.stats.throughput()).sum::<f64>() / rs.len() as f64
+        };
         rows.push(Fig4Row {
             workers,
             no_executor: mean(&no_exec),
@@ -174,7 +173,7 @@ pub fn contention_table(
                 .with_workers(workers)
                 .with_scheduler(scheduler);
             let result = Driver::new(config).run_dictionary(structure, distribution);
-            out.push((structure, scheduler, result.contention_ratio()));
+            out.push((structure, scheduler, result.stats.abort_rate()));
         }
     }
     out
@@ -196,8 +195,8 @@ pub fn balance_table(
             .with_workers(workers)
             .with_scheduler(scheduler);
         let result = Driver::new(config).run_dictionary(structure, distribution);
-        let imbalance = result.load.imbalance();
-        out.push((scheduler, result.load.per_worker, imbalance));
+        let imbalance = result.stats.imbalance();
+        out.push((scheduler, result.stats.per_worker_completed, imbalance));
     }
     out
 }
@@ -254,7 +253,7 @@ pub struct DriftRow {
     /// Overall run result.
     pub result: RunResult,
     /// Per-window deltas (throughput and windowed contention ratio).
-    pub windows: Vec<WindowReport>,
+    pub windows: Vec<StatsView>,
 }
 
 impl DriftRow {
@@ -272,7 +271,7 @@ impl DriftRow {
 
     /// Partition recomputations over the whole run.
     pub fn repartitions(&self) -> u64 {
-        self.result.repartitions
+        self.result.stats.repartitions
     }
 
     /// Max-over-mean per-worker completion imbalance over the whole run —
@@ -283,15 +282,15 @@ impl DriftRow {
     /// throughput columns understate the difference, since one core
     /// time-slices all workers anyway.)
     pub fn imbalance(&self) -> f64 {
-        self.result.load.imbalance()
+        self.result.stats.imbalance()
     }
 }
 
-fn mean_throughput(windows: &[WindowReport]) -> f64 {
+fn mean_throughput(windows: &[StatsView]) -> f64 {
     if windows.is_empty() {
         return 0.0;
     }
-    windows.iter().map(|w| w.throughput).sum::<f64>() / windows.len() as f64
+    windows.iter().map(StatsView::throughput).sum::<f64>() / windows.len() as f64
 }
 
 /// **Drift adaptation (extension)**: one-shot vs. continuous adaptation on
@@ -360,7 +359,7 @@ pub struct ElasticRow {
     /// Overall run result.
     pub result: RunResult,
     /// Per-window deltas, including the active-worker trace.
-    pub windows: Vec<WindowReport>,
+    pub windows: Vec<StatsView>,
 }
 
 impl ElasticRow {
@@ -403,7 +402,7 @@ impl ElasticRow {
 
     /// Pool resizes over the whole run.
     pub fn resizes(&self) -> u64 {
-        self.result.resizes
+        self.result.stats.resizes
     }
 }
 
@@ -481,29 +480,35 @@ impl DurabilityRow {
     /// Durable throughput as a fraction of volatile throughput (the price
     /// of durability; 1.0 = free).
     pub fn throughput_ratio(&self) -> f64 {
-        if self.volatile.throughput <= 0.0 {
+        let volatile = self.volatile.stats.throughput();
+        if volatile <= 0.0 {
             0.0
         } else {
-            self.durable.throughput / self.volatile.throughput
+            self.durable.stats.throughput() / volatile
         }
+    }
+
+    /// The durable run's final durability counters, read after the WAL's
+    /// shutdown flush so the tail group that drains during teardown is
+    /// included.
+    pub fn durability(&self) -> Option<katme::DurabilityView> {
+        self.durable.final_stats.as_ref()?.durability
     }
 
     /// Physical fsyncs per logged commit in the durable run — group commit
     /// keeps this *below 1.0* under concurrent load.
     pub fn fsyncs_per_commit(&self) -> f64 {
-        self.durable.fsyncs_per_commit()
+        self.durability().map_or(0.0, |view| view.fsyncs_per_commit)
     }
 
     /// Mean records batched into one append+fsync group.
     pub fn mean_group_size(&self) -> f64 {
-        self.durable
-            .durability
-            .map_or(0.0, |view| view.mean_group_size)
+        self.durability().map_or(0.0, |view| view.mean_group_size)
     }
 
     /// Checkpoints the background checkpointer completed during the run.
     pub fn checkpoints(&self) -> u64 {
-        self.durable.durability.map_or(0, |view| view.checkpoints)
+        self.durability().map_or(0, |view| view.checkpoints)
     }
 }
 
@@ -558,7 +563,7 @@ pub fn executor_models(opts: &HarnessOptions) -> Vec<(ExecutorModel, f64)> {
                 .with_scheduler(SchedulerKind::AdaptiveKey);
             let result = Driver::new(config)
                 .run_dictionary(StructureKind::HashTable, DistributionKind::Uniform);
-            (model, result.throughput)
+            (model, result.stats.throughput())
         })
         .collect()
 }
@@ -1015,7 +1020,7 @@ mod tests {
         assert_eq!(rows.len(), 3 * 2, "3 structures x (one-shot, continuous)");
         for row in &rows {
             assert_eq!(row.windows.len(), DRIFT_WINDOWS);
-            assert!(row.result.completed > 0, "{row:?}");
+            assert!(row.result.stats.completed > 0, "{row:?}");
             assert!(
                 row.repartitions() >= 1,
                 "the adaptive scheduler must at least perform its initial \
@@ -1032,7 +1037,7 @@ mod tests {
         assert_eq!(rows.len(), 3 * 2, "3 structures x (fixed, elastic)");
         for row in &rows {
             assert_eq!(row.windows.len(), ELASTIC_WINDOWS);
-            assert!(row.result.completed > 0, "{row:?}");
+            assert!(row.result.stats.completed > 0, "{row:?}");
             if row.mode == "fixed" {
                 assert_eq!(row.resizes(), 0, "fixed pools must not resize: {row:?}");
                 assert!(
@@ -1085,16 +1090,13 @@ mod tests {
         let rows = durability(&quick());
         assert_eq!(rows.len(), 3, "one row per structure");
         for row in &rows {
-            assert!(row.volatile.completed > 0, "{:?}", row.structure);
-            assert!(row.durable.completed > 0, "{:?}", row.structure);
+            assert!(row.volatile.stats.completed > 0, "{:?}", row.structure);
+            assert!(row.durable.stats.completed > 0, "{:?}", row.structure);
             assert!(
-                row.volatile.durability.is_none(),
+                row.volatile.stats.durability.is_none(),
                 "the baseline must not open a WAL"
             );
-            let view = row
-                .durable
-                .durability
-                .expect("the durable run reports the plane");
+            let view = row.durability().expect("the durable run reports the plane");
             assert!(view.appends > 0, "writing commits must be logged");
             assert!(
                 view.fsyncs <= view.appends,

@@ -29,18 +29,20 @@
 //! original parameters (10-second windows, 10 repetitions, 16 workers) are a
 //! flag away.
 //!
-//! Every experiment runs through the [`katme::Katme`] facade (via
-//! [`katme::Driver`]): one `Katme::builder()` configuration per data point.
+//! Every experiment runs through the [`katme::Katme`] facade (via the timed
+//! [`driver::Driver`]): one `Katme::builder()` configuration per data point.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod alloc_count;
+pub mod driver;
 pub mod experiments;
 pub mod net;
 pub mod options;
 pub mod report;
 
+pub use driver::{Driver, DriverConfig, ExecutorModel, RunResult};
 pub use experiments::{
     alloc_profile, balance_table, batch_dispatch, commit_path, contention_table, drift_adaptation,
     durability, elastic_scaling, fig3_hashtable, fig4_overhead, tree_list, AllocRow, CommitPathRow,

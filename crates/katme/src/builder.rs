@@ -756,13 +756,12 @@ mod tests {
             .build(noop_handler())
             .unwrap();
         assert_eq!(runtime.workers(), 6, "slot capacity is the ceiling");
-        assert_eq!(runtime.active_workers(), 2, "initial size is workers()");
         assert!(
             runtime.stm().stats().key_telemetry().is_some(),
             "elastic implies the continuous adaptation plane"
         );
         let stats = runtime.stats();
-        assert_eq!(stats.active_workers, 2);
+        assert_eq!(stats.active_workers, 2, "initial size is workers()");
         assert_eq!(stats.resizes, 0);
         let report = runtime.shutdown();
         assert_eq!(report.resizes, 0);

@@ -14,13 +14,15 @@
 //!   it cannot take with [`KatmeError::QueueFull`] (back-pressure) or
 //!   [`KatmeError::ShuttingDown`] in that task's own slot instead of
 //!   blocking or silently dropping.
-//! * [`Runtime::stats`] exposes a live [`StatsView`] — queue depths,
-//!   per-worker throughput, STM abort rates, scheduler repartitions — at any
-//!   point during the run, not only in the terminal [`ShutdownReport`].
+//! * One snapshot type describes a runtime: [`Runtime::stats`] returns a
+//!   live [`StatsView`] — queue depths, per-worker throughput, STM abort
+//!   rates, scheduler repartitions — at any point during the run,
+//!   [`Runtime::shutdown`] returns the final one, and [`StatsView::since`]
+//!   turns two of them into a window.
 //! * Producers dispatch inline into the worker queues — the paper's
 //!   parallel executors (Figure 1(c)). The other two wirings of Figure 1
-//!   (no executor, one central dispatcher) are reproduced by the timed
-//!   [`Driver`] for comparison ([`ExecutorModel`]).
+//!   (no executor, one central dispatcher) are reproduced for comparison by
+//!   the timed driver of the `katme-harness` crate.
 //!
 //! ```
 //! use katme::{Katme, KeyedTask, TxnKey};
@@ -72,7 +74,6 @@
 
 mod ack;
 mod builder;
-pub mod driver;
 pub mod durability;
 mod error;
 pub mod net;
@@ -80,16 +81,13 @@ mod runtime;
 mod task;
 
 pub use builder::{Builder, Katme};
-pub use driver::{
-    apply_spec, spec_payload, Driver, DriverConfig, ExecutorModel, RunResult, WindowReport,
-};
 pub use durability::{
     DictState, DurabilityPlane, DurableState, RecoveryReport, WalSink, DEFAULT_CHECKPOINT_INTERVAL,
 };
 pub use error::{BuilderError, KatmeError};
 pub use net::{NetCounters, NetView};
-pub use runtime::{BatchSubmitError, Runtime, ShutdownReport, StatsView, StatsWindow};
-pub use task::{BatchHandle, Durable, KeyedTask, TaskHandle, WithKey};
+pub use runtime::{BatchSubmitError, Runtime, StatsView};
+pub use task::{apply_spec, spec_payload, BatchHandle, Durable, KeyedTask, TaskHandle, WithKey};
 
 // The composed layers, re-exported whole for advanced use…
 pub use katme_collections as collections;
@@ -121,11 +119,10 @@ pub use katme_workload::{ArrivalRamp, DistributionKind, OpGenerator, OpKind, Ram
 /// Commonly used items.
 pub mod prelude {
     pub use crate::builder::{Builder, Katme};
-    pub use crate::driver::{Driver, DriverConfig, RunResult};
     pub use crate::durability::{DictState, DurableState, RecoveryReport};
     pub use crate::error::KatmeError;
     pub use crate::net::{NetCounters, NetView};
-    pub use crate::runtime::{BatchSubmitError, Runtime, ShutdownReport, StatsView};
+    pub use crate::runtime::{BatchSubmitError, Runtime, StatsView};
     pub use crate::task::{BatchHandle, Durable, KeyedTask, TaskHandle, WithKey};
     pub use katme_core::key::{KeyBounds, TxnKey};
     pub use katme_core::scheduler::SchedulerKind;

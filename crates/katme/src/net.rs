@@ -1,7 +1,7 @@
 //! Connection-plane counters: the shared observability block a network
 //! front end (see the `katme-server` crate) attaches to a [`Runtime`] so
-//! socket-side activity shows up in [`StatsView`] and [`ShutdownReport`]
-//! next to the executor's own counters.
+//! socket-side activity shows up in its [`StatsView`] next to the
+//! executor's own counters.
 //!
 //! The facade defines only the *counters* here — the wire protocol, the
 //! acceptor and the connection workers live in `katme-server`, which depends
@@ -14,7 +14,6 @@
 //!
 //! [`Runtime`]: crate::Runtime
 //! [`StatsView`]: crate::StatsView
-//! [`ShutdownReport`]: crate::ShutdownReport
 //! [`Runtime::attach_net`]: crate::Runtime::attach_net
 //! [`Runtime::stats`]: crate::Runtime::stats
 //! [`Runtime::shutdown`]: crate::Runtime::shutdown
@@ -125,8 +124,7 @@ impl NetCounters {
 }
 
 /// Point-in-time snapshot of the connection plane, carried by
-/// [`StatsView::net`](crate::StatsView::net) and
-/// [`ShutdownReport::net`](crate::ShutdownReport::net).
+/// [`StatsView::net`](crate::StatsView::net).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetView {
     /// Connections accepted since the server started.

@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use katme_core::drift::AdaptationEvent;
+use katme_core::drift::{AdaptationEvent, PoolSample};
 use katme_core::executor::{Executor, SubmitRejection};
 use katme_core::key::TxnKey;
 use katme_core::scheduler::Scheduler;
@@ -231,13 +231,6 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
         self.executor.workers()
     }
 
-    /// Worker threads currently active (equals [`Runtime::workers`] for a
-    /// fixed-size pool; moves within the configured range for an elastic
-    /// one).
-    pub fn active_workers(&self) -> usize {
-        self.executor.active_workers()
-    }
-
     /// The scheduling policy in effect.
     pub fn scheduler(&self) -> &Arc<dyn Scheduler> {
         &self.scheduler
@@ -432,19 +425,15 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
         keyed
     }
 
-    /// Tasks accepted so far.
-    pub fn submitted(&self) -> u64 {
-        self.submitted.load(Ordering::Relaxed)
-    }
-
-    /// Tasks executed so far, summed over workers.
+    /// Tasks executed so far, summed over workers: the one counter
+    /// [`Runtime::stats`] also reports, read without building a snapshot.
     pub fn completed(&self) -> u64 {
         self.executor.completed()
     }
 
     /// Register the connection-plane counter block a network front end
     /// (e.g. the `katme-server` crate) increments, so socket-side activity
-    /// shows up in [`Runtime::stats`] and the [`ShutdownReport`].
+    /// shows up in [`Runtime::stats`] and [`Runtime::shutdown`].
     ///
     /// At most one block can be attached per runtime; later calls return
     /// the already-registered block (shared servers should clone it) and
@@ -460,28 +449,38 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
     }
 
     /// Live statistics: queue depths, per-worker progress, STM abort rates,
-    /// scheduler repartition count — available at any point in the run, not
-    /// only from the terminal [`ShutdownReport`].
+    /// scheduler repartition count — available at any point in the run.
+    /// The executor's counters come from one [`PoolSample`], so
+    /// `completed == Σ per_worker_completed + steals + adopted` holds inside
+    /// every snapshot.
     pub fn stats(&self) -> StatsView {
+        self.view(self.executor.sample())
+    }
+
+    /// The snapshot of everything the runtime counts, with the executor's
+    /// part taken from `pool`.
+    fn view(&self, pool: PoolSample) -> StatsView {
         StatsView {
             scheduler: self.scheduler.name(),
-            workers: self.workers(),
-            active_workers: self.active_workers(),
+            workers: pool.capacity,
+            active_workers: pool.active,
             uptime: self.started.elapsed(),
-            submitted: self.submitted(),
-            completed: self.completed(),
-            per_worker_completed: self.executor.per_worker_completed(),
-            steals: self.executor.stolen(),
-            adopted: self.executor.adopted(),
-            parks: self.executor.parks(),
-            late_wakes: self.executor.late_wakes(),
-            resizes: self.executor.resizes(),
-            queue_depths: self.executor.queue_lengths(),
+            submitted: self.submitted.load(Ordering::Relaxed),
+            completed: pool.executed(),
+            steals: pool.stolen,
+            adopted: pool.adopted,
+            parks: pool.parks,
+            late_wakes: pool.late_wakes,
+            resizes: pool.resizes,
+            abandoned: 0,
+            per_worker_completed: pool.per_worker_completed,
+            queue_depths: pool.queue_depths,
             repartitions: self.scheduler.repartitions(),
             partition_generation: self.scheduler.generation(),
             adaptations: self.scheduler.adaptation_log(),
             stm: self.stm.snapshot().since(&self.stm_baseline),
             durability: self.durability(),
+            recovery: self.recovery(),
             commit_wait_nanos: self.ack_delay_nanos(),
             key_ranges: self
                 .stm
@@ -505,8 +504,8 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
     ///   their handles as [`KatmeError::TaskAbandoned`].
     ///
     /// Call [`Runtime::shutdown`] afterwards to join the threads and collect
-    /// the report; `stop` itself is safe to call from any thread, any number
-    /// of times.
+    /// the final stats; `stop` itself is safe to call from any thread, any
+    /// number of times.
     pub fn stop(&self) {
         self.accepting.store(false, Ordering::SeqCst);
         if !self.drain_on_shutdown {
@@ -514,42 +513,32 @@ impl<T: Send + 'static, R: Send + 'static> Runtime<T, R> {
         }
     }
 
-    /// Stop producers and workers, join every thread, and report the run.
-    pub fn shutdown(mut self) -> ShutdownReport {
+    /// Stop producers and workers, join every thread, and return the final
+    /// [`StatsView`]: lifetime counters, with
+    /// [`abandoned`](StatsView::abandoned) counting the tasks still queued
+    /// after the join (non-zero only without draining). For a durable
+    /// runtime the durability counters and the acknowledgment delay are
+    /// read after the WAL's final flush.
+    pub fn shutdown(mut self) -> StatsView {
         self.accepting.store(false, Ordering::SeqCst);
-        let elapsed = self.started.elapsed();
-        let net = self.net.get().map(|counters| counters.view());
-        let report = self.executor.shutdown();
-        let mut report = ShutdownReport {
-            completed: report.completed(),
-            abandoned: report.abandoned,
-            stolen: report.stolen,
-            adopted: report.adopted,
-            idle_polls: report.idle_polls,
-            parks: report.parks,
-            load: report.load,
-            elapsed,
-            stm: self.stm.snapshot().since(&self.stm_baseline),
-            repartitions: self.scheduler.repartitions(),
-            resizes: report.resizes,
-            active_workers: report.active_workers,
-            adaptations: self.scheduler.adaptation_log(),
-            commit_wait_nanos: 0,
-            durability: None,
-            recovery: None,
-            net,
-        };
-        if let Some(plane) = self.durability.take() {
+        let uptime = self.started.elapsed();
+        let pool = self.executor.shutdown();
+        let abandoned = pool.backlog() as u64;
+        if let Some(plane) = &self.durability {
             // Workers are drained and joined; the final flush releases the
-            // results still held for durability, then the final counters
-            // are captured for the report.
+            // results still held for durability before the final counters
+            // are read.
             plane.shutdown();
             self.finish_acks();
-            report.durability = Some(plane.view());
-            report.recovery = Some(plane.recovery());
-            report.commit_wait_nanos = self.ack_delay_nanos();
         }
-        report
+        let stats = StatsView {
+            uptime,
+            abandoned,
+            ..self.view(pool)
+        };
+        // Closed above: the drop that follows has nothing left to close.
+        self.durability = None;
+        stats
     }
 
     /// Release whatever the log's final flush left held: after shutdown a
@@ -572,7 +561,7 @@ impl<T: Send + 'static, R: Send + 'static> std::fmt::Debug for Runtime<T, R> {
             .field("scheduler", &self.scheduler.name())
             .field("workers", &self.workers())
             .field("running", &self.is_running())
-            .field("submitted", &self.submitted())
+            .field("submitted", &self.submitted.load(Ordering::Relaxed))
             .field("completed", &self.completed())
             .finish()
     }
@@ -591,8 +580,10 @@ impl<T: Send + 'static, R: Send + 'static> Drop for Runtime<T, R> {
     }
 }
 
-/// Point-in-time view of a running [`Runtime`], from [`Runtime::stats`].
-#[derive(Debug, Clone)]
+/// Point-in-time view of a [`Runtime`]: the live snapshot from
+/// [`Runtime::stats`], the final one from [`Runtime::shutdown`], and the
+/// windowed delta between two of them from [`StatsView::since`].
+#[derive(Debug, Clone, Default)]
 pub struct StatsView {
     /// Scheduling policy name.
     pub scheduler: &'static str,
@@ -601,7 +592,8 @@ pub struct StatsView {
     pub workers: usize,
     /// Worker threads currently active.
     pub active_workers: usize,
-    /// Time since the runtime started.
+    /// Time since the runtime started (the window's length for a
+    /// [`StatsView::since`] delta).
     pub uptime: Duration,
     /// Tasks accepted so far.
     pub submitted: u64,
@@ -624,8 +616,13 @@ pub struct StatsView {
     /// enqueue whose wake came late or never (see
     /// [`katme_core::stats::WorkerCounters::record_late_wake`]).
     pub late_wakes: u64,
-    /// Worker-pool resizes performed so far.
+    /// Worker-pool resizes performed so far (each also appears in
+    /// [`StatsView::adaptations`] as a
+    /// [`katme_core::drift::AdaptationCause::Resize`] entry).
     pub resizes: u64,
+    /// Tasks left in the queues at shutdown: 0 while running, and in the
+    /// final view non-zero only without draining.
+    pub abandoned: u64,
     /// Current depth of each worker queue (over all slots).
     pub queue_depths: Vec<usize>,
     /// Times the scheduler has recomputed its partition.
@@ -643,9 +640,13 @@ pub struct StatsView {
     pub stm: StmStatsSnapshot,
     /// Durability-plane counters — appends, fsyncs, mean group size,
     /// checkpoint lag, recovery tallies — `None` unless the runtime was
-    /// built with [`crate::Builder::durability`]. Also readable through
+    /// built with [`crate::Builder::durability`]. In the final view they
+    /// are read after the WAL's terminal flush. Also readable through
     /// [`StatsView::durability`].
     pub durability: Option<DurabilityView>,
+    /// What startup recovery restored and replayed (`None` for a volatile
+    /// runtime; all-defaults when the log directory started empty).
+    pub recovery: Option<RecoveryReport>,
     /// Acknowledgment delay in nanoseconds: for every task result held
     /// back until its ack ticket was durable, the time from the task's end
     /// to its release, summed. No thread blocks for it. Always 0 for a
@@ -653,20 +654,20 @@ pub struct StatsView {
     pub commit_wait_nanos: u64,
     /// Cumulative per-bucket key-range telemetry — commit and abort counts
     /// per key range — `None` unless the runtime attached telemetry (any
-    /// adaptation-enabled build). Feed two of these to
-    /// [`katme_stm::KeyRangeSnapshot::since`] for a windowed view; each
-    /// bucket's abort-over-commit ratio is the paper's per-range
-    /// "frequency of contentions".
+    /// adaptation-enabled build). Each bucket's abort-over-commit ratio is
+    /// the paper's per-range "frequency of contentions".
     pub key_ranges: Option<KeyRangeSnapshot>,
     /// Connection-plane counters — accepted/live/dropped connections,
     /// protocol-level pushback, bytes either way — `None` unless a network
-    /// front end attached via [`Runtime::attach_net`]. Also readable
-    /// through [`StatsView::net`].
+    /// front end attached via [`Runtime::attach_net`]. A server drains its
+    /// in-flight replies before the runtime shuts down, so in the final
+    /// view `replies` accounts for every accepted command that completed.
+    /// Also readable through [`StatsView::net`].
     pub net: Option<NetView>,
 }
 
 impl StatsView {
-    /// Mean completed tasks per second since start.
+    /// Mean completed tasks per second over [`StatsView::uptime`].
     pub fn throughput(&self) -> f64 {
         let secs = self.uptime.as_secs_f64();
         if secs <= 0.0 {
@@ -688,25 +689,78 @@ impl StatsView {
     /// STM aborts per committed transaction (the paper's "frequency of
     /// contentions").
     ///
-    /// Cumulative since runtime start — on a long-lived runtime this goes
-    /// stale, averaging over traffic long past. For a live view, diff two
-    /// stats snapshots with [`StatsView::since`] and read the window's
-    /// [`StatsWindow::contention_ratio`].
+    /// Over the runtime's lifetime for a [`Runtime::stats`] snapshot, which
+    /// on a long-lived runtime averages over traffic long past; over the
+    /// window for a [`StatsView::since`] delta.
     pub fn abort_rate(&self) -> f64 {
         self.stm.contention_ratio()
     }
 
     /// The delta between this view and an `earlier` one from the same
-    /// runtime: windowed completions, throughput, and STM activity — the
-    /// non-stale counterpart of the cumulative [`StatsView::abort_rate`],
-    /// built on [`StmStatsSnapshot::since`].
-    pub fn since(&self, earlier: &StatsView) -> StatsWindow {
-        StatsWindow {
-            duration: self.uptime.saturating_sub(earlier.uptime),
+    /// runtime. Cumulative counters (tasks, steals, parks, resizes,
+    /// repartitions, STM and key-range activity, acknowledgment delay)
+    /// become deltas and [`StatsView::uptime`] the window's length (key
+    /// ranges rebucketed inside the window count from the rebucket); gauges
+    /// (active workers, queue depths, partition generation, durability and
+    /// connection counters) keep this view's value; the adaptation log
+    /// keeps the entries published after `earlier`.
+    pub fn since(&self, earlier: &StatsView) -> StatsView {
+        let published = earlier.adaptations.last().map(|event| event.generation);
+        let per_worker_completed = self
+            .per_worker_completed
+            .iter()
+            .enumerate()
+            .map(|(index, &now)| {
+                now.saturating_sub(
+                    earlier
+                        .per_worker_completed
+                        .get(index)
+                        .copied()
+                        .unwrap_or(0),
+                )
+            })
+            .collect();
+        let key_ranges = match (&self.key_ranges, &earlier.key_ranges) {
+            (Some(now), Some(then))
+                if now.bounds() == then.bounds() && now.edges() == then.edges() =>
+            {
+                Some(now.since(then))
+            }
+            // A rebucket inside the window started the counters afresh, so
+            // the later snapshot already counts only this window's traffic.
+            (now, _) => now.clone(),
+        };
+        StatsView {
+            scheduler: self.scheduler,
+            workers: self.workers,
+            active_workers: self.active_workers,
+            uptime: self.uptime.saturating_sub(earlier.uptime),
             submitted: self.submitted.saturating_sub(earlier.submitted),
             completed: self.completed.saturating_sub(earlier.completed),
+            per_worker_completed,
+            steals: self.steals.saturating_sub(earlier.steals),
+            adopted: self.adopted.saturating_sub(earlier.adopted),
+            parks: self.parks.saturating_sub(earlier.parks),
+            late_wakes: self.late_wakes.saturating_sub(earlier.late_wakes),
+            resizes: self.resizes.saturating_sub(earlier.resizes),
+            abandoned: self.abandoned.saturating_sub(earlier.abandoned),
+            queue_depths: self.queue_depths.clone(),
             repartitions: self.repartitions.saturating_sub(earlier.repartitions),
+            partition_generation: self.partition_generation,
+            adaptations: self
+                .adaptations
+                .iter()
+                .filter(|event| published.map_or(true, |last| event.generation > last))
+                .cloned()
+                .collect(),
             stm: self.stm.since(&earlier.stm),
+            durability: self.durability,
+            recovery: self.recovery,
+            commit_wait_nanos: self
+                .commit_wait_nanos
+                .saturating_sub(earlier.commit_wait_nanos),
+            key_ranges,
+            net: self.net,
         }
     }
 
@@ -743,108 +797,6 @@ impl StatsView {
             .map(|(_, &completed)| completed)
             .collect();
         LoadBalance::new(counted).imbalance()
-    }
-}
-
-/// Windowed delta between two [`StatsView`]s of the same runtime, from
-/// [`StatsView::since`].
-#[derive(Debug, Clone)]
-pub struct StatsWindow {
-    /// Wall-clock length of the window.
-    pub duration: Duration,
-    /// Tasks accepted during the window.
-    pub submitted: u64,
-    /// Tasks executed during the window.
-    pub completed: u64,
-    /// Partition republishes during the window.
-    pub repartitions: u64,
-    /// STM activity during the window.
-    pub stm: StmStatsSnapshot,
-}
-
-impl StatsWindow {
-    /// Completed tasks per second inside the window.
-    pub fn throughput(&self) -> f64 {
-        let secs = self.duration.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.completed as f64 / secs
-        }
-    }
-
-    /// STM aborts per committed transaction inside the window — current,
-    /// unlike the cumulative [`StatsView::abort_rate`].
-    pub fn contention_ratio(&self) -> f64 {
-        self.stm.contention_ratio()
-    }
-}
-
-/// Terminal summary returned by [`Runtime::shutdown`].
-#[derive(Debug, Clone)]
-pub struct ShutdownReport {
-    /// Tasks executed over the runtime's lifetime.
-    pub completed: u64,
-    /// Tasks left in queues at shutdown (non-zero only without draining).
-    pub abandoned: u64,
-    /// Tasks executed after being stolen from an active peer's queue.
-    pub stolen: u64,
-    /// Tasks executed after being adopted from a retired worker's queue
-    /// (the elastic hand-off path).
-    pub adopted: u64,
-    /// Worker polls that found no work.
-    pub idle_polls: u64,
-    /// Condvar parks: idle periods workers spent blocked at zero CPU
-    /// instead of backoff polling.
-    pub parks: u64,
-    /// Per-worker own-queue completion counts (routed load; stolen and
-    /// adopted work is in the fields above).
-    pub load: LoadBalance,
-    /// Wall-clock lifetime of the runtime.
-    pub elapsed: Duration,
-    /// STM activity over the runtime's lifetime.
-    pub stm: StmStatsSnapshot,
-    /// Times the scheduler recomputed its partition.
-    pub repartitions: u64,
-    /// Worker-pool resizes performed by the elastic plane (each also
-    /// appears in [`ShutdownReport::adaptations`] as a
-    /// [`katme_core::drift::AdaptationCause::Resize`] entry).
-    pub resizes: u64,
-    /// Active workers at shutdown.
-    pub active_workers: usize,
-    /// The scheduler's adaptation log (one entry per published generation).
-    pub adaptations: Vec<AdaptationEvent>,
-    /// Acknowledgment delay over the run, as
-    /// [`StatsView::commit_wait_nanos`] (0 for a volatile runtime).
-    pub commit_wait_nanos: u64,
-    /// Final durability-plane counters, captured after the WAL's terminal
-    /// flush — `None` unless the runtime was built with
-    /// [`crate::Builder::durability`].
-    pub durability: Option<DurabilityView>,
-    /// What startup recovery restored and replayed (`None` for a volatile
-    /// runtime; all-defaults when the log directory started empty).
-    pub recovery: Option<RecoveryReport>,
-    /// Final connection-plane counters (`None` unless a network front end
-    /// attached via [`Runtime::attach_net`]). The server drains in-flight
-    /// replies before the runtime shuts down, so `replies` here accounts
-    /// for every accepted command that completed.
-    pub net: Option<NetView>,
-}
-
-impl ShutdownReport {
-    /// Mean completed tasks per second over the runtime's lifetime.
-    pub fn throughput(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.completed as f64 / secs
-        }
-    }
-
-    /// STM aborts per committed transaction.
-    pub fn abort_rate(&self) -> f64 {
-        self.stm.contention_ratio()
     }
 }
 

@@ -4,8 +4,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
+use katme_collections::{encode_op_into, DictOp, Dictionary};
 use katme_core::key::TxnKey;
-use katme_workload::TxnSpec;
+use katme_workload::{OpKind, TxnSpec};
 
 use crate::error::KatmeError;
 
@@ -117,6 +118,50 @@ impl<T: KeyedTask> KeyedTask for Durable<T> {
 impl KeyedTask for TxnSpec {
     fn key(&self) -> TxnKey {
         TxnKey::from(self.key)
+    }
+}
+
+/// Apply one generated transaction to a dictionary — the canonical
+/// spec-to-operation mapping shared by the harness driver, the benches and
+/// the integration tests.
+pub fn apply_spec(dict: &dyn Dictionary, spec: &TxnSpec) {
+    match spec.op {
+        OpKind::Insert => {
+            dict.insert(spec.key, spec.value);
+        }
+        OpKind::Delete => {
+            dict.remove(spec.key);
+        }
+        OpKind::Lookup => {
+            dict.lookup(spec.key);
+        }
+    }
+}
+
+/// The redo record for one generated transaction, in the collections wire
+/// codec: inserts and deletes log their `DictOp`; lookups are read-only and
+/// log nothing (their commits never wait on an fsync).
+///
+/// The returned buffer comes from the STM's payload pool
+/// ([`katme_stm::recycled_payload`]); handing it to [`Durable`] and
+/// submitting completes the recycling cycle — the commit path returns it to
+/// the pool after logging, so steady-state durable submission reuses the
+/// same handful of buffers instead of allocating one per task.
+pub fn spec_payload(spec: &TxnSpec) -> Option<Vec<u8>> {
+    let op = match spec.op {
+        OpKind::Insert => DictOp::Insert {
+            key: spec.key,
+            value: spec.value,
+        },
+        OpKind::Delete => DictOp::Remove { key: spec.key },
+        OpKind::Lookup => return None,
+    };
+    let mut out = katme_stm::recycled_payload();
+    if encode_op_into(&op, &mut out) {
+        Some(out)
+    } else {
+        katme_stm::recycle_payload(out);
+        None
     }
 }
 

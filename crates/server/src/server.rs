@@ -6,8 +6,8 @@
 //! socket gets a connection-worker thread running the `conn` module's loop
 //! against the shared runtime. Shutdown is drain-first: stop accepting, let
 //! every connection flush its in-flight replies, join the workers, then
-//! shut the runtime down — so the terminal [`ShutdownReport`] accounts for
-//! every accepted command.
+//! shut the runtime down — so the final [`StatsView`] accounts for every
+//! accepted command.
 
 use std::io::{self, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -16,10 +16,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use katme::{
-    Builder, NetCounters, NetView, Runtime, ShutdownReport, StatsView, Stm, StmConfig,
-    StructureKind,
-};
+use katme::{Builder, NetCounters, NetView, Runtime, StatsView, Stm, StmConfig, StructureKind};
 use katme_collections::TxDictionary;
 use katme_queue::Backoff;
 
@@ -241,9 +238,9 @@ impl Server {
 
     /// Drain and tear down: stop accepting, let every connection write its
     /// in-flight replies and close, join the workers, then shut the runtime
-    /// down. The report's [`ShutdownReport::net`] carries the final
+    /// down. The final stats' [`StatsView::net`] carries the final
     /// connection-plane counters.
-    pub fn shutdown(mut self) -> ShutdownReport {
+    pub fn shutdown(mut self) -> StatsView {
         let runtime = self.teardown().expect("first teardown owns the runtime");
         Arc::into_inner(runtime)
             .expect("all connection workers joined; server holds the last runtime reference")

@@ -67,13 +67,13 @@ fn main() {
         live.repartitions
     );
 
-    // 5. …and the terminal report summarizes the whole run.
+    // 5. …and the final stats summarize the whole run.
     let report = runtime.shutdown();
     println!("executed  : {} transactions", report.completed);
-    println!("per worker: {:?}", report.load.per_worker);
+    println!("per worker: {:?}", report.per_worker_completed);
     println!(
         "imbalance : {:.2} (1.00 = perfectly even)",
-        report.load.imbalance()
+        report.imbalance()
     );
     println!("table size: {} entries", table.len());
     println!(

@@ -49,7 +49,7 @@ fn run(label: &str, scheduler: SchedulerKind, use_constant_key: bool) {
         "{label:>28}: {} ops in {elapsed:>10.2?}  ({} aborts, per-worker {:?})",
         report.completed,
         report.stm.total_aborts(),
-        report.load.per_worker
+        report.per_worker_completed
     );
 }
 

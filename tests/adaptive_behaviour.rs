@@ -7,10 +7,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use katme::{
-    AdaptiveKeyScheduler, BucketKeyMapper, Driver, DriverConfig, Katme, KeyBounds, KeyMapper,
-    LoadBalance, OpGenerator, Scheduler, SchedulerKind, TxnSpec,
+    AdaptiveKeyScheduler, BucketKeyMapper, Katme, KeyBounds, KeyMapper, LoadBalance, OpGenerator,
+    Scheduler, SchedulerKind, TxnSpec,
 };
 use katme_collections::StructureKind;
+use katme_harness::{Driver, DriverConfig};
 use katme_workload::{DistributionKind, KeyDistribution};
 
 fn quick_config(workers: usize, scheduler: SchedulerKind) -> DriverConfig {
@@ -37,17 +38,18 @@ fn adaptive_balances_exponential_load_fixed_does_not() {
         DistributionKind::exponential_paper(),
     );
 
+    let (fixed, adaptive) = (fixed.stats, adaptive.stats);
     assert!(
-        fixed.load.imbalance() > 1.8,
+        fixed.imbalance() > 1.8,
         "fixed should be badly imbalanced, got {:?}",
-        fixed.load
+        fixed.per_worker_completed
     );
     assert!(
-        adaptive.load.imbalance() < fixed.load.imbalance() * 0.8,
+        adaptive.imbalance() < fixed.imbalance() * 0.8,
         "adaptive ({:.2}) should be clearly better balanced than fixed ({:.2}): {:?}",
-        adaptive.load.imbalance(),
-        fixed.load.imbalance(),
-        adaptive.load
+        adaptive.imbalance(),
+        fixed.imbalance(),
+        adaptive.per_worker_completed
     );
     assert!(adaptive.completed > 0 && fixed.completed > 0);
 }
@@ -159,8 +161,8 @@ fn adaptive_is_not_slower_than_fixed_on_skewed_keys() {
                 StructureKind::HashTable,
                 DistributionKind::exponential_paper(),
             );
-        fixed_total += fixed.completed;
-        adaptive_total += adaptive.completed;
+        fixed_total += fixed.stats.completed;
+        adaptive_total += adaptive.stats.completed;
     }
     assert!(
         adaptive_total as f64 >= fixed_total as f64 * 0.7,

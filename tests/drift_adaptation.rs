@@ -162,8 +162,9 @@ fn repartition_budget_is_honoured_through_the_facade() {
 /// scheduler on the same traffic.
 #[test]
 fn windowed_driver_run_shows_continuous_rebalancing() {
-    use katme::{Driver, DriverConfig, SchedulerKind};
+    use katme::SchedulerKind;
     use katme_collections::StructureKind;
+    use katme_harness::{Driver, DriverConfig};
 
     let config = |continuous: bool| {
         let mut config = DriverConfig::new()
@@ -189,9 +190,12 @@ fn windowed_driver_run_shows_continuous_rebalancing() {
     let (continuous, windows) =
         Driver::new(config(true)).run_dictionary_windowed(StructureKind::RbTree, distribution, 4);
 
-    assert_eq!(one_shot.repartitions, 1, "one-shot adapts exactly once");
+    assert_eq!(
+        one_shot.stats.repartitions, 1,
+        "one-shot adapts exactly once"
+    );
     assert!(
-        continuous.repartitions >= 2,
+        continuous.stats.repartitions >= 2,
         "continuous must re-adapt after the shift: {continuous:?}"
     );
     assert_eq!(windows.len(), 4);
@@ -201,8 +205,8 @@ fn windowed_driver_run_shows_continuous_rebalancing() {
     // adaptation ends the run well balanced: demand the win outright OR a
     // near-flat absolute imbalance (the post-shift one-shot failure mode
     // this test guards against reads 5-6x).
-    let continuous_imbalance = continuous.load.imbalance();
-    let one_shot_imbalance = one_shot.load.imbalance();
+    let continuous_imbalance = continuous.stats.imbalance();
+    let one_shot_imbalance = one_shot.stats.imbalance();
     assert!(
         continuous_imbalance < one_shot_imbalance || continuous_imbalance < 1.5,
         "continuous adaptation must leave the workers well balanced: \

@@ -355,7 +355,100 @@ fn stats_view_reports_progress_and_throughput() {
     assert!(stats.throughput() > 0.0);
     assert_eq!(stats.backlog(), 0);
     assert!(stats.imbalance() >= 1.0);
-    runtime.shutdown();
+
+    // Against an empty baseline, a delta is the view itself.
+    let whole = stats.since(&katme::StatsView::default());
+    assert_eq!(whole.uptime, stats.uptime);
+    assert_eq!(whole.submitted, stats.submitted);
+    assert_eq!(whole.completed, stats.completed);
+    assert_eq!(whole.per_worker_completed, stats.per_worker_completed);
+    assert_eq!(
+        (whole.steals, whole.adopted, whole.parks, whole.late_wakes),
+        (stats.steals, stats.adopted, stats.parks, stats.late_wakes)
+    );
+    assert_eq!(whole.resizes, stats.resizes);
+    assert_eq!(whole.abandoned, stats.abandoned);
+    assert_eq!(whole.repartitions, stats.repartitions);
+    assert_eq!(whole.adaptations.len(), stats.adaptations.len());
+    assert_eq!(whole.stm, stats.stm);
+    assert_eq!(whole.commit_wait_nanos, stats.commit_wait_nanos);
+
+    // Nothing runs after the drain, so the final view repeats the last
+    // live one.
+    let last = runtime.stats();
+    let report = runtime.shutdown();
+    assert_eq!(report.completed, last.completed);
+    assert_eq!(report.per_worker_completed, last.per_worker_completed);
+    assert_eq!(report.stm.commits, last.stm.commits);
+    assert_eq!(report.repartitions, last.repartitions);
+    assert_eq!(report.abandoned, 0);
+}
+
+/// A rebucket zeroes the key-range counters, so a window across one keeps
+/// the fresh counts instead of diffing two geometries.
+#[test]
+fn a_window_across_a_rebucket_keeps_the_fresh_key_range_counts() {
+    let telemetry = katme::KeyRangeTelemetry::new(0, 99, 4);
+    telemetry.record(10, 5, 1);
+    let earlier = katme::StatsView {
+        key_ranges: Some(telemetry.snapshot()),
+        ..katme::StatsView::default()
+    };
+    telemetry.record(10, 2, 0);
+    let same = katme::StatsView {
+        key_ranges: Some(telemetry.snapshot()),
+        ..katme::StatsView::default()
+    };
+    let window = same.since(&earlier).key_ranges.unwrap();
+    assert_eq!((window.total_commits(), window.total_aborts()), (2, 0));
+
+    telemetry.rebucket(vec![10, 20, 30]);
+    telemetry.record(10, 3, 1);
+    let later = katme::StatsView {
+        key_ranges: Some(telemetry.snapshot()),
+        ..katme::StatsView::default()
+    };
+    let window = later.since(&earlier).key_ranges.unwrap();
+    assert_eq!(window.edges(), &[10, 20, 30]);
+    assert_eq!((window.total_commits(), window.total_aborts()), (3, 1));
+}
+
+/// Every live snapshot reads the executor's counters in one walk: the
+/// completions it reports are exactly the per-origin counts it reports,
+/// even while producers are submitting.
+#[test]
+fn every_live_snapshot_tiles_completions_by_origin() {
+    let runtime = Katme::builder()
+        .workers(2)
+        .work_stealing(true)
+        .build(|_worker, task: WithKey<u64>| task.task)
+        .expect("valid configuration");
+    std::thread::scope(|scope| {
+        for producer in 0..2u64 {
+            let runtime = &runtime;
+            scope.spawn(move || {
+                for batch in 0..200u64 {
+                    let mut tasks: Vec<WithKey<u64>> = (0..16u64)
+                        .map(|i| WithKey::new((producer * 7_919 + batch * 16 + i) % 1_024, i))
+                        .collect();
+                    runtime.submit_batch_handle(&mut tasks).unwrap();
+                }
+            });
+        }
+        scope.spawn(|| {
+            for _ in 0..200 {
+                let stats = runtime.stats();
+                assert_eq!(
+                    stats.completed,
+                    stats.per_worker_completed.iter().sum::<u64>() + stats.steals + stats.adopted,
+                    "{stats:?}"
+                );
+                std::thread::yield_now();
+            }
+        });
+    });
+    let report = runtime.shutdown();
+    assert_eq!(report.completed, 2 * 200 * 16);
 }
 
 /// Idle workers park on the condvar between bursts (zero CPU) and wake on

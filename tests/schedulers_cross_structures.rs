@@ -87,7 +87,7 @@ fn work_stealing_preserves_all_insertions() {
     }
     let report = runtime.shutdown();
     assert_eq!(report.completed, 4_000);
-    assert!(report.stolen > 0, "stealing should have happened");
+    assert!(report.steals > 0, "stealing should have happened");
     assert_eq!(dict.len(), 4_000);
 }
 
